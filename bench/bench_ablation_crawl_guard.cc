@@ -1,6 +1,7 @@
-// Ablation: why must the crawl be gated on the *partition* MBR rather than
-// the page MBR? Section VI (Figures 8/9) argues the page-MBR guard can stop
-// the BFS early and lose results. This bench runs both guards on clustered
+// Ablation: why must the crawl be gated on the tile (the paper: the
+// partition MBR, which contains it) rather than the page MBR? Section VI
+// (Figures 8/9) argues the page-MBR guard can stop the BFS early and lose
+// results. This bench runs both guards on clustered
 // (concave) data and reports recall and I/O; the page-MBR guard is cheaper
 // precisely because it is wrong.
 #include <iostream>
@@ -31,10 +32,10 @@ int main(int argc, char** argv) {
   IoStats stats;
   BufferPool pool(&file, &stats);
 
-  std::cout << "Ablation: crawl guard = partition MBR (correct) vs page MBR "
+  std::cout << "Ablation: crawl guard = tile (correct) vs page MBR "
                "(Figure 8/9 failure)\n\n";
-  Table table({"query volume frac", "queries", "recall(partition)",
-               "recall(page)", "reads/q(partition)", "reads/q(page)"});
+  Table table({"query volume frac", "queries", "recall(tile)",
+               "recall(page)", "reads/q(tile)", "reads/q(page)"});
   for (double fraction : {1e-5, 1e-4, 1e-3, 1e-2}) {
     RangeWorkloadParams wp;
     wp.count = flags.queries();
@@ -76,8 +77,8 @@ int main(int argc, char** argv) {
                                    queries.size(), 1)});
   }
   flags.csv() ? table.PrintCsv(std::cout) : table.Print(std::cout);
-  std::cout << "\nExpected: the partition-MBR guard always reaches 100% "
-               "recall; the page-MBR\nguard loses results on at least some "
-               "query sizes.\n";
+  std::cout << "\nExpected: the tile guard always reaches 100% recall; the "
+               "page-MBR guard\nloses results on at least some query "
+               "sizes.\n";
   return 0;
 }

@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
   const double universe_side =
       2000.0 * std::cbrt(static_cast<double>(count) / 1e7);
 
-  // (a) Partition-volume sweep: inflate every partition MBR and recount.
+  // (a) Partition-volume sweep: inflate every page MBR and recount. A page
+  // reaching into more tiles links to more partitions (core/partitioner.h);
+  // the partition MBR grows with it so it still encloses the page.
   {
     UniformBoxParams params;
     params.count = count;
@@ -70,6 +72,7 @@ int main(int argc, char** argv) {
     for (double inflation : {0.0, 2.0, 4.0, 6.0, 8.0, 10.0}) {
       auto inflated = base;
       for (auto& p : inflated) {
+        p.page_mbr = p.page_mbr.Inflated(inflation);
         p.partition_mbr = p.partition_mbr.Inflated(inflation);
       }
       ComputeNeighbors(&inflated);

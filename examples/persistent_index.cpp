@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
   {
     // Session 4: the same lifecycle with compressed seed pages — the
     // quantized interior format (docs/file_format.md §2.1) packs ~3.45x
-    // more children per page, the file carries the FLATPGF2 magic, and the
-    // disk-backed re-query must return the same results as the exact index.
+    // more children per page, the per-page format byte marks those pages,
+    // and the disk-backed re-query must return the same results as the
+    // exact index.
     const std::string compressed_path = path + ".v2";
     NeuronParams params;
     params.total_elements = 80000;

@@ -268,7 +268,7 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
       const PartitionInfo& p = partitions[pi];
       MetadataRecordDraft draft;
       draft.page_mbr = p.page_mbr;
-      draft.partition_mbr = p.partition_mbr;
+      draft.tile = p.tile;
       draft.object_page = object_pages[pi];
       draft.neighbors.reserve(p.neighbors.size());
       for (uint32_t ni : p.neighbors) draft.neighbors.push_back(refs[ni]);
@@ -436,13 +436,16 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
       scan(pool->Read(record.object_page()), s);
     }
 
-    // "The neighbor pointers stored in a metadata record M are only followed
-    // if M's partition MBR intersects with the query." (kPageMbr reproduces
-    // the broken variant of Figures 8/9 for the ablation bench.)
-    const Aabb gate = guard == CrawlGuard::kPartitionMbr
-                          ? record.partition_mbr()
-                          : record.page_mbr();
-    if (gate.Intersects(gate_box)) {
+    // The paper follows M's neighbor pointers iff M's stretched partition
+    // MBR intersects the query. The tile suffices: the tiles meeting the
+    // query are linked tile to tile and reach every hit's record. The start
+    // record always expands — its page meets the query, so it links to a
+    // tile that does (docs/architecture.md, "Why the crawl is exact").
+    // kPageMbr reproduces the broken variant of Figures 8/9 for the
+    // ablation bench.
+    const Aabb gate = guard == CrawlGuard::kPartitionMbr ? record.tile()
+                                                         : record.page_mbr();
+    if (ref == start || gate.Intersects(gate_box)) {
       const uint32_t n = record.neighbor_count();
       for (uint32_t i = 0; i < n; ++i) {
         const RecordRef neighbor = record.NeighborAt(i);
@@ -728,11 +731,21 @@ void FlatIndex::SphereQuery(PageCache* pool, const Vec3& center,
   };
   std::optional<RecordRef> start = SeedWhere(pool, gate, accept, scratch);
   if (!start.has_value()) return;
+  CrawlSphere(pool, center, radius, *start, out, scratch);
+}
+
+void FlatIndex::CrawlSphere(PageCache* pool, const Vec3& center,
+                            double radius, RecordRef start,
+                            std::vector<uint64_t>* out,
+                            CrawlScratch* scratch) const {
+  if (radius < 0.0) return;
+  const Aabb gate = Aabb::FromCenterHalfExtents(
+      center, Vec3(radius, radius, radius));
   // The crawl's element gate runs as a batched SoA sphere-distance sweep;
   // SphereGateSoa reproduces IntersectsSphere exactly (same IEEE operation
   // order — see geometry/box_kernels.h), so results match the per-element
   // predicate bit for bit.
-  CrawlPages(pool, gate, *start, CrawlGuard::kPartitionMbr, scratch,
+  CrawlPages(pool, gate, start, CrawlGuard::kPartitionMbr, scratch,
              SoaScan(
                  [&center, radius](const SoaBoxes& soa, uint8_t* hits) {
                    SphereGateSoa(soa, center, radius, hits);

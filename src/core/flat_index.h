@@ -58,8 +58,8 @@ class FlatIndex {
   /// phases reported in Figure 10 and the size breakdown of Figure 11.
   struct BuildStats {
     double partition_seconds = 0.0;  ///< STR sort + tile ("Partitioning").
-    double neighbor_seconds = 0.0;   ///< temp R-tree + joins ("Finding
-                                     ///< Neighbors").
+    double neighbor_seconds = 0.0;   ///< grid join + relation filter
+                                     ///< ("Finding Neighbors").
     double write_seconds = 0.0;      ///< object pages + seed tree.
     size_t partitions = 0;
     size_t object_pages = 0;
@@ -76,10 +76,12 @@ class FlatIndex {
     uint32_t neighbor_count = 0;
   };
 
-  /// Which MBR gates neighbor expansion during the crawl. The paper proves
-  /// kPartitionMbr is required for correctness (Figures 8/9); kPageMbr exists
-  /// only for the `bench_ablation_crawl_guard` experiment demonstrating the
-  /// failure.
+  /// Which box gates neighbor expansion during the crawl. kPartitionMbr
+  /// gates on the record's stored tile (MetadataRecordView::tile), which
+  /// the paper's stretched partition MBR contains; either keeps the crawl
+  /// exact, while the page MBR alone does not (Figures 8/9). kPageMbr
+  /// exists only for the `bench_ablation_crawl_guard` experiment
+  /// demonstrating that failure.
   enum class CrawlGuard { kPartitionMbr, kPageMbr };
 
   /// Options for the build pipeline.
@@ -242,12 +244,18 @@ class FlatIndex {
   std::optional<RecordRef> Seed(PageCache* pool, const Aabb& query) const;
 
   /// Crawl phase only (Algorithm 2), starting BFS at `start`. Exposed so
-  /// tests can verify seed-choice independence: any valid start inside the
-  /// query yields the same result set.
+  /// tests can verify seed-choice independence: any record whose page MBR
+  /// intersects the query is a valid start and yields the same result set.
   void Crawl(PageCache* pool, const Aabb& query, RecordRef start,
              std::vector<uint64_t>* out,
              CrawlGuard guard = CrawlGuard::kPartitionMbr,
              CrawlScratch* scratch = nullptr) const;
+
+  /// Crawl phase of SphereQuery, starting BFS at `start`: any record whose
+  /// page MBR intersects the ball's bounding box is a valid start.
+  void CrawlSphere(PageCache* pool, const Vec3& center, double radius,
+                   RecordRef start, std::vector<uint64_t>* out,
+                   CrawlScratch* scratch = nullptr) const;
 
   /// All record addresses whose page MBR intersects `query`; test hook for
   /// the seed-independence property (walks without charging I/O).

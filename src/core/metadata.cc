@@ -18,11 +18,9 @@ void WriteSeedLeaf(char* data, uint32_t page_size,
 
     char* p = data + offset;
     const PackedAabb page_mbr = PackedAabb::FromAabb(record.page_mbr);
-    const PackedAabb partition_mbr =
-        PackedAabb::FromAabb(record.partition_mbr);
+    const PackedAabb tile = PackedAabb::FromAabb(record.tile);
     std::memcpy(p, &page_mbr, sizeof(page_mbr));
-    std::memcpy(p + sizeof(PackedAabb), &partition_mbr,
-                sizeof(partition_mbr));
+    std::memcpy(p + sizeof(PackedAabb), &tile, sizeof(tile));
     const uint32_t object_page = record.object_page;
     std::memcpy(p + 2 * sizeof(PackedAabb), &object_page,
                 sizeof(object_page));

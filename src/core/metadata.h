@@ -28,10 +28,11 @@ struct RecordRef {
   }
 };
 
-/// On-page neighbor pointer: page id in the low 20 bits' complement —
-/// packed as page:20 | slot:12. Bounds the seed tree to 2^20 leaf pages and
-/// 2^12 records per leaf; plenty at any page size this library supports, and
-/// half the footprint of a (u32, u16, pad) triple. Matching the paper's
+/// On-page neighbor pointer: one u32 packed as page:20 | slot:12, the
+/// seed-leaf PageId in the high 20 bits and the record slot in the low 12.
+/// Bounds the seed tree to 2^20 leaf pages and 2^12 records per leaf;
+/// plenty at any page size this library supports, and half the footprint
+/// of a (u32, u16, pad) triple. Matching the paper's
 /// space accounting (Section V-B.2 packs "as many records as possible" per
 /// leaf) matters: metadata reads during the crawl scale inversely with
 /// records-per-leaf.
@@ -75,8 +76,8 @@ struct PackedAabb {
 
 static_assert(sizeof(PackedAabb) == 24);
 
-/// Fixed part of a metadata record: page MBR (24) + partition MBR (24) +
-/// object PageId (4) + neighbor count (4).
+/// Fixed part of a metadata record: page MBR (24) + tile (24) + object
+/// PageId (4) + neighbor count (4).
 inline constexpr size_t kRecordFixedSize = 2 * sizeof(PackedAabb) + 8;
 
 /// Per-record slot-directory cost in the leaf header.
@@ -103,7 +104,11 @@ class MetadataRecordView {
     return p.ToAabb();
   }
 
-  Aabb partition_mbr() const {
+  /// The box that gates neighbor expansion in the crawl: the partition's
+  /// unstretched tile. FLATPGF1/2 files store the stretched partition MBR
+  /// here instead, which contains the tile, so the crawl stays exact on
+  /// them (docs/file_format.md §3).
+  Aabb tile() const {
     PackedAabb p;
     std::memcpy(&p, data_ + sizeof(PackedAabb), sizeof(p));
     return p.ToAabb();
@@ -158,7 +163,7 @@ class SeedLeafView {
 /// In-memory form of a record while the seed index is being built.
 struct MetadataRecordDraft {
   Aabb page_mbr;
-  Aabb partition_mbr;
+  Aabb tile;
   PageId object_page = kInvalidPageId;
   std::vector<RecordRef> neighbors;
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/grid_join.h"
+#include "core/metadata.h"
 #include "parallel/parallel_sort.h"
 #include "parallel/thread_pool.h"
 #include "rtree/pack.h"
@@ -133,20 +134,30 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
 
 void ComputeNeighbors(std::vector<PartitionInfo>* partitions,
                       ThreadPool* pool) {
-  std::vector<Aabb> boxes;
-  boxes.reserve(partitions->size());
-  for (const PartitionInfo& p : *partitions) {
-    boxes.push_back(p.partition_mbr);
+  const size_t n = partitions->size();
+  std::vector<Aabb> stretched(n);
+  std::vector<Aabb> tiles(n);
+  std::vector<Aabb> pages(n);
+  for (size_t i = 0; i < n; ++i) {
+    const PartitionInfo& p = (*partitions)[i];
+    stretched[i] = p.partition_mbr;
+    tiles[i] = PackedAabb::FromAabb(p.tile).ToAabb();
+    pages[i] = PackedAabb::FromAabb(p.page_mbr).ToAabb();
   }
   // Algorithm 1 inserts all partition MBRs "into a temporary R-Tree, used
-  // solely to compute the neighborhood information"; the grid join computes
-  // the identical relation without putting a tree build on the critical
-  // path, and probes the partitions in parallel.
+  // solely to compute the neighborhood information"; the grid join finds
+  // the same intersecting pairs without a tree build on the critical path.
+  // Those pairs are a superset of the relation (a partition MBR encloses
+  // its tile and page MBR), so filtering them yields the relation exactly.
   std::vector<std::vector<uint32_t>> neighbors;
-  GridIntersectionJoin(boxes, pool, &neighbors);
-  for (size_t i = 0; i < partitions->size(); ++i) {
+  GridIntersectionJoin(stretched, pool, &neighbors);
+  ParallelFor(pool, n, /*grain=*/0, [&](size_t, size_t i) {
+    std::erase_if(neighbors[i], [&](uint32_t j) {
+      return !tiles[i].Intersects(tiles[j]) &&
+             !pages[i].Intersects(tiles[j]) && !tiles[i].Intersects(pages[j]);
+    });
     (*partitions)[i].neighbors = std::move(neighbors[i]);
-  }
+  });
 }
 
 uint64_t TotalNeighborPointers(const std::vector<PartitionInfo>& partitions) {

@@ -17,14 +17,16 @@ class ThreadPool;
 struct PartitionInfo {
   /// MBR of the elements on the page ("page MBR").
   Aabb page_mbr;
-  /// The space tile stretched to enclose page_mbr ("partition MBR").
+  /// The space tile stretched to enclose page_mbr ("partition MBR"). The
+  /// neighbor join draws its candidate pairs from these; the index does
+  /// not store it.
   Aabb partition_mbr;
   /// The unstretched tile; tiles jointly cover the universe with no gaps.
   Aabb tile;
   uint32_t first = 0;
   uint32_t count = 0;
-  /// Indices of neighboring partitions (partition MBRs intersect); filled by
-  /// ComputeNeighbors.
+  /// Indices of neighboring partitions, ascending; filled by
+  /// ComputeNeighbors (see there for the relation).
   std::vector<uint32_t> neighbors;
 };
 
@@ -48,14 +50,26 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
                                         const Aabb& universe,
                                         ThreadPool* pool = nullptr);
 
-/// Fills `neighbors` for every partition: two partitions are neighbors iff
-/// their partition MBRs intersect (closed intervals, so face-adjacent tiles
-/// qualify). The relation is symmetric and irreflexive, and each list is
-/// sorted ascending. Implemented as a uniform-grid intersection join
-/// (GridIntersectionJoin) instead of Algorithm 1's temporary R-tree: the
-/// same relation, no tree construction on the critical path, and partitions
-/// probe the grid in parallel when `pool` is given. Output is independent of
-/// the thread count.
+/// Fills `neighbors` for every partition. Partition A lists partition B
+/// (A != B) iff tile_A ∩ tile_B, page_A ∩ tile_B or tile_A ∩ page_B is
+/// non-empty (closed intervals, so face-adjacent tiles qualify), evaluated
+/// on the float32 outward-rounded boxes a seed-leaf record stores
+/// (PackedAabb). The relation is symmetric and irreflexive, and each list
+/// is sorted ascending.
+///
+/// This is what the crawl needs and no more: the tiles meeting a query box
+/// cover it, so they are connected through tile ∩ tile links, and every
+/// element hit lies in one of those tiles, which links to the element's
+/// page through tile ∩ page (docs/architecture.md, "Why the crawl is
+/// exact"). Algorithm 1's relation — stretched partition MBRs intersect —
+/// is a superset with about 2.7x the pointers on neuron data.
+///
+/// Candidate pairs come from a uniform-grid intersection join over the
+/// partition MBRs (GridIntersectionJoin; each partition MBR must enclose
+/// its tile and page MBR, as StrPartition guarantees), which replaces
+/// Algorithm 1's temporary R-tree; one pass then filters them by the
+/// relation above. Both run in parallel when `pool` is given, and the
+/// output is independent of the thread count.
 void ComputeNeighbors(std::vector<PartitionInfo>* partitions,
                       ThreadPool* pool = nullptr);
 

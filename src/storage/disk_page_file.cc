@@ -13,16 +13,14 @@
 #include <stdexcept>
 
 #include "storage/fault_injection.h"
+#include "storage/persistence.h"
 
 namespace flat {
 namespace {
 
-// v1 (exact node pages only) and v2 (contains compressed internal pages)
-// share the container layout; the per-page format byte self-describes, so
-// the backend accepts both (see storage/persistence.cc).
-constexpr char kMagicV1[8] = {'F', 'L', 'A', 'T', 'P', 'G', 'F', '1'};
-constexpr char kMagicV2[8] = {'F', 'L', 'A', 'T', 'P', 'G', 'F', '2'};
-constexpr uint64_t kHeaderBytes = 16;  // magic + u32 page_size + u32 count
+// Magic + u32 page_size + u32 count; the versions LoadPageFile reads share
+// this container layout (storage/persistence.h).
+constexpr uint64_t kHeaderBytes = kPageFileMagicSize + 8;
 
 [[noreturn]] void Fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("DiskPageFile: " + what + ": " + path);
@@ -80,12 +78,11 @@ std::unique_ptr<DiskPageFile> DiskPageFile::Open(const std::string& path,
 
   char header[kHeaderBytes];
   ReadFully(file->fd_, path, header, sizeof(header), 0);
-  if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) != 0 &&
-      std::memcmp(header, kMagicV2, sizeof(kMagicV2)) != 0) {
+  if (!IsReadablePageFileMagic(header)) {
     Fail(path, "bad magic (not a FLAT page file or unsupported version)");
   }
-  file->page_size_ = LoadU32(header + 8);
-  const uint32_t page_count = LoadU32(header + 12);
+  file->page_size_ = LoadU32(header + kPageFileMagicSize);
+  const uint32_t page_count = LoadU32(header + kPageFileMagicSize + 4);
   if (file->page_size_ < 64 || file->page_size_ > (64u << 20)) {
     Fail(path, "implausible page size");
   }

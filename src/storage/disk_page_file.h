@@ -18,8 +18,9 @@ namespace flat {
 
 class FaultSchedule;
 
-/// A real persistent PageStore: serves `Data(id)` straight from a
-/// `FLATPGF1` file written by SavePageFile, opened read-only for query
+/// A real persistent PageStore: serves `Data(id)` straight from a page file
+/// written by SavePageFile (any version IsReadablePageFileMagic accepts:
+/// `FLATPGF1`, `FLATPGF2` or `FLATPGF3`), opened read-only for query
 /// execution.
 ///
 /// This is the backend that makes the paper's central claim measurable:

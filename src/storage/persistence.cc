@@ -8,37 +8,20 @@
 #include <stdexcept>
 #include <vector>
 
-#include "rtree/node.h"
-
 namespace flat {
 namespace {
 
-// Version 1: every node page exact. Version 2: the store contains at least
-// one compressed (quantized) internal node page — same container layout,
-// but pre-quantization readers must reject it rather than mis-gate, which
-// the magic guarantees. Readers here accept both.
-constexpr char kMagicV1[8] = {'F', 'L', 'A', 'T', 'P', 'G', 'F', '1'};
-constexpr char kMagicV2[8] = {'F', 'L', 'A', 'T', 'P', 'G', 'F', '2'};
-
-// True iff any internal node page carries the quantized format tag (header
-// byte 3, rtree/node.h). Only internal categories can be quantized; other
-// categories reuse that byte's offset for their own data (seed-leaf slot
-// directories), so they are skipped rather than sniffed.
-bool HasQuantizedNodePages(const PageStore& file) {
-  for (PageId id = 0; id < file.page_count(); ++id) {
-    const PageCategory category = file.category(id);
-    if (category != PageCategory::kSeedInternal &&
-        category != PageCategory::kRTreeInternal) {
-      continue;
-    }
-    NodeHeader header;
-    std::memcpy(&header, file.Data(id), sizeof(header));
-    if (static_cast<NodeFormat>(header.format) == NodeFormat::kQuantized) {
-      return true;
-    }
-  }
-  return false;
-}
+// Version 1: every node page exact. Version 2: some internal seed pages
+// compressed (quantized). Version 3: seed-leaf records store the unstretched
+// tile and the tile-adjacency neighbor relation (core/partitioner.h), which
+// a pre-v3 crawl would miss results on, so the magic locks old readers out.
+// The container layout is the same for all three. Every save writes v3;
+// readers accept all three, since a v1/v2 record stores the stretched
+// partition MBR (which contains the tile) and a superset of the v3
+// pointers, so today's crawl stays exact on them.
+constexpr char kMagicPrefix[7] = {'F', 'L', 'A', 'T', 'P', 'G', 'F'};
+constexpr char kMagicWritten[kPageFileMagicSize] = {'F', 'L', 'A', 'T',
+                                                    'P', 'G', 'F', '3'};
 
 void WriteU32(std::ostream& out, uint32_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -53,6 +36,11 @@ uint32_t ReadU32(std::istream& in) {
 
 }  // namespace
 
+bool IsReadablePageFileMagic(const char* magic) {
+  return std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) == 0 &&
+         magic[7] >= '1' && magic[7] <= '3';
+}
+
 void SavePageFile(const PageStore& file, std::ostream& out) {
   // The format stores the page count in a u32; a bigger store must fail
   // loudly rather than produce a well-formed file describing the wrong
@@ -61,10 +49,7 @@ void SavePageFile(const PageStore& file, std::ostream& out) {
     throw std::runtime_error(
         "SavePageFile: page count exceeds the format's u32 field");
   }
-  // Stores without compressed pages keep the v1 magic, byte for byte: a
-  // plain exact build round-trips through old and new readers alike.
-  out.write(HasQuantizedNodePages(file) ? kMagicV2 : kMagicV1,
-            sizeof(kMagicV1));
+  out.write(kMagicWritten, sizeof(kMagicWritten));
   WriteU32(out, file.page_size());
   WriteU32(out, static_cast<uint32_t>(file.page_count()));
   for (PageId id = 0; id < file.page_count(); ++id) {
@@ -78,10 +63,9 @@ void SavePageFile(const PageStore& file, std::ostream& out) {
 }
 
 std::unique_ptr<PageFile> LoadPageFile(std::istream& in) {
-  char magic[8];
+  char magic[kPageFileMagicSize];
   in.read(magic, sizeof(magic));
-  if (!in || (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0 &&
-              std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)) {
+  if (!in || !IsReadablePageFileMagic(magic)) {
     throw std::runtime_error("LoadPageFile: bad magic (not a FLAT page file "
                              "or unsupported version)");
   }

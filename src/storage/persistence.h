@@ -1,6 +1,7 @@
 #ifndef FLAT_STORAGE_PERSISTENCE_H_
 #define FLAT_STORAGE_PERSISTENCE_H_
 
+#include <cstddef>
 #include <iosfwd>
 #include <memory>
 
@@ -17,22 +18,31 @@ namespace flat {
 /// root/height pair) is all that is needed to reopen an index.
 ///
 /// Format (little-endian):
-///   magic "FLATPGF1" or "FLATPGF2" | u32 page_size | u32 page_count |
+///   magic "FLATPGF3" | u32 page_size | u32 page_count |
 ///   u8 category[page_count] | page bytes (page_count * page_size)
 ///
 /// The format is versioned via the magic; readers reject unknown magics and
-/// truncated streams by throwing std::runtime_error. "FLATPGF2" is written
-/// iff the store contains compressed (quantized) internal node pages
-/// (rtree/node.h) — the container layout is unchanged, but readers that
-/// predate the page format must reject such files rather than mis-parse
-/// them. LoadPageFile and DiskPageFile::Open accept both versions; stores
-/// without compressed pages always serialize as byte-identical v1 files.
-/// See docs/file_format.md for the back-compat matrix.
+/// truncated streams by throwing std::runtime_error. Every save writes
+/// "FLATPGF3". "FLATPGF1" (exact node pages) and "FLATPGF2" (compressed
+/// internal seed pages, rtree/node.h) files from earlier builds share the
+/// container layout and still load: LoadPageFile and DiskPageFile::Open
+/// accept all three (IsReadablePageFileMagic). v3 exists because its
+/// seed-leaf records hold the unstretched tile and a sparser neighbor
+/// relation, which readers that predate it would crawl inexactly. See
+/// docs/file_format.md for the back-compat matrix.
 ///
 /// Accepts any PageStore (so a DiskPageFile can be re-saved); throws
 /// std::runtime_error if the store's page count exceeds the format's u32
 /// field rather than silently truncating it.
 void SavePageFile(const PageStore& file, std::ostream& out);
+
+/// Bytes of the magic that opens every serialized PageFile.
+inline constexpr size_t kPageFileMagicSize = 8;
+
+/// True iff the kPageFileMagicSize bytes at `magic` name a page-file
+/// version this build reads ("FLATPGF1", "FLATPGF2" or "FLATPGF3"). The one
+/// version check behind LoadPageFile and DiskPageFile::Open.
+bool IsReadablePageFileMagic(const char* magic);
 
 /// Reads a PageFile previously written by SavePageFile into memory. The
 /// page_count header field is untrusted: where the stream is seekable it is

@@ -172,15 +172,17 @@ TEST(CompressedIndexTest, MagicReflectsPageFormats) {
   PageFile compressed_file;
   FlatIndex::Build(&compressed_file, dataset.elements, CompressedOptions());
 
+  // Both node formats are self-describing per page; the magic names the
+  // seed-leaf record format (tile boxes, v3), which every build writes.
   std::stringstream exact_stream, compressed_stream;
   SavePageFile(exact_file, exact_stream);
   SavePageFile(compressed_file, compressed_stream);
-  EXPECT_EQ(exact_stream.str().substr(0, 8), "FLATPGF1");
-  EXPECT_EQ(compressed_stream.str().substr(0, 8), "FLATPGF2");
+  EXPECT_EQ(exact_stream.str().substr(0, 8), "FLATPGF3");
+  EXPECT_EQ(compressed_stream.str().substr(0, 8), "FLATPGF3");
 
   // Unknown future versions stay rejected.
   std::string bytes = compressed_stream.str();
-  bytes[7] = '3';
+  bytes[7] = '4';
   std::istringstream future(bytes);
   EXPECT_THROW(LoadPageFile(future), std::runtime_error);
 }
@@ -223,18 +225,18 @@ TEST(CompressedIndexTest, DiskBackendRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(CompressedIndexTest, ExactBuildsStillWriteV1) {
-  // Regression guard for old readers: an exact build must serialize byte-
-  // for-byte as before the format byte existed (it is zero on every page).
+TEST(CompressedIndexTest, ExactBuildsWriteV3) {
+  // An exact build writes the v3 magic too: its seed leaves carry tile
+  // boxes, which readers that predate v3 must refuse.
   const Dataset dataset = NeuronData();
   PageFile file;
   FlatIndex index = FlatIndex::Build(&file, dataset.elements);
   std::stringstream stream;
   SavePageFile(file, stream);
   const std::string bytes = stream.str();
-  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF1");
+  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF3");
 
-  // And it loads + queries identically, the v1 back-compat path.
+  // And it loads + queries identically.
   std::istringstream in(bytes);
   auto loaded = LoadPageFile(in);
   FlatIndex reopened = FlatIndex::Attach(loaded.get(), index.descriptor());

@@ -31,10 +31,13 @@ TEST(FlatSeedIndependenceTest, EveryCandidateStartYieldsSameResult) {
   for (const Aabb& q : testing::RandomQueries(10, 112)) {
     const auto oracle = BruteForce(entries, q);
     // Every record whose page MBR intersects the query is a legal crawl
-    // start: its partition MBR (which encloses the page MBR) intersects the
-    // query too, so its neighbors get expanded and — because the tiles cover
-    // space — the BFS reaches the whole query region. The result must be
-    // identical for all of them.
+    // start. The start always expands, and a point its page shares with
+    // the query lies in some tile, which the start links to (page ∩ tile).
+    // That tile meets the query, and the tiles meeting the query cover it,
+    // so they form one tile ∩ tile-connected component; every hit lies in
+    // one of them, which links to the hit's record. The result must be
+    // identical for all starts (tests/tile_adjacency_test.cc checks this
+    // on degenerate data and for spheres too).
     for (const RecordRef& start : index.FindAllCandidateRecords(q)) {
       std::vector<uint64_t> got;
       index.Crawl(&pool, q, start, &got);

@@ -12,8 +12,8 @@ MetadataRecordDraft MakeDraft(double base, PageId object_page,
   MetadataRecordDraft draft;
   draft.page_mbr = Aabb(Vec3(base, base, base),
                         Vec3(base + 1, base + 1, base + 1));
-  draft.partition_mbr = Aabb(Vec3(base - 1, base - 1, base - 1),
-                             Vec3(base + 2, base + 2, base + 2));
+  draft.tile = Aabb(Vec3(base - 1, base - 1, base - 1),
+                    Vec3(base + 2, base + 2, base + 2));
   draft.object_page = object_page;
   draft.neighbors = std::move(neighbors);
   return draft;
@@ -68,7 +68,7 @@ TEST(SeedLeafTest, WriteReadRoundTripSingleRecord) {
   EXPECT_TRUE(record.page_mbr().Contains(drafts[0].page_mbr));
   EXPECT_NEAR(record.page_mbr().Volume(), drafts[0].page_mbr.Volume(),
               1e-4 * drafts[0].page_mbr.Volume() + 1e-9);
-  EXPECT_TRUE(record.partition_mbr().Contains(drafts[0].partition_mbr));
+  EXPECT_TRUE(record.tile().Contains(drafts[0].tile));
   EXPECT_EQ(record.object_page(), 99u);
   ASSERT_EQ(record.neighbor_count(), 2u);
   EXPECT_EQ(record.NeighborAt(0), (RecordRef{3, 4}));

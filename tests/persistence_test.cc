@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <streambuf>
 #include <string>
 
 #include "core/flat_index.h"
 #include "rtree/bulkload.h"
+#include "rtree/node.h"
 #include "storage/buffer_pool.h"
+#include "storage/disk_page_file.h"
 #include "tests/test_util.h"
 
 namespace flat {
@@ -252,6 +257,103 @@ TEST(PersistenceTest, DescriptorIsTrivialToStoreExternally) {
   EXPECT_EQ(reopened.RangeCount(&pool, Aabb(Vec3(0, 0, 0),
                                             Vec3(100, 100, 100))),
             entries.size());
+}
+
+// Page files written by earlier versions: 600 boxes at 1 KiB pages, exact
+// seed pages (FLATPGF1) and compressed seed pages (FLATPGF2). Their seed
+// leaves store the stretched partition MBR and Algorithm 1's stretched-MBR
+// neighbor relation; both must still load and answer exactly.
+struct LegacyFile {
+  const char* name;
+  const char* magic;
+};
+constexpr LegacyFile kLegacyFiles[] = {
+    {"flatpgf1_exact.pgf", "FLATPGF1"},
+    {"flatpgf2_compressed.pgf", "FLATPGF2"},
+};
+// The descriptor both files were built with (root = last page).
+constexpr FlatIndex::Descriptor kLegacyDescriptor{40, false, 2};
+
+std::string LegacyPath(const LegacyFile& legacy) {
+  return std::string(FLAT_TEST_DATA_DIR) + "/" + legacy.name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The oracle's element set: every entry on the file's object pages.
+std::vector<RTreeEntry> StoredElements(const PageStore& store) {
+  std::vector<RTreeEntry> elements;
+  for (PageId id = 0; id < store.page_count(); ++id) {
+    if (store.category(id) != PageCategory::kObject) continue;
+    const NodeView page(store.Data(id));
+    for (uint16_t i = 0; i < page.count(); ++i) {
+      elements.push_back(page.EntryAt(i));
+    }
+  }
+  return elements;
+}
+
+TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
+  for (const LegacyFile& legacy : kLegacyFiles) {
+    SCOPED_TRACE(legacy.name);
+    const std::string bytes = ReadBytes(LegacyPath(legacy));
+    ASSERT_EQ(bytes.substr(0, 8), legacy.magic);
+    std::istringstream stream(bytes);
+    const std::unique_ptr<PageFile> loaded = LoadPageFile(stream);
+    const std::unique_ptr<DiskPageFile> disk =
+        DiskPageFile::Open(LegacyPath(legacy));
+    const std::vector<RTreeEntry> elements = StoredElements(*loaded);
+    ASSERT_EQ(elements.size(), 600u);
+
+    for (const PageStore* store :
+         {static_cast<const PageStore*>(loaded.get()),
+          static_cast<const PageStore*>(disk.get())}) {
+      const FlatIndex index = FlatIndex::Attach(store, kLegacyDescriptor);
+      IoStats stats;
+      BufferPool pool(store, &stats);
+      for (const Aabb& q : testing::RandomQueries(40, 316)) {
+        const std::vector<uint64_t> oracle = testing::BruteForce(elements, q);
+        std::vector<uint64_t> got;
+        index.RangeQuery(&pool, q, &got);
+        EXPECT_EQ(testing::Sorted(got), oracle);
+        EXPECT_EQ(index.RangeCount(&pool, q), oracle.size());
+        // Every legal start, not just the one the seed phase picks.
+        for (const RecordRef& start : index.FindAllCandidateRecords(q)) {
+          got.clear();
+          index.Crawl(&pool, q, start, &got);
+          EXPECT_EQ(testing::Sorted(got), oracle);
+        }
+        const Vec3 center = q.Center();
+        const double radius = 0.5 * q.Extents().x;
+        std::vector<uint64_t> want;
+        for (const RTreeEntry& e : elements) {
+          if (e.box.IntersectsSphere(center, radius)) want.push_back(e.id);
+        }
+        got.clear();
+        index.SphereQuery(&pool, center, radius, &got);
+        EXPECT_EQ(testing::Sorted(got), testing::Sorted(want));
+      }
+    }
+  }
+}
+
+TEST(PersistenceTest, UnknownVersionIsRejectedByBothLoaders) {
+  std::string bytes = ReadBytes(LegacyPath(kLegacyFiles[0]));
+  ASSERT_FALSE(bytes.empty());
+  bytes[7] = '4';
+  std::istringstream stream(bytes);
+  EXPECT_THROW(LoadPageFile(stream), std::runtime_error);
+
+  const std::string path = ::testing::TempDir() + "flatpgf4.pgf";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  EXPECT_THROW(DiskPageFile::Open(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 }  // namespace
