@@ -52,14 +52,15 @@ int main(int argc, char** argv) {
       std::vector<uint64_t> got;
       IoStats before = stats;
       pool.Clear();
-      index.RangeQuery(&pool, q, &got, FlatIndex::CrawlGuard::kPartitionMbr);
+      index.RangeQuery(&pool, q, &got);
       partition_io += stats.DeltaSince(before);
       partition_total += got.size();
 
       got.clear();
       before = stats;
       pool.Clear();
-      index.RangeQuery(&pool, q, &got, FlatIndex::CrawlGuard::kPageMbr);
+      index.RangeQuery(&pool, q, &got, /*scratch=*/nullptr,
+                       FlatIndex::CrawlGuard::kPageMbr);
       page_io += stats.DeltaSince(before);
       page_total += got.size();
     }

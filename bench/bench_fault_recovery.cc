@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   std::vector<QueryResult> baseline(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     BufferPool pool(&file, &baseline[i].io);
-    DispatchQuery(index, batch[i], &pool, &baseline[i]);
+    DispatchQuery({&index, batch[i]}, &pool, &baseline[i]);
   }
 
   info << "# " << dataset.elements.size() << " neuron elements, "

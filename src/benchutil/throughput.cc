@@ -34,7 +34,7 @@ SerialReference RunSerialReference(const FlatIndex& index,
     // methodology) at O(1) cost, same as an engine worker.
     pool.Clear();
     pool.set_stats(&r.io);
-    DispatchQuery(index, batch[i], &pool, &r, &scratch);
+    DispatchQuery({&index, batch[i]}, &pool, &r, &scratch);
     ref.io += r.io;
   }
   ref.seconds = std::chrono::duration<double>(Clock::now() - start).count();

@@ -519,11 +519,6 @@ void FlatIndex::Crawl(PageCache* pool, const Aabb& query, RecordRef start,
 }
 
 void FlatIndex::RangeQuery(PageCache* pool, const Aabb& query,
-                           std::vector<uint64_t>* out, CrawlGuard guard) const {
-  RangeQuery(pool, query, out, nullptr, guard);
-}
-
-void FlatIndex::RangeQuery(PageCache* pool, const Aabb& query,
                            std::vector<uint64_t>* out, CrawlScratch* scratch,
                            CrawlGuard guard) const {
   std::optional<RecordRef> start = SeedWhere(
@@ -644,11 +639,6 @@ auto PredicateScan(const Accept& accept, std::vector<uint64_t>* out) {
 }  // namespace
 
 std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
-                                          size_t k) const {
-  return KnnQuery(pool, center, k, nullptr);
-}
-
-std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
                                           size_t k,
                                           CrawlScratch* scratch) const {
   std::vector<uint64_t> result;
@@ -713,11 +703,6 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
     radius *= 2.0;
   }
   return result;
-}
-
-void FlatIndex::SphereQuery(PageCache* pool, const Vec3& center,
-                            double radius, std::vector<uint64_t>* out) const {
-  SphereQuery(pool, center, radius, out, nullptr);
 }
 
 void FlatIndex::SphereQuery(PageCache* pool, const Vec3& center,

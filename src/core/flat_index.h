@@ -148,10 +148,7 @@ class FlatIndex {
   /// per thread — to make the crawl hot path allocation-free. nullptr uses a
   /// throwaway scratch; results and I/O are identical either way.
   void RangeQuery(PageCache* pool, const Aabb& query,
-                  std::vector<uint64_t>* out,
-                  CrawlGuard guard = CrawlGuard::kPartitionMbr) const;
-  void RangeQuery(PageCache* pool, const Aabb& query,
-                  std::vector<uint64_t>* out, CrawlScratch* scratch,
+                  std::vector<uint64_t>* out, CrawlScratch* scratch = nullptr,
                   CrawlGuard guard = CrawlGuard::kPartitionMbr) const;
 
   /// Number of elements RangeQuery would return, without materializing the
@@ -180,9 +177,8 @@ class FlatIndex {
   /// with the ball's bounding box, filtering elements by exact
   /// box-to-sphere distance.
   void SphereQuery(PageCache* pool, const Vec3& center, double radius,
-                   std::vector<uint64_t>* out) const;
-  void SphereQuery(PageCache* pool, const Vec3& center, double radius,
-                   std::vector<uint64_t>* out, CrawlScratch* scratch) const;
+                   std::vector<uint64_t>* out,
+                   CrawlScratch* scratch = nullptr) const;
 
   /// The ids of (at least) the `k` elements whose MBRs are closest to
   /// `center`, nearest first. Implemented as iterative-deepening sphere
@@ -190,24 +186,8 @@ class FlatIndex {
   /// elements are inside — every probe is a cheap seed+crawl, so the cost
   /// stays proportional to the neighborhood size, in the spirit of the
   /// paper's incremental structural-neighborhood use case.
-  std::vector<uint64_t> KnnQuery(PageCache* pool, const Vec3& center,
-                                 size_t k) const;
   std::vector<uint64_t> KnnQuery(PageCache* pool, const Vec3& center, size_t k,
-                                 CrawlScratch* scratch) const;
-
-  /// Rebuilds an index over `elements` appended to `file`. The paper's
-  /// update story (Section IV): data changes arrive "in batches" and
-  /// "reindexing is more efficient" than incremental maintenance — this is
-  /// that operation, as a named convenience.
-  static FlatIndex Rebuild(PageFile* file, std::vector<RTreeEntry> elements,
-                           BuildStats* stats = nullptr) {
-    return Build(file, std::move(elements), stats);
-  }
-  static FlatIndex Rebuild(PageFile* file, std::vector<RTreeEntry> elements,
-                           const BuildOptions& options,
-                           BuildStats* stats = nullptr) {
-    return Build(file, std::move(elements), options, stats);
-  }
+                                 CrawlScratch* scratch = nullptr) const;
 
   /// Compact handle describing a built index inside its PageFile; together
   /// with the PageFile contents this is everything needed to re-attach the

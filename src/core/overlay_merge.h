@@ -14,10 +14,9 @@ class CrawlScratch;
 
 /// Overlay-aware result merging — the algebra that turns a bulkload-only
 /// query result into a snapshot-consistent one (delete masking + overlay
-/// matches in the canonical ascending-id order). Shared by the engine's
-/// overlay dispatch (engine/query_engine.cc) and the snapshot-pinned serial
-/// path (shard/sharded_flat_store.cc), so both produce bit-identical
-/// results by construction.
+/// matches in the canonical ascending-id order). Called from one place, the
+/// engine's DispatchQuery (engine/query_engine.cc), which every store query
+/// — threaded or inline — reaches.
 ///
 /// Every AppendOverlay*/CountOverlay* call returns the number of overlay
 /// probes performed — live entries gate-tested against the query — which

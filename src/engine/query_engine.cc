@@ -54,11 +54,6 @@ void SettleFailedResult(const Query& query, QueryResult* result) {
   }
 }
 
-void DispatchQueryWithOverlayImpl(const FlatIndex* index, const Query& query,
-                                  PageCache* cache, const OverlayView* overlay,
-                                  size_t overlay_bucket, QueryResult* result,
-                                  CrawlScratch* scratch);
-
 }  // namespace
 
 QueryEngine::QueryEngine(const FlatIndex* index, Options options)
@@ -148,20 +143,22 @@ std::vector<QueryResult> QueryEngine::RunMulti(
   if (stats != nullptr) {
     *stats = BatchStats{};
     stats->threads = pool_.threads();
-    for (const QueryResult& r : results) {
-      stats->io += r.io;
-      stats->result_elements += r.count;
-      if (r.status == QueryStatus::kOk) {
-        ++stats->queries_ok;
-      } else if (r.status == QueryStatus::kRejected) {
-        ++stats->queries_shed;
-      } else {
-        ++stats->queries_failed;
-      }
-    }
+    for (const QueryResult& r : results) stats->Record(r);
     stats->wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
+  }
+  return results;
+}
+
+std::vector<QueryResult> QueryEngine::RunInline(
+    const std::vector<IndexedQuery>& batch) {
+  const Options options;
+  WorkerState state;
+  std::vector<QueryResult> results(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExecuteQuery(options, /*shared_caches=*/nullptr, batch[i], &results[i],
+                 &state);
   }
   return results;
 }
@@ -170,7 +167,7 @@ void QueryEngine::ProcessQueue(size_t worker_index, const Job& job) {
   size_t query_index;
   while (PopOwn(worker_index, &query_index) ||
          Steal(worker_index, &query_index)) {
-    ExecuteQuery(job, (*job.batch)[query_index],
+    ExecuteQuery(options_, job.shared_caches, (*job.batch)[query_index],
                  &(*job.results)[query_index], workers_[worker_index].get());
   }
 }
@@ -199,86 +196,89 @@ bool QueryEngine::Steal(size_t worker_index, size_t* query_index) {
 
 namespace {
 
-void DispatchQueryImpl(const FlatIndex& index, const Query& query,
-                       PageCache* cache, QueryResult* result,
-                       CrawlScratch* scratch) {
-  switch (query.type) {
-    case Query::Type::kRange:
-      index.RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kRangeCount:
-      // Accumulates into the result's counter in place so a fail-soft stop
-      // surfaces the partial tally (SettleFailedResult keeps it).
-      index.RangeCountInto(cache, query.box, &result->count, scratch);
-      break;
-    case Query::Type::kSeedScan:
-      index.RangeQueryViaSeedScan(cache, query.box, &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kKnn:
-      result->ids = index.KnnQuery(cache, query.center, query.k, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kSphere:
-      index.SphereQuery(cache, query.center, query.radius, &result->ids,
-                        scratch);
-      result->count = result->ids.size();
-      break;
-  }
-}
-
-}  // namespace
-
-void DispatchQuery(const FlatIndex& index, const Query& query,
-                   PageCache* cache, QueryResult* result,
-                   CrawlScratch* scratch) {
-  // A controlled query needs a scratch to carry its control binding into
-  // the traversal's cancellation points; materialize a throwaway if the
-  // caller brought none. Uncontrolled queries skip all of this.
-  std::optional<CrawlScratch> throwaway;
-  if (query.control != nullptr && scratch == nullptr) {
-    scratch = &throwaway.emplace();
-  }
-  ScratchControlGuard guard(scratch, query.control, &result->io);
-  try {
-    DispatchQueryImpl(index, query, cache, result, scratch);
-  } catch (const QueryAbort& abort) {
-    result->status = abort.status();
-    SettleFailedResult(query, result);
-  } catch (const std::logic_error&) {
-    throw;  // API misuse stays loud
-  } catch (const std::exception& e) {
-    result->status = QueryStatus::kIoError;
-    result->error = e.what();
-    result->io.RecordIoError();
-    SettleFailedResult(query, result);
-  }
-}
-
-void DispatchQueryWithOverlay(const FlatIndex* index, const Query& query,
-                              PageCache* cache, const OverlayView* overlay,
-                              size_t overlay_bucket, QueryResult* result,
-                              CrawlScratch* scratch) {
-  if (overlay == nullptr || overlay->empty()) {
-    if (index != nullptr && index->file() != nullptr) {
-      DispatchQuery(*index, query, cache, result, scratch);
+void DispatchQueryImpl(const IndexedQuery& iq, PageCache* cache,
+                       QueryResult* result, CrawlScratch* scratch) {
+  const Query& query = iq.query;
+  const FlatIndex* index =
+      iq.index != nullptr && iq.index->file() != nullptr ? iq.index : nullptr;
+  const OverlayView* overlay =
+      iq.overlay != nullptr && !iq.overlay->empty() ? iq.overlay : nullptr;
+  if (overlay == nullptr && query.type == Query::Type::kRangeCount) {
+    // Accumulates into the result's counter in place so a fail-soft stop
+    // surfaces the partial tally (SettleFailedResult keeps it).
+    if (index != nullptr) {
+      index->RangeCountInto(cache, query.box, &result->count, scratch);
     }
     return;
   }
+  if (overlay != nullptr && query.type == Query::Type::kKnn) {
+    throw std::logic_error(
+        "DispatchQuery: kKnn is not supported over a delta overlay");
+  }
+
+  std::vector<uint64_t>* ids = &result->ids;
+  if (index != nullptr) {
+    switch (query.type) {
+      case Query::Type::kRange:
+      case Query::Type::kRangeCount:  // overlayed: masking needs the ids
+        index->RangeQuery(cache, query.box, ids, scratch, query.guard);
+        break;
+      case Query::Type::kSeedScan:
+        index->RangeQueryViaSeedScan(cache, query.box, ids, scratch);
+        break;
+      case Query::Type::kKnn:
+        *ids = index->KnnQuery(cache, query.center, query.k, scratch);
+        break;
+      case Query::Type::kSphere:
+        index->SphereQuery(cache, query.center, query.radius, ids, scratch);
+        break;
+    }
+  }
+  if (overlay != nullptr) {
+    FilterOverlayMasked(*overlay, ids);
+    uint64_t probes = 0;
+    switch (query.type) {
+      case Query::Type::kRangeCount:
+        result->count = ids->size();
+        probes = CountOverlayRangeMatches(*overlay, iq.overlay_bucket,
+                                          query.box, &result->count, scratch);
+        ids->clear();
+        break;
+      case Query::Type::kSphere:
+        probes = AppendOverlaySphereMatches(*overlay, iq.overlay_bucket,
+                                            query.center, query.radius, ids,
+                                            scratch);
+        break;
+      default:
+        probes = AppendOverlayRangeMatches(*overlay, iq.overlay_bucket,
+                                           query.box, ids, scratch);
+        break;
+    }
+    result->io.RecordOverlayProbes(probes);
+  }
+  if (query.type != Query::Type::kRangeCount) result->count = ids->size();
+}
+
+}  // namespace
+
+void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
+                   QueryResult* result, CrawlScratch* scratch) {
+  // A controlled query needs a scratch to carry its control binding into
+  // the traversal's cancellation points; materialize a throwaway if the
+  // caller brought none. Uncontrolled queries skip all of this.
+  const Query& query = iq.query;
   std::optional<CrawlScratch> throwaway;
   if (query.control != nullptr && scratch == nullptr) {
     scratch = &throwaway.emplace();
   }
   ScratchControlGuard guard(scratch, query.control, &result->io);
   try {
-    DispatchQueryWithOverlayImpl(index, query, cache, overlay, overlay_bucket,
-                                 result, scratch);
+    DispatchQueryImpl(iq, cache, result, scratch);
   } catch (const QueryAbort& abort) {
     result->status = abort.status();
     SettleFailedResult(query, result);
   } catch (const std::logic_error&) {
-    throw;  // kKnn-over-overlay and friends stay loud
+    throw;  // API misuse (kKnn over an overlay and friends) stays loud
   } catch (const std::exception& e) {
     result->status = QueryStatus::kIoError;
     result->error = e.what();
@@ -287,109 +287,42 @@ void DispatchQueryWithOverlay(const FlatIndex* index, const Query& query,
   }
 }
 
-namespace {
-
-void DispatchQueryWithOverlayImpl(const FlatIndex* index, const Query& query,
-                                  PageCache* cache, const OverlayView* overlay,
-                                  size_t overlay_bucket, QueryResult* result,
-                                  CrawlScratch* scratch) {
-  const bool has_index = index != nullptr && index->file() != nullptr;
-  uint64_t probes = 0;
-  switch (query.type) {
-    case Query::Type::kRange:
-      if (has_index) {
-        index->RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                         &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kRangeCount:
-      // Delete masking needs the ids, so run the materializing range path
-      // (identical page reads by the FlatIndex contract), count the
-      // survivors plus overlay matches, and drop the vector.
-      if (has_index) {
-        index->RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      result->count = result->ids.size();
-      probes = CountOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                        &result->count, scratch);
-      result->ids.clear();
-      break;
-    case Query::Type::kSeedScan:
-      if (has_index) {
-        index->RangeQueryViaSeedScan(cache, query.box, &result->ids);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                         &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kSphere:
-      if (has_index) {
-        index->SphereQuery(cache, query.center, query.radius, &result->ids,
-                           scratch);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlaySphereMatches(*overlay, overlay_bucket,
-                                          query.center, query.radius,
-                                          &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kKnn:
-      throw std::logic_error(
-          "DispatchQueryWithOverlay: kKnn is not supported over a delta "
-          "overlay");
-  }
-  result->io.RecordOverlayProbes(probes);
-}
-
-}  // namespace
-
-void QueryEngine::ExecuteQuery(const Job& job, const IndexedQuery& iq,
-                               QueryResult* result, WorkerState* state) {
-  const bool has_index = iq.index != nullptr && iq.index->file() != nullptr;
-  if (!has_index) {
-    // No PageStore to read from. Without an overlay the query legitimately
+void QueryEngine::ExecuteQuery(const Options& options,
+                               const SharedCacheMap* shared_caches,
+                               const IndexedQuery& iq, QueryResult* result,
+                               WorkerState* state) {
+  const PageStore* file = iq.index != nullptr ? iq.index->file() : nullptr;
+  const int prefetch_depth = iq.query.prefetch_depth >= 0
+                                 ? iq.query.prefetch_depth
+                                 : options.prefetch_depth;
+  if (file == nullptr) {
+    // No PageStore to read from: without an overlay the query legitimately
     // returns empty; with one it is a pure overlay bucket scan (the spill
     // tail of an overlayed store) — no cache needed.
-    if (iq.overlay != nullptr) {
-      DispatchQueryWithOverlay(nullptr, iq.query, nullptr, iq.overlay,
-                               iq.overlay_bucket, result, &state->scratch);
-    }
-  } else if (job.shared_caches != nullptr) {
-    auto it = job.shared_caches->find(iq.index->file());
-    assert(it != job.shared_caches->end());
-    const int prefetch_depth = iq.query.prefetch_depth >= 0
-                                   ? iq.query.prefetch_depth
-                                   : options_.prefetch_depth;
+    DispatchQuery(iq, nullptr, result, &state->scratch);
+  } else if (shared_caches != nullptr) {
+    auto it = shared_caches->find(file);
+    assert(it != shared_caches->end());
     StripedBufferPool::Session session(it->second.get(), &result->io,
                                        prefetch_depth);
-    DispatchQueryWithOverlay(iq.index, iq.query, &session, iq.overlay,
-                             iq.overlay_bucket, result, &state->scratch);
+    DispatchQuery(iq, &session, result, &state->scratch);
   } else {
     // Cold-per-query mode: recycle the worker's pool — Clear() is an O(1)
     // epoch bump, so this is exactly as cold as a fresh pool (identical
     // IoStats) without rebuilding the page table per query. Clear() runs
     // before set_stats(), so hints left pending are charged as wasted to the
     // query that issued them.
-    const int prefetch_depth = iq.query.prefetch_depth >= 0
-                                   ? iq.query.prefetch_depth
-                                   : options_.prefetch_depth;
     BufferPool* pool = state->pool.get();
-    if (pool == nullptr || &pool->store() != iq.index->file()) {
-      state->pool = std::make_unique<BufferPool>(iq.index->file(), &result->io,
-                                                 options_.pool_pages);
+    if (pool == nullptr || &pool->store() != file) {
+      state->pool = std::make_unique<BufferPool>(file, &result->io,
+                                                 options.pool_pages);
       pool = state->pool.get();
     } else {
       pool->Clear();
       pool->set_stats(&result->io);
     }
     pool->set_prefetch_depth(prefetch_depth);
-    DispatchQueryWithOverlay(iq.index, iq.query, pool, iq.overlay,
-                             iq.overlay_bucket, result, &state->scratch);
+    DispatchQuery(iq, pool, result, &state->scratch);
   }
   // A failing sub-query poisons its group (if any) so scattered siblings of
   // the same logical query observe the cancellation at their next

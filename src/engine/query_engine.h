@@ -132,36 +132,32 @@ struct IndexedQuery {
   Query query;
   /// Snapshot overlay to merge with the index's result: base ids touched by
   /// the overlay are masked out and live entries of `overlay_bucket` that
-  /// match the query are appended (see DispatchQueryWithOverlay). Null for
+  /// match the query are appended (see DispatchQuery). Null for
   /// plain bulkload-only queries. The view must outlive the batch.
   const OverlayView* overlay = nullptr;
   size_t overlay_bucket = 0;
 };
 
-/// Runs one query against `index` through `cache` via the serial FlatIndex
-/// code path, appending ids into `result->ids` and setting `result->count`.
-/// The single dispatch point shared by the engine's workers and the serial
-/// reference harness. `scratch` is the caller's reusable crawl scratch (one
-/// per thread); nullptr falls back to a throwaway — results are identical
-/// either way. Thread-safe for distinct (cache, result, scratch) triples:
-/// FlatIndex queries are const and share no mutable state.
-void DispatchQuery(const FlatIndex& index, const Query& query,
-                   PageCache* cache, QueryResult* result,
-                   CrawlScratch* scratch = nullptr);
-
-/// Overlay-aware dispatch: runs `query` against `index` (if any), masks base
-/// ids the overlay touches, then appends/counts matching live entries of
-/// `overlay` bucket `overlay_bucket`, charging the gate tests to
-/// `result->io` as overlay probes. With a null/empty overlay this is exactly
-/// DispatchQuery; with a null/unbuilt index it degenerates to a pure overlay
-/// bucket scan (no page reads). kRangeCount runs the materializing range
-/// path internally — identical page reads by the FlatIndex contract — so
-/// delete masking can see the ids, then reports only the count. kKnn is not
-/// supported over an overlay and throws std::logic_error.
-void DispatchQueryWithOverlay(const FlatIndex* index, const Query& query,
-                              PageCache* cache, const OverlayView* overlay,
-                              size_t overlay_bucket, QueryResult* result,
-                              CrawlScratch* scratch = nullptr);
+/// Runs `iq.query` against `iq.index` through `cache` via the serial
+/// FlatIndex code path, appending ids into `result->ids` and setting
+/// `result->count` — the single dispatch point behind the engine's workers,
+/// its inline runner and the serial reference harnesses. `scratch` is the
+/// caller's reusable crawl scratch (one per thread); nullptr falls back to a
+/// throwaway — results are identical either way. Thread-safe for distinct
+/// (cache, result, scratch) triples: FlatIndex queries are const and share
+/// no mutable state.
+///
+/// With a non-empty `iq.overlay`, base ids the overlay touches are masked
+/// out and matching live entries of bucket `iq.overlay_bucket` are
+/// appended/counted, the gate tests charged to `result->io` as overlay
+/// probes; a null/unbuilt index then degenerates to a pure bucket scan (no
+/// page reads). An overlayed kRangeCount runs the materializing range path
+/// — identical page reads by the FlatIndex contract — so delete masking can
+/// see the ids, then reports only the count. kKnn over an overlay throws
+/// std::logic_error. A null/empty overlay with a null/unbuilt index yields
+/// an empty result.
+void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
+                   QueryResult* result, CrawlScratch* scratch = nullptr);
 
 /// Aggregate outcome of one batch execution.
 struct BatchStats {
@@ -180,6 +176,19 @@ struct BatchStats {
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
   uint64_t queries_shed = 0;
+
+  /// Adds one query's I/O, result count and outcome to the tallies.
+  void Record(const QueryResult& result) {
+    io += result.io;
+    result_elements += result.count;
+    if (result.status == QueryStatus::kOk) {
+      ++queries_ok;
+    } else if (result.status == QueryStatus::kRejected) {
+      ++queries_shed;
+    } else {
+      ++queries_failed;
+    }
+  }
 };
 
 /// Parallel batch query engine.
@@ -268,6 +277,14 @@ class QueryEngine {
   std::vector<QueryResult> RunMulti(const std::vector<IndexedQuery>& batch,
                                     BatchStats* stats = nullptr);
 
+  /// The inline, one-thread runner: executes a multi-index batch serially
+  /// on the calling thread with default Options (cold cache per query, no
+  /// prefetch, no admission control). Stateless, so any number of threads
+  /// may call it at once; results and IoStats are identical to RunMulti on
+  /// an engine with default Options, at any thread count.
+  static std::vector<QueryResult> RunInline(
+      const std::vector<IndexedQuery>& batch);
+
   size_t threads() const { return pool_.threads(); }
   const Options& options() const { return options_; }
 
@@ -301,8 +318,10 @@ class QueryEngine {
   void ProcessQueue(size_t worker_index, const Job& job);
   bool PopOwn(size_t worker_index, size_t* query_index);
   bool Steal(size_t worker_index, size_t* query_index);
-  void ExecuteQuery(const Job& job, const IndexedQuery& iq,
-                    QueryResult* result, WorkerState* state);
+  static void ExecuteQuery(const Options& options,
+                           const SharedCacheMap* shared_caches,
+                           const IndexedQuery& iq, QueryResult* result,
+                           WorkerState* state);
 
   const FlatIndex* index_;
   Options options_;

@@ -16,7 +16,6 @@
 #include "delta/overlay_view.h"
 #include "parallel/thread_pool.h"
 #include "rtree/node.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_page_file.h"
 #include "storage/persistence.h"
 
@@ -260,6 +259,18 @@ const QueryGroup* WireControlGroup(
   return group;
 }
 
+// Unpacks the result of a batch of one for the id/count entry points,
+// adding its I/O into `io` when given.
+std::vector<uint64_t> TakeIds(std::vector<QueryResult> batch, IoStats* io) {
+  if (io != nullptr) *io += batch.front().io;
+  return std::move(batch.front().ids);
+}
+
+uint64_t TakeCount(const std::vector<QueryResult>& batch, IoStats* io) {
+  if (io != nullptr) *io += batch.front().io;
+  return batch.front().count;
+}
+
 }  // namespace
 
 ShardedFlatStore::ShardedFlatStore()
@@ -492,184 +503,101 @@ ShardedFlatStore::CompactionStats ShardedFlatStore::Compact() {
   return cstats;
 }
 
-QueryResult ShardedFlatStore::RunSingle(const Query& query) const {
-  Snapshot snapshot = PinSnapshot();
-  // A default-constructed store has no engine; the snapshot's serial
-  // executor answers instead (empty for an empty store, overlay-only scans
-  // for a store that has only seen inserts).
-  if (engine_ == nullptr) return snapshot.Execute(query);
-  std::vector<IndexedQuery> scatter;
-  std::vector<std::unique_ptr<ControlBlock>> blocks;
-  Query wired = query;
-  const QueryGroup* group = WireControlGroup(&wired, &blocks);
-  uint64_t precount = 0;
-  AppendScatter(snapshot.base_->catalog, snapshot.base_->indexes,
-                snapshot.overlay_.get(), wired, &scatter, &precount);
-  std::vector<QueryResult> sub_results = engine_->RunMulti(scatter);
-  QueryResult result;
-  GatherSubResults(&sub_results, 0, sub_results.size(), query.type, group,
-                   &result);
-  result.count += precount;  // fully covered shards, answered off-catalog
-  return result;
-}
-
 std::vector<uint64_t> ShardedFlatStore::RangeQuery(const Aabb& query,
                                                    IoStats* io) const {
-  QueryResult result = RunSingle(Query::Range(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(RunBatch({Query::Range(query)}), io);
 }
 
 uint64_t ShardedFlatStore::RangeCount(const Aabb& query, IoStats* io) const {
-  QueryResult result = RunSingle(Query::RangeCount(query));
-  if (io != nullptr) *io += result.io;
-  return result.count;
+  return TakeCount(RunBatch({Query::RangeCount(query)}), io);
 }
 
 std::vector<uint64_t> ShardedFlatStore::RangeQueryViaSeedScan(
     const Aabb& query, IoStats* io) const {
-  QueryResult result = RunSingle(Query::RangeSeedScan(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(RunBatch({Query::RangeSeedScan(query)}), io);
 }
 
 std::vector<uint64_t> ShardedFlatStore::SphereQuery(const Vec3& center,
                                                     double radius,
                                                     IoStats* io) const {
-  QueryResult result = RunSingle(Query::Sphere(center, radius));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(RunBatch({Query::Sphere(center, radius)}), io);
 }
 
 std::vector<QueryResult> ShardedFlatStore::RunBatch(
     const std::vector<Query>& batch, BatchStats* stats) const {
   const auto start = Clock::now();
-
   // One snapshot for the whole batch: every query sees the same epoch no
-  // matter how writers interleave with the batch's execution.
-  Snapshot snapshot = PinSnapshot();
-
-  std::vector<QueryResult> results(batch.size());
-  if (engine_ == nullptr) {
-    // Default-constructed store: serial snapshot execution per query.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      results[i] = snapshot.Execute(batch[i]);
-    }
-  } else {
-    // Scatter: one flat multi-index sub-batch covering every (query, shard)
-    // pair — plus each query's overlay tail — so the engine's work-stealing
-    // pool balances across queries and shards alike.
-    std::vector<IndexedQuery> scatter;
-    struct Span {
-      size_t first = 0;
-      size_t count = 0;
-    };
-    std::vector<Span> spans(batch.size());
-    std::vector<std::unique_ptr<ControlBlock>> blocks;
-    std::vector<const QueryGroup*> groups(batch.size(), nullptr);
-    std::vector<uint64_t> precounts(batch.size(), 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      spans[i].first = scatter.size();
-      Query wired = batch[i];
-      groups[i] = WireControlGroup(&wired, &blocks);
-      spans[i].count = AppendScatter(
-          snapshot.base_->catalog, snapshot.base_->indexes,
-          snapshot.overlay_.get(), wired, &scatter, &precounts[i]);
-    }
-
-    std::vector<QueryResult> sub_results = engine_->RunMulti(scatter);
-
-    // Gather: per original query, merge its shards' sub-results (plus any
-    // covered shards answered straight off the catalog).
-    for (size_t i = 0; i < batch.size(); ++i) {
-      GatherSubResults(&sub_results, spans[i].first, spans[i].count,
-                       batch[i].type, groups[i], &results[i]);
-      results[i].count += precounts[i];
-    }
-  }
-
+  // matter how writers interleave with the batch's execution. A
+  // default-constructed store has no engine and runs inline.
+  std::vector<QueryResult> results =
+      PinSnapshot().Execute(batch, engine_.get());
   if (stats != nullptr) {
     *stats = BatchStats{};
     stats->threads = engine_ != nullptr ? engine_->threads() : 1;
-    for (const QueryResult& r : results) {
-      stats->io += r.io;
-      stats->result_elements += r.count;
-      if (r.status == QueryStatus::kOk) {
-        ++stats->queries_ok;
-      } else if (r.status == QueryStatus::kRejected) {
-        ++stats->queries_shed;
-      } else {
-        ++stats->queries_failed;
-      }
-    }
+    for (const QueryResult& r : results) stats->Record(r);
     stats->wall_seconds = SecondsSince(start);
   }
   return results;
 }
 
-QueryResult ShardedFlatStore::Snapshot::Execute(const Query& query) const {
-  QueryResult result;
-  if (base_ == nullptr) return result;  // default-constructed Snapshot
+std::vector<QueryResult> ShardedFlatStore::Snapshot::Execute(
+    const std::vector<Query>& batch, QueryEngine* engine) const {
+  std::vector<QueryResult> results(batch.size());
+  if (base_ == nullptr) return results;  // default-constructed Snapshot
+
+  // Scatter: one flat multi-index sub-batch covering every (query, shard)
+  // pair — plus each query's overlay tail — so the engine's work-stealing
+  // pool balances across queries and shards alike.
+  struct Span {
+    size_t first = 0;
+    size_t count = 0;
+    const QueryGroup* group = nullptr;
+    uint64_t precount = 0;  // fully covered shards, answered off-catalog
+  };
+  std::vector<Span> spans(batch.size());
   std::vector<IndexedQuery> scatter;
-  uint64_t precount = 0;
-  AppendScatter(base_->catalog, base_->indexes, overlay_.get(), query,
-                &scatter, &precount);
-  std::vector<QueryResult> sub_results(scatter.size());
-  CrawlScratch scratch;
-  QueryStatus failed = QueryStatus::kOk;
-  for (size_t i = 0; i < scatter.size(); ++i) {
-    const IndexedQuery& iq = scatter[i];
-    if (failed != QueryStatus::kOk) {
-      // Serial analogue of the engine's group cancellation: once one
-      // sub-query stops early, its siblings are not worth running — the
-      // merged result is already partial.
-      sub_results[i].status = QueryStatus::kCancelled;
-      continue;
-    }
-    if (iq.index != nullptr && iq.index->file() != nullptr) {
-      // Cold cache per sub-query, exactly like the engine's default mode —
-      // the snapshot path's IoStats match the store-level entry points'.
-      BufferPool pool(iq.index->file(), &sub_results[i].io, /*capacity=*/0);
-      DispatchQueryWithOverlay(iq.index, iq.query, &pool, iq.overlay,
-                               iq.overlay_bucket, &sub_results[i], &scratch);
-    } else {
-      DispatchQueryWithOverlay(nullptr, iq.query, nullptr, iq.overlay,
-                               iq.overlay_bucket, &sub_results[i], &scratch);
-    }
-    failed = sub_results[i].status;
+  std::vector<std::unique_ptr<ControlBlock>> blocks;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Query wired = batch[i];
+    spans[i].first = scatter.size();
+    spans[i].group = WireControlGroup(&wired, &blocks);
+    spans[i].count = AppendScatter(base_->catalog, base_->indexes,
+                                   overlay_.get(), wired, &scatter,
+                                   &spans[i].precount);
   }
-  GatherSubResults(&sub_results, 0, sub_results.size(), query.type,
-                   /*group=*/nullptr, &result);
-  result.count += precount;  // fully covered shards, answered off-catalog
-  return result;
+
+  // Dispatch.
+  std::vector<QueryResult> sub_results =
+      engine != nullptr ? engine->RunMulti(scatter)
+                        : QueryEngine::RunInline(scatter);
+
+  // Gather: per original query, merge its shards' sub-results.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    GatherSubResults(&sub_results, spans[i].first, spans[i].count,
+                     batch[i].type, spans[i].group, &results[i]);
+    results[i].count += spans[i].precount;
+  }
+  return results;
 }
 
 std::vector<uint64_t> ShardedFlatStore::Snapshot::RangeQuery(
     const Aabb& query, IoStats* io) const {
-  QueryResult result = Execute(Query::Range(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(Execute({Query::Range(query)}), io);
 }
 
 uint64_t ShardedFlatStore::Snapshot::RangeCount(const Aabb& query,
                                                 IoStats* io) const {
-  QueryResult result = Execute(Query::RangeCount(query));
-  if (io != nullptr) *io += result.io;
-  return result.count;
+  return TakeCount(Execute({Query::RangeCount(query)}), io);
 }
 
 std::vector<uint64_t> ShardedFlatStore::Snapshot::RangeQueryViaSeedScan(
     const Aabb& query, IoStats* io) const {
-  QueryResult result = Execute(Query::RangeSeedScan(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(Execute({Query::RangeSeedScan(query)}), io);
 }
 
 std::vector<uint64_t> ShardedFlatStore::Snapshot::SphereQuery(
     const Vec3& center, double radius, IoStats* io) const {
-  QueryResult result = Execute(Query::Sphere(center, radius));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
+  return TakeIds(Execute({Query::Sphere(center, radius)}), io);
 }
 
 uint64_t ShardedFlatStore::Snapshot::generation() const {

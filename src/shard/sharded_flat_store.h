@@ -40,11 +40,13 @@ class OverlayView;
 ///    PageFile names persist in a versioned ShardCatalog
 ///    (docs/file_format.md); Save/Load round-trips the whole store through a
 ///    directory, including the overlay WAL and the generation sidecar.
-///  - **Query.** Range / range-count / seed-scan / sphere queries scatter to
-///    every shard whose element bounds intersect the query, run as one
-///    multi-index batch on the internal QueryEngine (work-stealing across all
-///    per-shard sub-queries, cold cache per sub-query), and gather into a
-///    canonically ordered merge.
+///  - **Query.** Every query runs through one executor — scatter, dispatch,
+///    gather. Range / range-count / seed-scan / sphere queries scatter to
+///    every shard whose element bounds intersect the query, dispatch as one
+///    multi-index batch (work-stealing across all per-shard sub-queries,
+///    cold cache per sub-query), and gather into a canonically ordered
+///    merge. A single query is a batch of one; a Snapshot runs the same
+///    executor on the engine's inline, one-thread runner.
 ///
 /// **Delta overlay (dynamic updates).** The bulkloaded shards are immutable;
 /// Insert/Erase append to an in-memory DeltaLog instead (src/delta/). Every
@@ -76,7 +78,7 @@ class OverlayView;
 /// driven from one thread at a time (the engine parallelizes internally).
 /// Insert/Erase/PinSnapshot/epoch may be called concurrently with each
 /// other, with store-level queries, and with one Compact; Snapshot query
-/// methods are fully thread-safe (const, serial, engine-free). The store
+/// methods are fully thread-safe (const, inline, engine-free). The store
 /// owns its PageFiles; moving the store is safe, copying is disabled.
 class ShardedFlatStore {
  private:
@@ -133,9 +135,10 @@ class ShardedFlatStore {
   /// against a Snapshot see exactly that state no matter how many
   /// Insert/Erase/Compact calls land afterwards, and are bit-identical to
   /// the store-level entry points at the same epoch. Snapshot query methods
-  /// are serial (no engine) and safe to call concurrently from any number
-  /// of threads; copying a Snapshot is cheap (shared handles). Holding a
-  /// Snapshot keeps its base (and its PageFiles) alive across compactions.
+  /// run inline on the calling thread (QueryEngine::RunInline) and are safe
+  /// to call concurrently from any number of threads; copying a Snapshot
+  /// is cheap (shared handles). Holding a Snapshot keeps its base (and its
+  /// PageFiles) alive across compactions.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -161,7 +164,14 @@ class ShardedFlatStore {
    private:
     friend class ShardedFlatStore;
 
-    QueryResult Execute(const Query& query) const;
+    /// The store's one query executor. Scatter: each query of `batch`
+    /// fans out to its routed shards plus, when an overlay is pinned, the
+    /// spill-bucket tail. Dispatch: all sub-queries run as one multi-index
+    /// batch — on `engine` when given, else inline on the calling thread.
+    /// Gather: per query, sub-results merge in canonical sorted order.
+    /// Throws std::invalid_argument for kKnn (see RunBatch).
+    std::vector<QueryResult> Execute(const std::vector<Query>& batch,
+                                     QueryEngine* engine = nullptr) const;
 
     std::shared_ptr<const Base> base_;
     std::shared_ptr<const OverlayView> overlay_;
@@ -171,7 +181,7 @@ class ShardedFlatStore {
   /// An empty store with no shards (and no engine): every query answers
   /// empty, mirroring an unbuilt FlatIndex — but Insert/Erase work, making
   /// it a valid overlay-only store (queries answer from the overlay alone,
-  /// serially). Use Build or Load for a real bulkloaded store.
+  /// inline). Use Build or Load for a real bulkloaded store.
   ShardedFlatStore();
   ~ShardedFlatStore();
   ShardedFlatStore(ShardedFlatStore&&);
@@ -320,9 +330,6 @@ class ShardedFlatStore {
   const PageStore& shard_file(size_t shard) const;
 
  private:
-  /// Shared scatter-gather core for the single-query entry points.
-  QueryResult RunSingle(const Query& query) const;
-
   static std::shared_ptr<const Base> BuildBase(std::vector<RTreeEntry> elements,
                                                const Options& options,
                                                uint64_t generation,

@@ -111,6 +111,9 @@ class IoStats {
     return delta;
   }
 
+  /// Every counter equal (reads per category, prefetch, overlay, fail-soft).
+  bool operator==(const IoStats&) const = default;
+
  private:
   std::array<uint64_t, kNumPageCategories> reads_{};
   uint64_t prefetch_issued_ = 0;

@@ -142,8 +142,8 @@ TEST(DeltaOverlayIdentityTest, ScheduleResultsIdenticalAcrossConfigs) {
 
 // Store-level entry points and a pinned Snapshot at the same epoch must
 // return identical ids AND identical IoStats (page reads per category plus
-// overlay probes) — the engine path and the serial snapshot path share the
-// overlay merge by construction, and this pins it.
+// overlay probes) — the engine's threaded runner and the snapshot's inline
+// runner execute the same scatter/dispatch/gather, and this pins it.
 TEST(DeltaOverlayIdentityTest, EngineAndSnapshotPathsAgree) {
   Dataset dataset = MakeDataset("neuron");
   ShardedFlatStore::Options options;

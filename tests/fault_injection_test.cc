@@ -102,7 +102,7 @@ class FailSoftTest : public ::testing::Test {
   QueryResult RunReference(const Query& q) const {
     QueryResult r;
     BufferPool pool(&file_, &r.io);
-    DispatchQuery(index_, q, &pool, &r);
+    DispatchQuery({&index_, q}, &pool, &r);
     return r;
   }
 
@@ -125,7 +125,7 @@ TEST_F(FailSoftTest, EmptyScheduleWrapperIsTransparent) {
     const QueryResult expected = RunReference(Query::Range(box));
     QueryResult got;
     BufferPool pool(&wrapped, &got.io);
-    DispatchQuery(through, Query::Range(box), &pool, &got);
+    DispatchQuery({&through, Query::Range(box)}, &pool, &got);
     EXPECT_EQ(got.status, QueryStatus::kOk);
     EXPECT_EQ(got.ids, expected.ids);
     EXPECT_EQ(CategoryCounts(got.io), CategoryCounts(expected.io));

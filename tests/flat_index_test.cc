@@ -179,9 +179,9 @@ TEST(FlatIndexTest, PageMbrGuardLosesResultsInFigure8Scenario) {
   const Aabb corridor(Vec3(-5, -3, -3), Vec3(105, 3, 3));
 
   std::vector<uint64_t> correct, broken;
-  index.RangeQuery(&pool, corridor, &correct,
-                   FlatIndex::CrawlGuard::kPartitionMbr);
-  index.RangeQuery(&pool, corridor, &broken, FlatIndex::CrawlGuard::kPageMbr);
+  index.RangeQuery(&pool, corridor, &correct);
+  index.RangeQuery(&pool, corridor, &broken, /*scratch=*/nullptr,
+                   FlatIndex::CrawlGuard::kPageMbr);
 
   EXPECT_EQ(Sorted(correct), BruteForce(entries, corridor));
   EXPECT_EQ(correct.size(), 2u * cap) << "both end clusters in range";

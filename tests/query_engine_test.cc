@@ -41,7 +41,7 @@ class QueryEngineTest : public ::testing::Test {
   QueryResult RunSerial(const Query& q) const {
     QueryResult r;
     BufferPool pool(&file_, &r.io);
-    DispatchQuery(index_, q, &pool, &r);
+    DispatchQuery({&index_, q}, &pool, &r);
     return r;
   }
 
