@@ -1,6 +1,7 @@
-// Shared rendering for the SN/LSS benchmark families (Figures 12-19): each
-// figure binary runs the density sweep for its workload and prints one view
-// (total reads, simulated time, breakdown, or per-result reads).
+// Shared rendering for the SN/LSS benchmark families (Figures 12-19): a
+// figure binary runs the density sweep for its workload once and prints one
+// or more views of it (total reads, simulated time, breakdown, or
+// per-result reads).
 #ifndef FLAT_BENCH_BENCH_COMMON_H_
 #define FLAT_BENCH_BENCH_COMMON_H_
 

@@ -1,12 +1,14 @@
 // CPU hot-path throughput over the Figure-13 workload: the SN benchmark's
 // range queries (fixed volume, random location/aspect) on the microcircuit
 // data set, executed serially and through the QueryEngine, plus a
-// node-gate kernel comparison (scalar vs. the compiled SIMD path) over the
-// index's real object pages.
+// node-gate comparison over the index's real object pages: the plain AoS
+// loop (IntersectsBatchScalar) against the crawl's SoA path (transpose plus
+// IntersectsSoa). The ratio compares two layouts, not a hand-written kernel
+// with its own plain loop; bench_micro_primitives has those rows.
 //
 // Everything self-validates: engine results must be bit-identical to the
-// serial reference (with matching per-category IoStats) and the SIMD gate
-// must agree with the scalar gate on every page — any divergence exits
+// serial reference (with matching per-category IoStats) and the SoA path
+// must agree with the AoS loop on every page — any divergence exits
 // non-zero, which is what the CI benchmark-smoke step relies on.
 //
 // Flags: --scale --queries (default 200, the paper's workload) --seed
@@ -49,9 +51,9 @@ struct KernelComparison {
 };
 
 // Times the node-gate primitive both ways over the index's real object
-// pages: the scalar AoS sweep the crawl used to run, and the compiled
-// kernel path (SoA transpose + vector gate, exactly what the crawl does
-// now). Validates hit-for-hit equality on every page/query pair.
+// pages: the plain AoS loop the crawl used to run, and the SoA path
+// (transpose + SoA gate, exactly what the crawl does now). Validates
+// hit-for-hit equality on every page/query pair.
 KernelComparison CompareNodeGateKernels(const PageFile& file,
                                         const std::vector<Aabb>& queries,
                                         int repeats) {
@@ -223,8 +225,8 @@ int main(int argc, char** argv) {
   } else {
     std::cout << "CPU time per query (serial): " << cpu_us_per_query
               << " us\n"
-              << "Node gate: scalar " << kernels.scalar_ns_per_box
-              << " ns/box, " << BoxKernelIsa() << " "
+              << "Node gate: AoS loop " << kernels.scalar_ns_per_box
+              << " ns/box, SoA path (" << BoxKernelIsa() << ") "
               << kernels.simd_ns_per_box << " ns/box, speedup "
               << kernels.speedup << "x over " << kernels.boxes_gated
               << " boxes (" << (kernels.identical ? "identical" : "DIVERGED")
@@ -245,8 +247,8 @@ int main(int argc, char** argv) {
   bool ok = kernels.identical;
   for (const ThroughputPoint& p : points) ok = ok && p.identical_to_serial;
   if (!ok) {
-    std::cerr << "ERROR: result divergence (engine vs serial, or SIMD vs "
-                 "scalar node gate)\n";
+    std::cerr << "ERROR: result divergence (engine vs serial, or SoA vs "
+                 "AoS node gate)\n";
     return 1;
   }
   return 0;

@@ -76,8 +76,8 @@ class CrawlScratch {
     return true;
   }
 
-  /// At least `count` bytes for a batched intersection hit mask
-  /// (see IntersectsBatch / IntersectsSoa).
+  /// At least `count` bytes for a batched hit mask (IntersectsBatch,
+  /// IntersectsSoa, SphereGateSoa, IntersectsQuantizedSoa).
   uint8_t* Hits(size_t count) {
     if (hits_.size() < count) hits_.resize(count);
     return hits_.data();
@@ -94,13 +94,15 @@ class CrawlScratch {
 
   /// Reusable structure-of-arrays transpose buffer: the crawl re-lays a
   /// visited node page's entry MBRs into SoA lanes once, then gates the
-  /// whole fanout with the vector kernels (see geometry/box_kernels.h).
+  /// whole fanout with one SoA gate (IntersectsSoa or SphereGateSoa, see
+  /// geometry/box_kernels.h).
   SoaBoxes& Soa() { return soa_; }
 
   /// Quantized-lane counterpart for compressed internal pages: the seed
   /// descent transposes a node's u16 slots into these lanes and sweeps them
-  /// with the integer kernels (IntersectsQuantizedSoa). Kept separate from
-  /// Soa() so a descent over mixed-format levels never thrashes one buffer.
+  /// with the u16 gates (IntersectsQuantizedSoa, ContainsQuantizedSoa). Kept
+  /// separate from Soa() so a descent over mixed-format levels never
+  /// thrashes one buffer.
   QuantizedSoa& QuantizedLanes() { return quantized_; }
 
   /// Binds the fail-soft control the query loops check at their cancellation

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/crawl_scratch.h"
+#include "geometry/box_kernels.h"
 
 namespace flat {
 namespace {

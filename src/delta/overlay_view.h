@@ -30,7 +30,8 @@ namespace flat {
 ///
 /// Each bucket is a contiguous RTreeEntry array (the same 56-byte stride as
 /// an object page), so the query-time scan gates whole buckets with the
-/// batched SIMD kernel (Aabb::IntersectsBatch) instead of per-entry calls.
+/// batched gate kernel (IntersectsBatch, geometry/box_kernels.h) instead of
+/// per-entry calls.
 ///
 /// An OverlayView is immutable after Build and safe to share across any
 /// number of query threads; snapshots hold it by shared_ptr.

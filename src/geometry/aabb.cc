@@ -5,6 +5,4 @@ static_assert(sizeof(Aabb) == 6 * sizeof(double),
               "Aabb must stay a plain 6-double layout; the storage layer "
               "serializes it by memcpy and the box kernels read it as six "
               "doubles");
-// IntersectsBatch lives in geometry/box_kernels.cc, the one translation
-// unit compiled with the SIMD flags.
 }  // namespace flat

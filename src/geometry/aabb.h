@@ -1,8 +1,6 @@
 #ifndef FLAT_GEOMETRY_AABB_H_
 #define FLAT_GEOMETRY_AABB_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <ostream>
 
@@ -181,17 +179,6 @@ class Aabb {
 inline std::ostream& operator<<(std::ostream& os, const Aabb& b) {
   return os << "[" << b.lo() << " .. " << b.hi() << "]";
 }
-
-/// Batched intersection gate for contiguous record MBRs: tests `count` boxes
-/// laid out `stride` bytes apart starting at `boxes`, each in the Aabb object
-/// layout (lo.x lo.y lo.z hi.x hi.y hi.z as doubles — e.g. the RTreeEntry
-/// slots of an object page). Sets hits[i] to 1 iff box i is non-empty and
-/// intersects `query`, exactly matching Aabb::Intersects for a non-empty
-/// `query`. Implemented in geometry/box_kernels.cc with SSE2/AVX2 vector
-/// gates (compile-time selected, bit-identical to the scalar reference —
-/// see geometry/box_kernels.h for the kernel family and the SoA variants).
-void IntersectsBatch(const char* boxes, size_t stride, size_t count,
-                     const Aabb& query, uint8_t* hits);
 
 }  // namespace flat
 

@@ -1,10 +1,16 @@
-// SIMD + scalar implementations of the MBR gate kernels. This translation
-// unit is compiled with -mavx2 -ffp-contract=off when the FLAT_SIMD_AVX2
-// CMake option is on (the default); without it, the x86-64 SSE2 baseline or
-// the plain scalar path is selected. All SIMD code lives here so the rest of
-// the library builds with the project-wide flags and stays bit-identical
-// regardless of the kernel ISA. -ffp-contract=off matters: the sphere gate
-// must round exactly like Aabb::DistanceSquaredTo (mul then add, no FMA).
+// The MBR gate kernels and the u16 quantizer. Every kernel is one plain C++
+// loop. A hand-written AVX2 body sits beside the loop only where it measured
+// at least 1.3x faster than the loop compiled with this file's flags: the
+// strided AoS gates IntersectsBatch / ContainsBatch and the SoaBoxes::Assign
+// transpose (ratios at each body). The SoA, sphere and quantized gates are
+// left to the compiler, which vectorizes them to within that bar.
+//
+// This is the one translation unit built with the kernel flags
+// (CMakeLists.txt): -mavx2 when FLAT_SIMD_AVX2 is on, and always
+// -ffp-contract=off -fno-trapping-math. No FMA contraction keeps the sphere
+// gate rounding exactly like Aabb::DistanceSquaredTo (mul then add). No
+// trapping math lets GCC if-convert std::max, so the sphere loop vectorizes.
+// Neither flag changes a computed value.
 #include "geometry/box_kernels.h"
 
 #include <algorithm>
@@ -14,8 +20,6 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
 #endif
 
 namespace flat {
@@ -24,36 +28,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One strided AoS box gate, shared by the scalar kernels: the same predicate
-// as Aabb::Intersects in one branch-free expression (the empty-box checks
-// lo <= hi fold into the comparison chain).
-inline uint8_t GateOneBox(const double* b, const Aabb& q) {
-  const int hit = (b[0] <= b[3]) & (b[1] <= b[4]) & (b[2] <= b[5]) &
-                  (b[0] <= q.hi().x) & (b[3] >= q.lo().x) &
-                  (b[1] <= q.hi().y) & (b[4] >= q.lo().y) &
-                  (b[2] <= q.hi().z) & (b[5] >= q.lo().z);
-  return static_cast<uint8_t>(hit);
-}
-
-// One strided AoS containment gate: non-empty box fully inside `q`. Every
-// comparison is false on NaN and an empty query admits no non-empty box
-// (lo >= q.lo && hi <= q.hi && lo <= hi forces q.lo <= q.hi), so no special
-// cases are needed.
-inline uint8_t CoverOneBox(const double* b, const Aabb& q) {
-  const int covered = (b[0] <= b[3]) & (b[1] <= b[4]) & (b[2] <= b[5]) &
-                      (b[0] >= q.lo().x) & (b[3] <= q.hi().x) &
-                      (b[1] >= q.lo().y) & (b[4] <= q.hi().y) &
-                      (b[2] >= q.lo().z) & (b[5] <= q.hi().z);
-  return static_cast<uint8_t>(covered);
-}
-
 }  // namespace
 
 const char* BoxKernelIsa() {
 #if defined(__AVX2__)
   return "avx2";
-#elif defined(__SSE2__) || defined(_M_X64)
-  return "sse2";
 #else
   return "scalar";
 #endif
@@ -61,16 +40,24 @@ const char* BoxKernelIsa() {
 
 void IntersectsBatchScalar(const char* boxes, size_t stride, size_t count,
                            const Aabb& query, uint8_t* hits) {
+  const Vec3 ql = query.lo(), qh = query.hi();
   for (size_t i = 0; i < count; ++i) {
     double b[6];  // lo.x lo.y lo.z hi.x hi.y hi.z
     std::memcpy(b, boxes + i * stride, sizeof(b));
-    hits[i] = GateOneBox(b, query);
+    // Aabb::Intersects in one branch-free expression: the empty-box checks
+    // lo <= hi fold into the chain, and every compare is false on NaN.
+    const int hit = (b[0] <= b[3]) & (b[1] <= b[4]) & (b[2] <= b[5]) &
+                    (b[0] <= qh.x) & (b[3] >= ql.x) & (b[1] <= qh.y) &
+                    (b[4] >= ql.y) & (b[2] <= qh.z) & (b[5] >= ql.z);
+    hits[i] = static_cast<uint8_t>(hit);
   }
 }
 
 void IntersectsBatch(const char* boxes, size_t stride, size_t count,
                      const Aabb& query, uint8_t* hits) {
 #if defined(__AVX2__)
+  // Kept: 4.8x its plain loop (bench_micro_primitives NodeGateSimdAos vs
+  // NodeGateScalar, 103 vs 495 ns per 73-box page, 4-vCPU AVX-512 Xeon VM).
   // One box per iteration, vector ops across its six doubles. Lane maps:
   //   L  = [lo.x lo.y lo.z hi.x]   (load at byte 0)
   //   H  = [lo.z hi.x hi.y hi.z]   (load at byte 16; stays inside the box)
@@ -93,26 +80,6 @@ void IntersectsBatch(const char* boxes, size_t stride, size_t count,
     const int m = _mm256_movemask_pd(_mm256_and_pd(_mm256_and_pd(c1, c2), c3));
     hits[i] = static_cast<uint8_t>((m & 7) == 7);
   }
-#elif defined(__SSE2__) || defined(_M_X64)
-  // x and y axes in one 2-lane vector, z axis scalar.
-  const __m128d qh_xy = _mm_set_pd(query.hi().y, query.hi().x);
-  const __m128d ql_xy = _mm_set_pd(query.lo().y, query.lo().x);
-  const double qhz = query.hi().z, qlz = query.lo().z;
-  for (size_t i = 0; i < count; ++i) {
-    const double* b = reinterpret_cast<const double*>(boxes + i * stride);
-    const __m128d lo_xy = _mm_loadu_pd(b);          // [lo.x lo.y]
-    const __m128d mid = _mm_loadu_pd(b + 2);        // [lo.z hi.x]
-    const __m128d hi_yz = _mm_loadu_pd(b + 4);      // [hi.y hi.z]
-    const __m128d hi_xy = _mm_shuffle_pd(mid, hi_yz, 0b01);  // [hi.x hi.y]
-    const __m128d c1 = _mm_cmple_pd(lo_xy, qh_xy);
-    const __m128d c2 = _mm_cmpge_pd(hi_xy, ql_xy);
-    const __m128d c3 = _mm_cmple_pd(lo_xy, hi_xy);  // empty check, x/y
-    const int mxy =
-        _mm_movemask_pd(_mm_and_pd(_mm_and_pd(c1, c2), c3));
-    const double loz = b[2], hiz = b[5];
-    const int hz = (loz <= hiz) & (loz <= qhz) & (hiz >= qlz);
-    hits[i] = static_cast<uint8_t>((mxy == 3) & hz);
-  }
 #else
   IntersectsBatchScalar(boxes, stride, count, query, hits);
 #endif
@@ -120,16 +87,25 @@ void IntersectsBatch(const char* boxes, size_t stride, size_t count,
 
 void ContainsBatchScalar(const char* boxes, size_t stride, size_t count,
                          const Aabb& query, uint8_t* covered) {
+  const Vec3 ql = query.lo(), qh = query.hi();
   for (size_t i = 0; i < count; ++i) {
     double b[6];  // lo.x lo.y lo.z hi.x hi.y hi.z
     std::memcpy(b, boxes + i * stride, sizeof(b));
-    covered[i] = CoverOneBox(b, query);
+    // Non-empty box fully inside `query`. Every compare is false on NaN, and
+    // an empty query admits no non-empty box (lo >= q.lo && hi <= q.hi &&
+    // lo <= hi forces q.lo <= q.hi), so no special cases are needed.
+    const int cov = (b[0] <= b[3]) & (b[1] <= b[4]) & (b[2] <= b[5]) &
+                    (b[0] >= ql.x) & (b[3] <= qh.x) & (b[1] >= ql.y) &
+                    (b[4] <= qh.y) & (b[2] >= ql.z) & (b[5] <= qh.z);
+    covered[i] = static_cast<uint8_t>(cov);
   }
 }
 
 void ContainsBatch(const char* boxes, size_t stride, size_t count,
                    const Aabb& query, uint8_t* covered) {
 #if defined(__AVX2__)
+  // Kept: 4.4x its plain loop (CoverGateSimdAos vs CoverGateScalar, 115 vs
+  // 502 ns per 73-box page, same machine).
   // Same lane maps as IntersectsBatch (L = lo corners + hi.x, Hs = hi
   // corners + lo.z) with the predicates flipped to containment. Lane 3 is
   // junk: ql/qh carry ∓inf there so it always passes, and the movemask is
@@ -149,24 +125,6 @@ void ContainsBatch(const char* boxes, size_t stride, size_t count,
     const int m = _mm256_movemask_pd(_mm256_and_pd(_mm256_and_pd(c1, c2), c3));
     covered[i] = static_cast<uint8_t>((m & 7) == 7);
   }
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128d qh_xy = _mm_set_pd(query.hi().y, query.hi().x);
-  const __m128d ql_xy = _mm_set_pd(query.lo().y, query.lo().x);
-  const double qhz = query.hi().z, qlz = query.lo().z;
-  for (size_t i = 0; i < count; ++i) {
-    const double* b = reinterpret_cast<const double*>(boxes + i * stride);
-    const __m128d lo_xy = _mm_loadu_pd(b);          // [lo.x lo.y]
-    const __m128d mid = _mm_loadu_pd(b + 2);        // [lo.z hi.x]
-    const __m128d hi_yz = _mm_loadu_pd(b + 4);      // [hi.y hi.z]
-    const __m128d hi_xy = _mm_shuffle_pd(mid, hi_yz, 0b01);  // [hi.x hi.y]
-    const __m128d c1 = _mm_cmpge_pd(lo_xy, ql_xy);
-    const __m128d c2 = _mm_cmple_pd(hi_xy, qh_xy);
-    const __m128d c3 = _mm_cmple_pd(lo_xy, hi_xy);  // empty check, x/y
-    const int mxy = _mm_movemask_pd(_mm_and_pd(_mm_and_pd(c1, c2), c3));
-    const double loz = b[2], hiz = b[5];
-    const int cz = (loz <= hiz) & (loz >= qlz) & (hiz <= qhz);
-    covered[i] = static_cast<uint8_t>((mxy == 3) & cz);
-  }
 #else
   ContainsBatchScalar(boxes, stride, count, query, covered);
 #endif
@@ -184,6 +142,8 @@ void SoaBoxes::Assign(const char* boxes, size_t stride, size_t count) {
   double* hiz = hiy + padded_;
   size_t i = 0;
 #if defined(__AVX2__)
+  // Kept: 2.8x the plain loop below (SoaTranspose, 107 vs 301 ns per
+  // 73-box page, same machine).
   // Transpose four boxes at a time: two overlapping 4-lane loads per box
   // (both stay inside the 48-byte box image) and two 4x4 double transposes.
   for (; i + 4 <= count; i += 4) {
@@ -231,259 +191,58 @@ void SoaBoxes::Assign(const char* boxes, size_t stride, size_t count) {
   }
 }
 
-void IntersectsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                         uint8_t* hits) {
-  const double* lox = soa.lo(0);
-  const double* loy = soa.lo(1);
-  const double* loz = soa.lo(2);
-  const double* hix = soa.hi(0);
-  const double* hiy = soa.hi(1);
-  const double* hiz = soa.hi(2);
-  for (size_t i = 0; i < soa.padded_count(); ++i) {
+// The SoA gates below read the query into locals and the lane count once:
+// `hits` is a byte pointer that may alias anything, so members read inside
+// the loop would be reloaded after every store and block vectorization.
+
+void IntersectsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* hits) {
+  const double *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
+  const double *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
+  const Vec3 ql = query.lo(), qh = query.hi();
+  const size_t n = soa.padded_count();
+  for (size_t i = 0; i < n; ++i) {
     const int hit =
         (lox[i] <= hix[i]) & (loy[i] <= hiy[i]) & (loz[i] <= hiz[i]) &
-        (lox[i] <= query.hi().x) & (hix[i] >= query.lo().x) &
-        (loy[i] <= query.hi().y) & (hiy[i] >= query.lo().y) &
-        (loz[i] <= query.hi().z) & (hiz[i] >= query.lo().z);
+        (lox[i] <= qh.x) & (hix[i] >= ql.x) & (loy[i] <= qh.y) &
+        (hiy[i] >= ql.y) & (loz[i] <= qh.z) & (hiz[i] >= ql.z);
     hits[i] = static_cast<uint8_t>(hit);
   }
 }
 
-void IntersectsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* hits) {
-#if defined(__AVX2__)
-  const __m256d qhx = _mm256_set1_pd(query.hi().x);
-  const __m256d qhy = _mm256_set1_pd(query.hi().y);
-  const __m256d qhz = _mm256_set1_pd(query.hi().z);
-  const __m256d qlx = _mm256_set1_pd(query.lo().x);
-  const __m256d qly = _mm256_set1_pd(query.lo().y);
-  const __m256d qlz = _mm256_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 4) {
-    const __m256d lox = _mm256_loadu_pd(soa.lo(0) + i);
-    const __m256d loy = _mm256_loadu_pd(soa.lo(1) + i);
-    const __m256d loz = _mm256_loadu_pd(soa.lo(2) + i);
-    const __m256d hix = _mm256_loadu_pd(soa.hi(0) + i);
-    const __m256d hiy = _mm256_loadu_pd(soa.hi(1) + i);
-    const __m256d hiz = _mm256_loadu_pd(soa.hi(2) + i);
-    __m256d m = _mm256_and_pd(_mm256_cmp_pd(lox, hix, _CMP_LE_OQ),
-                              _mm256_cmp_pd(loy, hiy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, hiz, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(lox, qhx, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hix, qlx, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loy, qhy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiy, qly, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, qhz, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiz, qlz, _CMP_GE_OQ));
-    const int mask = _mm256_movemask_pd(m);
-    hits[i + 0] = static_cast<uint8_t>(mask & 1);
-    hits[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-    hits[i + 2] = static_cast<uint8_t>((mask >> 2) & 1);
-    hits[i + 3] = static_cast<uint8_t>((mask >> 3) & 1);
-  }
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128d qhx = _mm_set1_pd(query.hi().x);
-  const __m128d qhy = _mm_set1_pd(query.hi().y);
-  const __m128d qhz = _mm_set1_pd(query.hi().z);
-  const __m128d qlx = _mm_set1_pd(query.lo().x);
-  const __m128d qly = _mm_set1_pd(query.lo().y);
-  const __m128d qlz = _mm_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 2) {
-    const __m128d lox = _mm_loadu_pd(soa.lo(0) + i);
-    const __m128d loy = _mm_loadu_pd(soa.lo(1) + i);
-    const __m128d loz = _mm_loadu_pd(soa.lo(2) + i);
-    const __m128d hix = _mm_loadu_pd(soa.hi(0) + i);
-    const __m128d hiy = _mm_loadu_pd(soa.hi(1) + i);
-    const __m128d hiz = _mm_loadu_pd(soa.hi(2) + i);
-    __m128d m = _mm_and_pd(_mm_cmple_pd(lox, hix), _mm_cmple_pd(loy, hiy));
-    m = _mm_and_pd(m, _mm_cmple_pd(loz, hiz));
-    m = _mm_and_pd(m, _mm_cmple_pd(lox, qhx));
-    m = _mm_and_pd(m, _mm_cmpge_pd(hix, qlx));
-    m = _mm_and_pd(m, _mm_cmple_pd(loy, qhy));
-    m = _mm_and_pd(m, _mm_cmpge_pd(hiy, qly));
-    m = _mm_and_pd(m, _mm_cmple_pd(loz, qhz));
-    m = _mm_and_pd(m, _mm_cmpge_pd(hiz, qlz));
-    const int mask = _mm_movemask_pd(m);
-    hits[i + 0] = static_cast<uint8_t>(mask & 1);
-    hits[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-  }
-#else
-  IntersectsSoaScalar(soa, query, hits);
-#endif
-}
-
-void ContainsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                       uint8_t* covered) {
-  const double* lox = soa.lo(0);
-  const double* loy = soa.lo(1);
-  const double* loz = soa.lo(2);
-  const double* hix = soa.hi(0);
-  const double* hiy = soa.hi(1);
-  const double* hiz = soa.hi(2);
-  for (size_t i = 0; i < soa.padded_count(); ++i) {
+void ContainsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* covered) {
+  const double *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
+  const double *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
+  const Vec3 ql = query.lo(), qh = query.hi();
+  const size_t n = soa.padded_count();
+  for (size_t i = 0; i < n; ++i) {
     const int cov =
         (lox[i] <= hix[i]) & (loy[i] <= hiy[i]) & (loz[i] <= hiz[i]) &
-        (lox[i] >= query.lo().x) & (hix[i] <= query.hi().x) &
-        (loy[i] >= query.lo().y) & (hiy[i] <= query.hi().y) &
-        (loz[i] >= query.lo().z) & (hiz[i] <= query.hi().z);
+        (lox[i] >= ql.x) & (hix[i] <= qh.x) & (loy[i] >= ql.y) &
+        (hiy[i] <= qh.y) & (loz[i] >= ql.z) & (hiz[i] <= qh.z);
     covered[i] = static_cast<uint8_t>(cov);
-  }
-}
-
-void ContainsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* covered) {
-#if defined(__AVX2__)
-  const __m256d qhx = _mm256_set1_pd(query.hi().x);
-  const __m256d qhy = _mm256_set1_pd(query.hi().y);
-  const __m256d qhz = _mm256_set1_pd(query.hi().z);
-  const __m256d qlx = _mm256_set1_pd(query.lo().x);
-  const __m256d qly = _mm256_set1_pd(query.lo().y);
-  const __m256d qlz = _mm256_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 4) {
-    const __m256d lox = _mm256_loadu_pd(soa.lo(0) + i);
-    const __m256d loy = _mm256_loadu_pd(soa.lo(1) + i);
-    const __m256d loz = _mm256_loadu_pd(soa.lo(2) + i);
-    const __m256d hix = _mm256_loadu_pd(soa.hi(0) + i);
-    const __m256d hiy = _mm256_loadu_pd(soa.hi(1) + i);
-    const __m256d hiz = _mm256_loadu_pd(soa.hi(2) + i);
-    __m256d m = _mm256_and_pd(_mm256_cmp_pd(lox, hix, _CMP_LE_OQ),
-                              _mm256_cmp_pd(loy, hiy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, hiz, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(lox, qlx, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hix, qhx, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loy, qly, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiy, qhy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, qlz, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiz, qhz, _CMP_LE_OQ));
-    const int mask = _mm256_movemask_pd(m);
-    covered[i + 0] = static_cast<uint8_t>(mask & 1);
-    covered[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-    covered[i + 2] = static_cast<uint8_t>((mask >> 2) & 1);
-    covered[i + 3] = static_cast<uint8_t>((mask >> 3) & 1);
-  }
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128d qhx = _mm_set1_pd(query.hi().x);
-  const __m128d qhy = _mm_set1_pd(query.hi().y);
-  const __m128d qhz = _mm_set1_pd(query.hi().z);
-  const __m128d qlx = _mm_set1_pd(query.lo().x);
-  const __m128d qly = _mm_set1_pd(query.lo().y);
-  const __m128d qlz = _mm_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 2) {
-    const __m128d lox = _mm_loadu_pd(soa.lo(0) + i);
-    const __m128d loy = _mm_loadu_pd(soa.lo(1) + i);
-    const __m128d loz = _mm_loadu_pd(soa.lo(2) + i);
-    const __m128d hix = _mm_loadu_pd(soa.hi(0) + i);
-    const __m128d hiy = _mm_loadu_pd(soa.hi(1) + i);
-    const __m128d hiz = _mm_loadu_pd(soa.hi(2) + i);
-    __m128d m = _mm_and_pd(_mm_cmple_pd(lox, hix), _mm_cmple_pd(loy, hiy));
-    m = _mm_and_pd(m, _mm_cmple_pd(loz, hiz));
-    m = _mm_and_pd(m, _mm_cmpge_pd(lox, qlx));
-    m = _mm_and_pd(m, _mm_cmple_pd(hix, qhx));
-    m = _mm_and_pd(m, _mm_cmpge_pd(loy, qly));
-    m = _mm_and_pd(m, _mm_cmple_pd(hiy, qhy));
-    m = _mm_and_pd(m, _mm_cmpge_pd(loz, qlz));
-    m = _mm_and_pd(m, _mm_cmple_pd(hiz, qhz));
-    const int mask = _mm_movemask_pd(m);
-    covered[i + 0] = static_cast<uint8_t>(mask & 1);
-    covered[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-  }
-#else
-  ContainsSoaScalar(soa, query, covered);
-#endif
-}
-
-void SphereGateSoaScalar(const SoaBoxes& soa, const Vec3& center,
-                         double radius, uint8_t* hits) {
-  const double* lox = soa.lo(0);
-  const double* loy = soa.lo(1);
-  const double* loz = soa.lo(2);
-  const double* hix = soa.hi(0);
-  const double* hiy = soa.hi(1);
-  const double* hiz = soa.hi(2);
-  const double r2 = radius * radius;
-  for (size_t i = 0; i < soa.padded_count(); ++i) {
-    const int nonempty =
-        (lox[i] <= hix[i]) & (loy[i] <= hiy[i]) & (loz[i] <= hiz[i]);
-    if (!nonempty) {
-      hits[i] = 0;
-      continue;
-    }
-    // Exactly Aabb::DistanceSquaredTo: per-axis gap = max(max(lo - p,
-    // p - hi), 0), accumulated x then y then z. No FMA (see file comment).
-    const double gx =
-        std::max(std::max(lox[i] - center.x, center.x - hix[i]), 0.0);
-    const double gy =
-        std::max(std::max(loy[i] - center.y, center.y - hiy[i]), 0.0);
-    const double gz =
-        std::max(std::max(loz[i] - center.z, center.z - hiz[i]), 0.0);
-    const double d2 = gx * gx + gy * gy + gz * gz;
-    hits[i] = static_cast<uint8_t>(d2 <= r2);
   }
 }
 
 void SphereGateSoa(const SoaBoxes& soa, const Vec3& center, double radius,
                    uint8_t* hits) {
-#if defined(__AVX2__)
-  const __m256d px = _mm256_set1_pd(center.x);
-  const __m256d py = _mm256_set1_pd(center.y);
-  const __m256d pz = _mm256_set1_pd(center.z);
-  const __m256d r2 = _mm256_set1_pd(radius * radius);
-  const __m256d zero = _mm256_setzero_pd();
-  for (size_t i = 0; i < soa.padded_count(); i += 4) {
-    const __m256d lox = _mm256_loadu_pd(soa.lo(0) + i);
-    const __m256d loy = _mm256_loadu_pd(soa.lo(1) + i);
-    const __m256d loz = _mm256_loadu_pd(soa.lo(2) + i);
-    const __m256d hix = _mm256_loadu_pd(soa.hi(0) + i);
-    const __m256d hiy = _mm256_loadu_pd(soa.hi(1) + i);
-    const __m256d hiz = _mm256_loadu_pd(soa.hi(2) + i);
-    const __m256d gx = _mm256_max_pd(
-        _mm256_max_pd(_mm256_sub_pd(lox, px), _mm256_sub_pd(px, hix)), zero);
-    const __m256d gy = _mm256_max_pd(
-        _mm256_max_pd(_mm256_sub_pd(loy, py), _mm256_sub_pd(py, hiy)), zero);
-    const __m256d gz = _mm256_max_pd(
-        _mm256_max_pd(_mm256_sub_pd(loz, pz), _mm256_sub_pd(pz, hiz)), zero);
-    const __m256d d2 = _mm256_add_pd(
-        _mm256_add_pd(_mm256_mul_pd(gx, gx), _mm256_mul_pd(gy, gy)),
-        _mm256_mul_pd(gz, gz));
-    __m256d m = _mm256_and_pd(_mm256_cmp_pd(lox, hix, _CMP_LE_OQ),
-                              _mm256_cmp_pd(loy, hiy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, hiz, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(d2, r2, _CMP_LE_OQ));
-    const int mask = _mm256_movemask_pd(m);
-    hits[i + 0] = static_cast<uint8_t>(mask & 1);
-    hits[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-    hits[i + 2] = static_cast<uint8_t>((mask >> 2) & 1);
-    hits[i + 3] = static_cast<uint8_t>((mask >> 3) & 1);
+  const double *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
+  const double *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
+  const Vec3 p = center;
+  const double r2 = radius * radius;
+  const size_t n = soa.padded_count();
+  for (size_t i = 0; i < n; ++i) {
+    // Exactly Aabb::DistanceSquaredTo: per-axis gap = max(max(lo - p,
+    // p - hi), 0), accumulated x then y then z, no FMA. std::max keeps its
+    // first argument when either is NaN, as std::max({...}) does there, so
+    // a NaN centre or radius gates nothing, like the member predicate.
+    const double gx = std::max(std::max(lox[i] - p.x, p.x - hix[i]), 0.0);
+    const double gy = std::max(std::max(loy[i] - p.y, p.y - hiy[i]), 0.0);
+    const double gz = std::max(std::max(loz[i] - p.z, p.z - hiz[i]), 0.0);
+    const double d2 = gx * gx + gy * gy + gz * gz;
+    const int hit = (lox[i] <= hix[i]) & (loy[i] <= hiy[i]) &
+                    (loz[i] <= hiz[i]) & (d2 <= r2);
+    hits[i] = static_cast<uint8_t>(hit);
   }
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128d px = _mm_set1_pd(center.x);
-  const __m128d py = _mm_set1_pd(center.y);
-  const __m128d pz = _mm_set1_pd(center.z);
-  const __m128d r2 = _mm_set1_pd(radius * radius);
-  const __m128d zero = _mm_setzero_pd();
-  for (size_t i = 0; i < soa.padded_count(); i += 2) {
-    const __m128d lox = _mm_loadu_pd(soa.lo(0) + i);
-    const __m128d loy = _mm_loadu_pd(soa.lo(1) + i);
-    const __m128d loz = _mm_loadu_pd(soa.lo(2) + i);
-    const __m128d hix = _mm_loadu_pd(soa.hi(0) + i);
-    const __m128d hiy = _mm_loadu_pd(soa.hi(1) + i);
-    const __m128d hiz = _mm_loadu_pd(soa.hi(2) + i);
-    const __m128d gx = _mm_max_pd(
-        _mm_max_pd(_mm_sub_pd(lox, px), _mm_sub_pd(px, hix)), zero);
-    const __m128d gy = _mm_max_pd(
-        _mm_max_pd(_mm_sub_pd(loy, py), _mm_sub_pd(py, hiy)), zero);
-    const __m128d gz = _mm_max_pd(
-        _mm_max_pd(_mm_sub_pd(loz, pz), _mm_sub_pd(pz, hiz)), zero);
-    const __m128d d2 =
-        _mm_add_pd(_mm_add_pd(_mm_mul_pd(gx, gx), _mm_mul_pd(gy, gy)),
-                   _mm_mul_pd(gz, gz));
-    __m128d m = _mm_and_pd(_mm_cmple_pd(lox, hix), _mm_cmple_pd(loy, hiy));
-    m = _mm_and_pd(m, _mm_cmple_pd(loz, hiz));
-    m = _mm_and_pd(m, _mm_cmple_pd(d2, r2));
-    const int mask = _mm_movemask_pd(m);
-    hits[i + 0] = static_cast<uint8_t>(mask & 1);
-    hits[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-  }
-#else
-  SphereGateSoaScalar(soa, center, radius, hits);
-#endif
 }
 
 namespace {
@@ -566,102 +325,24 @@ void QuantizedSoa::Assign(const char* slots, size_t stride, size_t count) {
   }
 }
 
-void IntersectsQuantizedSoaScalar(const QuantizedSoa& soa,
-                                  const QuantizedQueryBox& query,
-                                  uint8_t* hits) {
+void IntersectsQuantizedSoa(const QuantizedSoa& soa,
+                            const QuantizedQueryBox& query, uint8_t* hits) {
   const size_t padded = soa.padded_count();
   if (padded == 0) return;  // empty node: no hit bytes to write (hits may
                             // be null — memset requires a valid pointer)
-  if (query.never) {
-    std::memset(hits, 0, padded);
-    return;
-  }
-  const uint16_t* lox = soa.lo(0);
-  const uint16_t* loy = soa.lo(1);
-  const uint16_t* loz = soa.lo(2);
-  const uint16_t* hix = soa.hi(0);
-  const uint16_t* hiy = soa.hi(1);
-  const uint16_t* hiz = soa.hi(2);
-  for (size_t i = 0; i < soa.count(); ++i) {
-    const int hit = (lox[i] <= query.hi[0]) & (hix[i] >= query.lo[0]) &
-                    (loy[i] <= query.hi[1]) & (hiy[i] >= query.lo[1]) &
-                    (loz[i] <= query.hi[2]) & (hiz[i] >= query.lo[2]);
+  const uint16_t *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
+  const uint16_t *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
+  const uint16_t qlx = query.lo[0], qly = query.lo[1], qlz = query.lo[2];
+  const uint16_t qhx = query.hi[0], qhy = query.hi[1], qhz = query.hi[2];
+  const size_t n = query.never ? 0 : soa.count();
+  for (size_t i = 0; i < n; ++i) {
+    const int hit = (lox[i] <= qhx) & (hix[i] >= qlx) & (loy[i] <= qhy) &
+                    (hiy[i] >= qly) & (loz[i] <= qhz) & (hiz[i] >= qlz);
     hits[i] = static_cast<uint8_t>(hit);
   }
-  std::memset(hits + soa.count(), 0, padded - soa.count());
-}
-
-void IntersectsQuantizedSoa(const QuantizedSoa& soa,
-                            const QuantizedQueryBox& query, uint8_t* hits) {
-#if defined(__AVX2__) || defined(__SSE2__) || defined(_M_X64)
-  const size_t padded = soa.padded_count();
-  if (padded == 0) return;  // see the scalar variant
-  if (query.never) {
-    std::memset(hits, 0, padded);
-    return;
-  }
-#endif
-#if defined(__AVX2__)
-  // SSE/AVX have no unsigned 16-bit compare; XOR with 0x8000 maps the
-  // unsigned order onto the signed one, then a child fails iff
-  // lo > q.hi or q.lo > hi on any axis.
-  const __m256i bias = _mm256_set1_epi16(static_cast<int16_t>(0x8000));
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i qhi[3], qlo[3];
-  for (int a = 0; a < 3; ++a) {
-    qhi[a] = _mm256_set1_epi16(static_cast<int16_t>(query.hi[a] ^ 0x8000));
-    qlo[a] = _mm256_set1_epi16(static_cast<int16_t>(query.lo[a] ^ 0x8000));
-  }
-  for (size_t i = 0; i < padded; i += 16) {
-    __m256i fail = zero;
-    for (int a = 0; a < 3; ++a) {
-      const __m256i lo = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(soa.lo(a) + i)),
-          bias);
-      const __m256i hi = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(soa.hi(a) + i)),
-          bias);
-      fail = _mm256_or_si256(fail, _mm256_cmpgt_epi16(lo, qhi[a]));
-      fail = _mm256_or_si256(fail, _mm256_cmpgt_epi16(qlo[a], hi));
-    }
-    // Two movemask bits per u16 lane; bit 2k is lane k's low byte.
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi16(fail, zero));
-    for (int k = 0; k < 16; ++k) {
-      hits[i + k] = static_cast<uint8_t>((mask >> (2 * k)) & 1);
-    }
-  }
-  std::memset(hits + soa.count(), 0, padded - soa.count());
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128i bias = _mm_set1_epi16(static_cast<int16_t>(0x8000));
-  const __m128i zero = _mm_setzero_si128();
-  __m128i qhi[3], qlo[3];
-  for (int a = 0; a < 3; ++a) {
-    qhi[a] = _mm_set1_epi16(static_cast<int16_t>(query.hi[a] ^ 0x8000));
-    qlo[a] = _mm_set1_epi16(static_cast<int16_t>(query.lo[a] ^ 0x8000));
-  }
-  for (size_t i = 0; i < padded; i += 8) {
-    __m128i fail = zero;
-    for (int a = 0; a < 3; ++a) {
-      const __m128i lo = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(soa.lo(a) + i)),
-          bias);
-      const __m128i hi = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(soa.hi(a) + i)),
-          bias);
-      fail = _mm_or_si128(fail, _mm_cmpgt_epi16(lo, qhi[a]));
-      fail = _mm_or_si128(fail, _mm_cmpgt_epi16(qlo[a], hi));
-    }
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi16(fail, zero));
-    for (int k = 0; k < 8; ++k) {
-      hits[i + k] = static_cast<uint8_t>((mask >> (2 * k)) & 1);
-    }
-  }
-  std::memset(hits + soa.count(), 0, padded - soa.count());
-#else
-  IntersectsQuantizedSoaScalar(soa, query, hits);
-#endif
+  // No u16 sentinel misses a query spanning the whole grid, so the padding
+  // (and every slot of a never query) is zeroed instead of gated.
+  std::memset(hits + n, 0, padded - n);
 }
 
 namespace {
@@ -750,101 +431,21 @@ QuantizedCoverBox QuantizeCoverQuery(const Aabb& node_box, const Aabb& query) {
   return cover;
 }
 
-void ContainsQuantizedSoaScalar(const QuantizedSoa& soa,
-                                const QuantizedCoverBox& cover,
-                                uint8_t* covered) {
-  const size_t padded = soa.padded_count();
-  if (padded == 0) return;  // empty node: no bytes to write (see the
-                            // intersection gate)
-  if (cover.never) {
-    std::memset(covered, 0, padded);
-    return;
-  }
-  const uint16_t* lox = soa.lo(0);
-  const uint16_t* loy = soa.lo(1);
-  const uint16_t* loz = soa.lo(2);
-  const uint16_t* hix = soa.hi(0);
-  const uint16_t* hiy = soa.hi(1);
-  const uint16_t* hiz = soa.hi(2);
-  for (size_t i = 0; i < soa.count(); ++i) {
-    const int cov = (lox[i] >= cover.lo[0]) & (hix[i] <= cover.hi[0]) &
-                    (loy[i] >= cover.lo[1]) & (hiy[i] <= cover.hi[1]) &
-                    (loz[i] >= cover.lo[2]) & (hiz[i] <= cover.hi[2]);
-    covered[i] = static_cast<uint8_t>(cov);
-  }
-  std::memset(covered + soa.count(), 0, padded - soa.count());
-}
-
 void ContainsQuantizedSoa(const QuantizedSoa& soa,
                           const QuantizedCoverBox& cover, uint8_t* covered) {
-#if defined(__AVX2__) || defined(__SSE2__) || defined(_M_X64)
   const size_t padded = soa.padded_count();
-  if (padded == 0) return;  // see the scalar variant
-  if (cover.never) {
-    std::memset(covered, 0, padded);
-    return;
+  if (padded == 0) return;  // empty node: see IntersectsQuantizedSoa
+  const uint16_t *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
+  const uint16_t *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
+  const uint16_t clx = cover.lo[0], cly = cover.lo[1], clz = cover.lo[2];
+  const uint16_t chx = cover.hi[0], chy = cover.hi[1], chz = cover.hi[2];
+  const size_t n = cover.never ? 0 : soa.count();
+  for (size_t i = 0; i < n; ++i) {
+    const int cov = (lox[i] >= clx) & (hix[i] <= chx) & (loy[i] >= cly) &
+                    (hiy[i] <= chy) & (loz[i] >= clz) & (hiz[i] <= chz);
+    covered[i] = static_cast<uint8_t>(cov);
   }
-#endif
-#if defined(__AVX2__)
-  // Unsigned compares via the XOR-0x8000 bias, like the intersection gate:
-  // a child fails certification iff lo < cover.lo or hi > cover.hi on any
-  // axis.
-  const __m256i bias = _mm256_set1_epi16(static_cast<int16_t>(0x8000));
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i clo[3], chi[3];
-  for (int a = 0; a < 3; ++a) {
-    clo[a] = _mm256_set1_epi16(static_cast<int16_t>(cover.lo[a] ^ 0x8000));
-    chi[a] = _mm256_set1_epi16(static_cast<int16_t>(cover.hi[a] ^ 0x8000));
-  }
-  for (size_t i = 0; i < padded; i += 16) {
-    __m256i fail = zero;
-    for (int a = 0; a < 3; ++a) {
-      const __m256i lo = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(soa.lo(a) + i)),
-          bias);
-      const __m256i hi = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(soa.hi(a) + i)),
-          bias);
-      fail = _mm256_or_si256(fail, _mm256_cmpgt_epi16(clo[a], lo));
-      fail = _mm256_or_si256(fail, _mm256_cmpgt_epi16(hi, chi[a]));
-    }
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi16(fail, zero));
-    for (int k = 0; k < 16; ++k) {
-      covered[i + k] = static_cast<uint8_t>((mask >> (2 * k)) & 1);
-    }
-  }
-  std::memset(covered + soa.count(), 0, padded - soa.count());
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128i bias = _mm_set1_epi16(static_cast<int16_t>(0x8000));
-  const __m128i zero = _mm_setzero_si128();
-  __m128i clo[3], chi[3];
-  for (int a = 0; a < 3; ++a) {
-    clo[a] = _mm_set1_epi16(static_cast<int16_t>(cover.lo[a] ^ 0x8000));
-    chi[a] = _mm_set1_epi16(static_cast<int16_t>(cover.hi[a] ^ 0x8000));
-  }
-  for (size_t i = 0; i < padded; i += 8) {
-    __m128i fail = zero;
-    for (int a = 0; a < 3; ++a) {
-      const __m128i lo = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(soa.lo(a) + i)),
-          bias);
-      const __m128i hi = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(soa.hi(a) + i)),
-          bias);
-      fail = _mm_or_si128(fail, _mm_cmpgt_epi16(clo[a], lo));
-      fail = _mm_or_si128(fail, _mm_cmpgt_epi16(hi, chi[a]));
-    }
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi16(fail, zero));
-    for (int k = 0; k < 8; ++k) {
-      covered[i + k] = static_cast<uint8_t>((mask >> (2 * k)) & 1);
-    }
-  }
-  std::memset(covered + soa.count(), 0, padded - soa.count());
-#else
-  ContainsQuantizedSoaScalar(soa, cover, covered);
-#endif
+  std::memset(covered + n, 0, padded - n);
 }
 
 }  // namespace flat

@@ -10,34 +10,39 @@
 
 namespace flat {
 
-/// Vectorized MBR gate kernels for the crawl and seed hot paths.
+/// MBR gate kernels for the crawl and seed hot paths.
 ///
-/// Every kernel here exists in two forms: a branch-free scalar reference
-/// (`...Scalar`, always compiled) and a dispatching entry point that runs
-/// the widest instruction set selected at *compile time* — AVX2 when the
-/// kernel translation unit is built with `-mavx2` (the default via the
-/// FLAT_SIMD_AVX2 CMake option), SSE2 on any other x86-64 build, and the
-/// scalar reference elsewhere. The SIMD paths are bit-for-bit equivalent to
-/// the scalar reference — same comparison predicates, same IEEE operation
-/// order in the sphere distance, no FMA contraction (the TU is built with
-/// -ffp-contract=off) — which tests/box_kernels_test.cc enforces over
-/// adversarial box populations. Queries therefore return identical results
-/// whichever path is compiled in.
+/// Every kernel is one plain C++ loop, compiled in its own translation unit
+/// with -ffp-contract=off -fno-trapping-math (and -mavx2 under the
+/// FLAT_SIMD_AVX2 CMake option, the default), so the compiler vectorizes it
+/// without changing a computed value. A hand-written AVX2 body is kept only
+/// where it measured at least 1.3x faster than that loop: IntersectsBatch,
+/// ContainsBatch and the SoaBoxes::Assign transpose. Their plain loops stay
+/// as the `...Scalar` references and the non-AVX2 path, and the AVX2 bodies
+/// agree with them bit for bit. tests/box_kernels_test.cc holds every kernel
+/// to its per-box predicate (Aabb::Intersects / Contains / IntersectsSphere,
+/// where an empty or NaN box never hits, and the per-slot u16 compare) over
+/// adversarial box populations.
 ///
-/// Which instruction set the dispatching kernels were compiled for:
-/// "avx2", "sse2", or "scalar". Benchmarks record it in their JSON output.
+/// Which hand-written tier was compiled in: "avx2", or "scalar" for the
+/// plain loops alone. Benchmarks record it in their JSON output.
 const char* BoxKernelIsa();
 
-/// Scalar reference for IntersectsBatch (see aabb.h): tests `count` boxes
-/// laid out `stride` bytes apart against `query`, writing 0/1 into `hits`.
-/// Matches Aabb::Intersects exactly for a non-empty `query`, including the
-/// "empty boxes intersect nothing" rule.
+/// Batched intersection gate for contiguous record MBRs: tests `count` boxes
+/// laid out `stride` bytes apart starting at `boxes`, each in the Aabb object
+/// layout (lo.x lo.y lo.z hi.x hi.y hi.z as doubles — e.g. the RTreeEntry
+/// slots of an object page). Sets hits[i] to 1 iff box i is non-empty and
+/// intersects `query`, exactly matching Aabb::Intersects for a non-empty
+/// `query`, including the "empty boxes intersect nothing" rule.
+void IntersectsBatch(const char* boxes, size_t stride, size_t count,
+                     const Aabb& query, uint8_t* hits);
+/// Its plain loop: the reference, and the kernel of non-AVX2 builds.
 void IntersectsBatchScalar(const char* boxes, size_t stride, size_t count,
                            const Aabb& query, uint8_t* hits);
 
 /// Structure-of-arrays view of a node page's entry MBRs: six contiguous
 /// double lanes (lo.x of every entry, then lo.y, ... then hi.z), padded to a
-/// multiple of four entries with canonical empty boxes so the vector kernels
+/// multiple of four entries with canonical empty boxes so the gate loops
 /// need no scalar tail. `Assign` transposes the strided AoS page layout
 /// (e.g. the RTreeEntry slots of an object page) into the lanes; the buffer
 /// is reusable across pages and grows to the largest fanout seen.
@@ -48,8 +53,8 @@ class SoaBoxes {
   void Assign(const char* boxes, size_t stride, size_t count);
 
   size_t count() const { return count_; }
-  /// count() rounded up to a multiple of the vector width; the kernels
-  /// write this many hit bytes (padding lanes always report 0).
+  /// count() rounded up to a multiple of four; the kernels write this many
+  /// hit bytes (padding lanes always report 0).
   size_t padded_count() const { return padded_; }
 
   /// Lane base pointers: axis 0..2, lo or hi.
@@ -68,8 +73,6 @@ class SoaBoxes {
 /// non-empty and intersects (Aabb::Intersects semantics). Writes
 /// soa.padded_count() bytes.
 void IntersectsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* hits);
-void IntersectsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                         uint8_t* hits);
 
 /// --- Containment ("covered") gates for aggregate pruning ---
 ///
@@ -83,31 +86,28 @@ void IntersectsSoaScalar(const SoaBoxes& soa, const Aabb& query,
 /// (core/flat_index.cc) adds a covered child's stored subtree count without
 /// descending, so a false positive would miscount — these gates are exact
 /// for exact boxes and conservative for quantized ones (may under-trigger,
-/// never over-trigger). SIMD forms are bit-for-bit identical to the scalar
-/// references, like every kernel in this header.
+/// never over-trigger).
 
-/// Scalar reference: tests `count` boxes laid out `stride` bytes apart
-/// (Aabb object layout) against `query`, writing 0/1 into `covered`.
-void ContainsBatchScalar(const char* boxes, size_t stride, size_t count,
-                         const Aabb& query, uint8_t* covered);
+/// Tests `count` boxes laid out `stride` bytes apart (Aabb object layout)
+/// against `query`, writing 0/1 into `covered`; ContainsBatchScalar is its
+/// plain loop, like IntersectsBatchScalar.
 void ContainsBatch(const char* boxes, size_t stride, size_t count,
                    const Aabb& query, uint8_t* covered);
+void ContainsBatchScalar(const char* boxes, size_t stride, size_t count,
+                         const Aabb& query, uint8_t* covered);
 
 /// SoA form over the same lanes as IntersectsSoa. Writes
 /// soa.padded_count() bytes; padding lanes (canonical empty boxes) are 0.
 void ContainsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* covered);
-void ContainsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                       uint8_t* covered);
 
 /// Gates every box of `soa` against the closed ball around `center`:
 /// hits[i] = 1 iff box i is non-empty and its min distance to `center` is
 /// <= radius — exactly Aabb::IntersectsSphere (same operation order:
 /// gap = max(max(lo-p, p-hi), 0) per axis, d2 = ((gx*gx + gy*gy) + gz*gz),
-/// d2 <= radius*radius). Writes soa.padded_count() bytes.
+/// d2 <= radius*radius). A NaN centre or radius gates nothing. Writes
+/// soa.padded_count() bytes.
 void SphereGateSoa(const SoaBoxes& soa, const Vec3& center, double radius,
                    uint8_t* hits);
-void SphereGateSoaScalar(const SoaBoxes& soa, const Vec3& center,
-                         double radius, uint8_t* hits);
 
 /// --- Quantized (16-bit fixed-point) gates for compressed node pages ---
 ///
@@ -164,8 +164,7 @@ QuantizedQueryBox QuantizeQuery(const Aabb& node_box, const Aabb& query);
 
 /// Structure-of-arrays view of a compressed node's quantized child MBRs: six
 /// contiguous u16 lanes (lo.x of every child, then lo.y, ... then hi.z),
-/// padded to a multiple of sixteen children so the widest vector kernel
-/// needs no scalar tail. The buffer is reusable across pages (CrawlScratch
+/// padded to a multiple of sixteen children. The buffer is reusable across pages (CrawlScratch
 /// keeps one per thread) and grows to the largest fanout seen.
 class QuantizedSoa {
  public:
@@ -196,13 +195,8 @@ class QuantizedSoa {
 /// hits[i] = 1 iff ranges overlap on all three axes
 /// (lo[a] <= query.hi[a] && hi[a] >= query.lo[a]), or 0 everywhere when
 /// query.never is set. Writes soa.padded_count() bytes; padding lanes are 0.
-/// The dispatching form and the scalar reference are bit-for-bit identical
-/// (pure integer compares — no rounding modes to diverge on).
 void IntersectsQuantizedSoa(const QuantizedSoa& soa,
                             const QuantizedQueryBox& query, uint8_t* hits);
-void IntersectsQuantizedSoaScalar(const QuantizedSoa& soa,
-                                  const QuantizedQueryBox& query,
-                                  uint8_t* hits);
 
 /// Containment thresholds for quantized children: a slot is certified
 /// covered iff slot.lo[a] >= lo[a] and slot.hi[a] <= hi[a] on every axis.
@@ -227,13 +221,9 @@ QuantizedCoverBox QuantizeCoverQuery(const Aabb& node_box, const Aabb& query);
 /// Certifies every quantized child of `soa` against `cover`:
 /// covered[i] = 1 iff cover.lo[a] <= slot.lo[a] and slot.hi[a] <= cover.hi[a]
 /// on all three axes, or 0 everywhere when cover.never is set. Writes
-/// soa.padded_count() bytes; padding lanes are 0. The dispatching form and
-/// the scalar reference are bit-for-bit identical (pure integer compares).
+/// soa.padded_count() bytes; padding lanes are 0.
 void ContainsQuantizedSoa(const QuantizedSoa& soa,
                           const QuantizedCoverBox& cover, uint8_t* covered);
-void ContainsQuantizedSoaScalar(const QuantizedSoa& soa,
-                                const QuantizedCoverBox& cover,
-                                uint8_t* covered);
 
 }  // namespace flat
 

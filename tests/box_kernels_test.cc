@@ -1,12 +1,14 @@
-// Equivalence tests for the SIMD box/sphere gate kernels: whatever
-// instruction set geometry/box_kernels.cc was compiled with, the dispatching
-// kernels must agree bit-for-bit with the scalar references, and the scalar
-// references must agree with the Aabb member predicates. The box populations
-// are adversarial on purpose — coordinates drawn from a small lattice so
-// touching faces/edges/corners, zero-extent boxes, exact containment, and
-// shared coordinates are common rather than measure-zero.
+// Equivalence tests for the box/sphere gate kernels: whatever instruction
+// set geometry/box_kernels.cc was compiled with, every kernel must agree bit
+// for bit with its scalar per-box reference — the Aabb member predicates
+// (an empty or NaN box never hits) or the per-slot u16 compare — and the
+// hand-written AVX2 AoS gates with their plain `...Scalar` loops. The box
+// populations are adversarial on purpose — coordinates drawn from a small
+// lattice so touching faces/edges/corners, zero-extent boxes, exact
+// containment, and shared coordinates are common rather than measure-zero.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -74,6 +76,14 @@ std::vector<Aabb> AdversarialQueries(Rng& rng, size_t count) {
   return queries;
 }
 
+// The kernels' emptiness rule: lo <= hi on every axis, so an inverted,
+// canonical empty or NaN-poisoned box never hits. Aabb::IsEmpty is false on
+// NaN, and Aabb::IntersectsSphere can accept a box with a NaN hi corner, so
+// the sphere and containment references test this explicitly.
+bool GateableBox(const Aabb& b) {
+  return b.lo().x <= b.hi().x && b.lo().y <= b.hi().y && b.lo().z <= b.hi().z;
+}
+
 // Serializes boxes with the given stride (48 = bare Aabb, 56 = RTreeEntry
 // slot layout of an object page).
 std::vector<char> Serialize(const std::vector<Aabb>& boxes, size_t stride) {
@@ -86,7 +96,7 @@ std::vector<char> Serialize(const std::vector<Aabb>& boxes, size_t stride) {
 
 TEST(BoxKernelsTest, IsaNameIsKnown) {
   const std::string isa = BoxKernelIsa();
-  EXPECT_TRUE(isa == "avx2" || isa == "sse2" || isa == "scalar") << isa;
+  EXPECT_TRUE(isa == "avx2" || isa == "scalar") << isa;
 }
 
 TEST(BoxKernelsTest, ScalarMatchesAabbIntersects) {
@@ -129,27 +139,38 @@ TEST(BoxKernelsTest, DispatchMatchesScalarBitForBit) {
 
 TEST(BoxKernelsTest, SoaAssignTransposesAndPads) {
   Rng rng(13);
-  const auto boxes = AdversarialBoxes(rng, 73, /*with_nan=*/false);
-  const auto buf = Serialize(boxes, sizeof(RTreeEntry));
-  SoaBoxes soa;
-  soa.Assign(buf.data(), sizeof(RTreeEntry), boxes.size());
-  ASSERT_EQ(soa.count(), boxes.size());
-  ASSERT_EQ(soa.padded_count() % 4, 0u);
-  ASSERT_GE(soa.padded_count(), soa.count());
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    for (int axis = 0; axis < 3; ++axis) {
-      EXPECT_EQ(soa.lo(axis)[i], boxes[i].lo()[axis]);
-      EXPECT_EQ(soa.hi(axis)[i], boxes[i].hi()[axis]);
+  SoaBoxes soa;  // reused, so a shorter page follows a longer one
+  // Counts around the four-box transpose step and its tails, then a page.
+  for (size_t count : {size_t{73}, size_t{0}, size_t{1}, size_t{3},
+                       size_t{4}, size_t{5}, size_t{8}, size_t{11}}) {
+    const auto boxes = AdversarialBoxes(rng, count, /*with_nan=*/true);
+    const auto buf = Serialize(boxes, sizeof(RTreeEntry));
+    soa.Assign(buf.data(), sizeof(RTreeEntry), count);
+    ASSERT_EQ(soa.count(), count);
+    ASSERT_EQ(soa.padded_count() % 4, 0u);
+    ASSERT_GE(soa.padded_count(), soa.count());
+    for (size_t i = 0; i < count; ++i) {
+      for (int axis = 0; axis < 3; ++axis) {
+        // Bit comparison: NaN lanes must come through as NaN.
+        const double lo = soa.lo(axis)[i], hi = soa.hi(axis)[i];
+        const double want_lo = boxes[i].lo()[axis];
+        const double want_hi = boxes[i].hi()[axis];
+        EXPECT_EQ(std::memcmp(&lo, &want_lo, sizeof(double)), 0)
+            << "count " << count << " box " << i;
+        EXPECT_EQ(std::memcmp(&hi, &want_hi, sizeof(double)), 0)
+            << "count " << count << " box " << i;
+      }
     }
-  }
-  for (size_t i = boxes.size(); i < soa.padded_count(); ++i) {
-    for (int axis = 0; axis < 3; ++axis) {
-      EXPECT_EQ(soa.lo(axis)[i], kInf) << "padding must be the empty box";
-      EXPECT_EQ(soa.hi(axis)[i], -kInf);
+    for (size_t i = count; i < soa.padded_count(); ++i) {
+      for (int axis = 0; axis < 3; ++axis) {
+        EXPECT_EQ(soa.lo(axis)[i], kInf) << "padding must be the empty box";
+        EXPECT_EQ(soa.hi(axis)[i], -kInf);
+      }
     }
   }
 }
 
+// IntersectsSoa against the scalar AoS loop and the per-box predicate.
 TEST(BoxKernelsTest, SoaMatchesScalarAndAos) {
   Rng rng(17);
   SoaBoxes soa;  // reused, like the crawl scratch
@@ -159,20 +180,20 @@ TEST(BoxKernelsTest, SoaMatchesScalarAndAos) {
     const auto queries = AdversarialQueries(rng, 6);
     const auto buf = Serialize(boxes, sizeof(RTreeEntry));
     soa.Assign(buf.data(), sizeof(RTreeEntry), count);
-    std::vector<uint8_t> soa_simd(soa.padded_count());
-    std::vector<uint8_t> soa_scalar(soa.padded_count());
+    std::vector<uint8_t> soa_hits(soa.padded_count());
     std::vector<uint8_t> aos(count);
     for (const Aabb& q : queries) {
-      IntersectsSoa(soa, q, soa_simd.data());
-      IntersectsSoaScalar(soa, q, soa_scalar.data());
+      std::fill(soa_hits.begin(), soa_hits.end(), 0x5e);
+      IntersectsSoa(soa, q, soa_hits.data());
       IntersectsBatchScalar(buf.data(), sizeof(RTreeEntry), count, q,
                             aos.data());
-      ASSERT_EQ(std::memcmp(soa_simd.data(), soa_scalar.data(),
-                            soa.padded_count()),
-                0);
-      ASSERT_EQ(std::memcmp(soa_simd.data(), aos.data(), count), 0);
+      ASSERT_EQ(std::memcmp(soa_hits.data(), aos.data(), count), 0);
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(soa_hits[i] != 0, boxes[i].Intersects(q))
+            << "box " << boxes[i] << " query " << q;
+      }
       for (size_t i = count; i < soa.padded_count(); ++i) {
-        ASSERT_EQ(soa_simd[i], 0) << "padding lane leaked a hit";
+        ASSERT_EQ(soa_hits[i], 0) << "padding lane leaked a hit";
       }
     }
   }
@@ -191,7 +212,7 @@ TEST(BoxKernelsTest, SphereScalarMatchesIntersectsSphere) {
     // Radii chosen so d2 == r2 exactly happens (3-4-5 triangles on the
     // lattice: distance 2.5 from a corner offset (1.5, 2, 0), etc.).
     for (double radius : {0.0, 0.5, 1.0, 2.0, 2.5, 3.0}) {
-      SphereGateSoaScalar(soa, center, radius, hits.data());
+      SphereGateSoa(soa, center, radius, hits.data());
       for (size_t i = 0; i < count; ++i) {
         ASSERT_EQ(hits[i] != 0, boxes[i].IntersectsSphere(center, radius))
             << "box " << boxes[i] << " center " << center << " r " << radius;
@@ -200,6 +221,10 @@ TEST(BoxKernelsTest, SphereScalarMatchesIntersectsSphere) {
   }
 }
 
+// The compiled (vectorized) sphere loop against the scalar per-box
+// predicate, over NaN-poisoned boxes, NaN centres and a NaN radius. A NaN
+// centre coordinate makes every gap NaN, so nothing may hit; vector max
+// instructions return their second operand on NaN and would gate it in.
 TEST(BoxKernelsTest, SphereSimdMatchesScalarBitForBit) {
   Rng rng(23);
   SoaBoxes soa;
@@ -208,15 +233,25 @@ TEST(BoxKernelsTest, SphereSimdMatchesScalarBitForBit) {
     const auto boxes = AdversarialBoxes(rng, count, /*with_nan=*/true);
     const auto buf = Serialize(boxes, sizeof(RTreeEntry));
     soa.Assign(buf.data(), sizeof(RTreeEntry), count);
-    std::vector<uint8_t> simd(soa.padded_count()), scalar(soa.padded_count());
-    const Vec3 center(rng.Uniform(-2, 2), rng.Uniform(-2, 2),
-                      rng.Uniform(-2, 2));
-    for (double radius : {0.0, 0.25, 1.0, 2.5, 4.0}) {
-      SphereGateSoa(soa, center, radius, simd.data());
-      SphereGateSoaScalar(soa, center, radius, scalar.data());
-      ASSERT_EQ(std::memcmp(simd.data(), scalar.data(), soa.padded_count()),
-                0)
-          << "count " << count << " r " << radius;
+    std::vector<uint8_t> hits(soa.padded_count());
+    const Vec3 c(rng.Uniform(-2, 2), rng.Uniform(-2, 2), rng.Uniform(-2, 2));
+    for (const Vec3& center :
+         {c, Vec3(kNaN, kNaN, kNaN), Vec3(kNaN, c.y, c.z),
+          Vec3(c.x, kNaN, c.z), Vec3(c.x, c.y, kNaN)}) {
+      for (double radius : {0.0, 0.25, 1.0, 2.5, 4.0, kInf, kNaN}) {
+        std::fill(hits.begin(), hits.end(), 0x5e);
+        SphereGateSoa(soa, center, radius, hits.data());
+        for (size_t i = 0; i < count; ++i) {
+          const bool want = GateableBox(boxes[i]) &&
+                            boxes[i].IntersectsSphere(center, radius);
+          ASSERT_EQ(hits[i] != 0, want)
+              << "box " << boxes[i] << " center " << center << " r "
+              << radius;
+        }
+        for (size_t i = count; i < soa.padded_count(); ++i) {
+          ASSERT_EQ(hits[i], 0) << "padding lane leaked a hit";
+        }
+      }
     }
   }
 }
@@ -417,6 +452,13 @@ std::vector<char> SerializeQuantized(const std::vector<Aabb>& boxes,
   return buf;
 }
 
+// Reads the six u16 cells at the head of a QuantizedSlot-layout slot.
+void SlotCells(const char* slot, uint16_t lo[3], uint16_t hi[3]) {
+  std::memcpy(lo, slot, 3 * sizeof(uint16_t));
+  std::memcpy(hi, slot + 3 * sizeof(uint16_t), 3 * sizeof(uint16_t));
+}
+
+// IntersectsQuantizedSoa against the scalar per-slot compare.
 TEST(QuantizedGateTest, SoaDispatchMatchesScalarBitForBit) {
   Rng rng(77);
   const Aabb node_box(Vec3(-2, -2, -2), Vec3(2, 2, 2));
@@ -435,17 +477,20 @@ TEST(QuantizedGateTest, SoaDispatchMatchesScalarBitForBit) {
     EXPECT_GE(soa.padded_count(), count);
     for (const Aabb& query_box : AdversarialQueries(rng, 16)) {
       const QuantizedQueryBox query = QuantizeQuery(node_box, query_box);
-      std::vector<uint8_t> scalar(soa.padded_count(), 0xcd);
-      std::vector<uint8_t> dispatched(soa.padded_count(), 0x5e);
-      IntersectsQuantizedSoaScalar(soa, query, scalar.data());
-      IntersectsQuantizedSoa(soa, query, dispatched.data());
-      EXPECT_EQ(scalar, dispatched);
+      std::vector<uint8_t> hits(soa.padded_count(), 0x5e);
+      IntersectsQuantizedSoa(soa, query, hits.data());
+      for (size_t i = 0; i < count; ++i) {
+        uint16_t lo[3], hi[3];
+        SlotCells(buf.data() + i * 16, lo, hi);
+        EXPECT_EQ(hits[i], QuantizedGateHit(lo, hi, query) ? 1 : 0)
+            << "count " << count << " slot " << i;
+      }
       // Padding lanes always report 0, whatever the query.
       for (size_t i = count; i < soa.padded_count(); ++i) {
-        EXPECT_EQ(dispatched[i], 0);
+        EXPECT_EQ(hits[i], 0);
       }
     }
-    // The never flag zeroes every hit byte in both variants.
+    // The never flag zeroes every hit byte.
     QuantizedQueryBox never_query;
     never_query.never = true;
     std::vector<uint8_t> hits(soa.padded_count(), 0xff);
@@ -474,7 +519,7 @@ TEST(ContainsKernelsTest, ScalarMatchesAabbContains) {
         // Aabb::Contains treats an empty box as contained everywhere; the
         // kernel deliberately does not — an empty/NaN element is invisible
         // to the intersection gates, so certifying it would miscount.
-        const bool want = !boxes[i].IsEmpty() && q.Contains(boxes[i]);
+        const bool want = GateableBox(boxes[i]) && q.Contains(boxes[i]);
         ASSERT_EQ(covered[i] != 0, want)
             << "box " << boxes[i] << " query " << q;
       }
@@ -500,6 +545,7 @@ TEST(ContainsKernelsTest, DispatchMatchesScalarBitForBit) {
   }
 }
 
+// ContainsSoa against the scalar AoS loop and the per-box predicate.
 TEST(ContainsKernelsTest, SoaMatchesScalarIncludingPadding) {
   Rng rng(41);
   for (int round = 0; round < 40; ++round) {
@@ -508,18 +554,23 @@ TEST(ContainsKernelsTest, SoaMatchesScalarIncludingPadding) {
     const auto buf = Serialize(boxes, sizeof(RTreeEntry));
     SoaBoxes soa;
     soa.Assign(buf.data(), sizeof(RTreeEntry), count);
-    std::vector<uint8_t> scalar(soa.padded_count(), 0xcd);
-    std::vector<uint8_t> dispatched(soa.padded_count(), 0x5e);
+    std::vector<uint8_t> aos(count);
+    std::vector<uint8_t> covered(soa.padded_count());
     for (const Aabb& q : AdversarialQueries(rng, 6)) {
-      ContainsSoaScalar(soa, q, scalar.data());
-      ContainsSoa(soa, q, dispatched.data());
-      ASSERT_EQ(std::memcmp(scalar.data(), dispatched.data(),
-                            soa.padded_count()),
-                0)
+      std::fill(covered.begin(), covered.end(), 0x5e);
+      ContainsSoa(soa, q, covered.data());
+      ContainsBatchScalar(buf.data(), sizeof(RTreeEntry), count, q,
+                          aos.data());
+      ASSERT_TRUE(std::equal(aos.begin(), aos.end(), covered.begin()))
           << "count " << count;
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(covered[i] != 0,
+                  GateableBox(boxes[i]) && q.Contains(boxes[i]))
+            << "box " << boxes[i] << " query " << q;
+      }
       // Padding lanes never certify (they hold empty boxes).
       for (size_t i = count; i < soa.padded_count(); ++i) {
-        ASSERT_EQ(dispatched[i], 0);
+        ASSERT_EQ(covered[i], 0);
       }
     }
   }
@@ -561,7 +612,7 @@ TEST(QuantizedCoverTest, CertificationIsConservative) {
     for (const Aabb& query : AdversarialQueries(rng, 32)) {
       const QuantizedCoverBox cover =
           QuantizeCoverQuery(view.node_box(), query);
-      ContainsQuantizedSoaScalar(soa, cover, covered.data());
+      ContainsQuantizedSoa(soa, cover, covered.data());
       for (uint16_t i = 0; i < view.count(); ++i) {
         if (!covered[i]) continue;
         // The certification chain: certified slot => the conservatively
@@ -593,7 +644,7 @@ TEST(QuantizedCoverTest, QueryCoveringNodeBoxCertifiesEverySlot) {
       QuantizeCoverQuery(view.node_box(), generous);
   ASSERT_FALSE(cover.never);
   std::vector<uint8_t> covered(soa.padded_count());
-  ContainsQuantizedSoaScalar(soa, cover, covered.data());
+  ContainsQuantizedSoa(soa, cover, covered.data());
   for (uint16_t i = 0; i < view.count(); ++i) {
     EXPECT_TRUE(covered[i]) << "slot " << i;
   }
@@ -603,6 +654,7 @@ TEST(QuantizedCoverTest, QueryCoveringNodeBoxCertifiesEverySlot) {
   EXPECT_TRUE(empty_cover.never);
 }
 
+// ContainsQuantizedSoa against the scalar per-slot compare.
 TEST(QuantizedCoverTest, SoaDispatchMatchesScalarBitForBit) {
   Rng rng(53);
   const Aabb node_box(Vec3(-2, -2, -2), Vec3(2, 2, 2));
@@ -616,16 +668,23 @@ TEST(QuantizedCoverTest, SoaDispatchMatchesScalarBitForBit) {
     for (const Aabb& query : AdversarialQueries(rng, 16)) {
       const QuantizedCoverBox cover =
           QuantizeCoverQuery(view.node_box(), query);
-      std::vector<uint8_t> scalar(soa.padded_count(), 0xcd);
-      std::vector<uint8_t> dispatched(soa.padded_count(), 0x5e);
-      ContainsQuantizedSoaScalar(soa, cover, scalar.data());
-      ContainsQuantizedSoa(soa, cover, dispatched.data());
-      EXPECT_EQ(scalar, dispatched) << "count " << count;
+      std::vector<uint8_t> covered(soa.padded_count(), 0x5e);
+      ContainsQuantizedSoa(soa, cover, covered.data());
+      for (size_t i = 0; i < count; ++i) {
+        uint16_t lo[3], hi[3];
+        SlotCells(view.slots() + i * sizeof(QuantizedSlot), lo, hi);
+        bool want = !cover.never;
+        for (int a = 0; a < 3; ++a) {
+          want = want && lo[a] >= cover.lo[a] && hi[a] <= cover.hi[a];
+        }
+        EXPECT_EQ(covered[i], want ? 1 : 0)
+            << "count " << count << " slot " << i;
+      }
       for (size_t i = count; i < soa.padded_count(); ++i) {
-        EXPECT_EQ(dispatched[i], 0);
+        EXPECT_EQ(covered[i], 0);
       }
     }
-    // never zeroes everything in both variants.
+    // never zeroes everything.
     QuantizedCoverBox never_cover;
     never_cover.never = true;
     std::vector<uint8_t> hits(soa.padded_count(), 0xff);
