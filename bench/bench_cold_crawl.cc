@@ -3,21 +3,17 @@
 // against a DiskPageFile reopened from disk, with the OS page cache dropped
 // before every timed pass — actual page faults, not DiskModel arithmetic.
 //
-// Two timed configurations over the SN range workload:
-//   prefetch off  (depth 0)  — the crawl reads every page synchronously.
-//   prefetch on   (--depth, default 32) — the BFS frontier hints the next
-//                 wave's pages (madvise/fadvise + background touch) while
-//                 the SIMD gates process the current one.
+// One timed configuration over the SN range workload: each pass drops the
+// OS page cache, then crawls every query through a cold BufferPool.
 //
-// Self-validating: both configurations must return bit-identical id
-// sequences and logical read counts to the in-memory PageFile reference —
-// any divergence exits non-zero (the CI bench-smoke contract). Wall-clock
-// speedup is reported but never asserted: on a machine whose page cache
-// cannot really be dropped (containers, overlayfs) the two passes
-// legitimately tie.
+// Self-validating: every pass must return bit-identical id sequences and
+// logical read counts to the in-memory PageFile reference — any divergence
+// exits non-zero (the CI bench-smoke contract). Wall-clock is reported but
+// never asserted: on a machine whose page cache cannot really be dropped
+// (containers, overlayfs) the "cold" pass runs at RAM speed.
 //
-// Flags: --scale --queries --seed --repeats=N --depth=N --pread (force the
-// pread fallback instead of mmap) --json (the BENCH_disk.json baseline).
+// Flags: --scale --queries --seed --repeats=N --pread (force the pread
+// fallback instead of mmap) --json (the BENCH_disk.json baseline).
 #include <unistd.h>
 
 #include <chrono>
@@ -46,33 +42,26 @@ namespace {
 using namespace flat;
 
 struct ColdRun {
-  int prefetch_depth = 0;
   double best_seconds = 0.0;
   uint64_t page_reads = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
-  uint64_t pages_touched = 0;  // by the background toucher, cumulative
   bool identical = true;
 };
 
-// One cold configuration: `repeats` passes over the workload, each preceded
-// by DropOsCache, keeping the best wall time. Results are validated against
-// `expected` on every pass.
+// `repeats` passes over the workload, each preceded by DropOsCache, keeping
+// the best wall time. Results are validated against `expected` on every
+// pass.
 ColdRun RunColdPass(const FlatIndex& index, DiskPageFile* disk,
                     const std::vector<Aabb>& queries,
                     const std::vector<std::vector<uint64_t>>& expected,
-                    int depth, int repeats) {
+                    int repeats) {
   using Clock = std::chrono::steady_clock;
   ColdRun run;
-  run.prefetch_depth = depth;
   CrawlScratch scratch;
   std::vector<uint64_t> ids;
   for (int rep = 0; rep < repeats; ++rep) {
     disk->DropOsCache();
     IoStats io;
     BufferPool pool(disk, &io);
-    pool.set_prefetch_depth(depth);
     const auto t0 = Clock::now();
     for (size_t i = 0; i < queries.size(); ++i) {
       pool.Clear();
@@ -80,18 +69,12 @@ ColdRun RunColdPass(const FlatIndex& index, DiskPageFile* disk,
       index.RangeQuery(&pool, queries[i], &ids, &scratch);
       if (ids != expected[i]) run.identical = false;
     }
-    pool.Clear();  // charge the last query's pending hints as waste
     const double seconds =
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (rep == 0 || seconds < run.best_seconds) run.best_seconds = seconds;
-    // Logical reads are identical on every pass; keep the last pass's
-    // counters (prefetch totals are per pass, not cumulative).
+    // Logical reads are identical on every pass; keep the last pass's.
     run.page_reads = io.TotalReads();
-    run.prefetch_issued = io.PrefetchIssued();
-    run.prefetch_hits = io.PrefetchHits();
-    run.prefetch_wasted = io.PrefetchWasted();
   }
-  run.pages_touched = disk->pages_touched();
   return run;
 }
 
@@ -109,7 +92,6 @@ void SyncFile(const std::string& path) {
 int main(int argc, char** argv) {
   BenchFlags flags(argc, argv);
   const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
-  const int depth = static_cast<int>(flags.GetInt("depth", 32));
   const bool json = flags.GetInt("json", 0) != 0;
   const bool force_pread = flags.GetInt("pread", 0) != 0;
   std::ostream& info = json ? std::cerr : std::cout;
@@ -126,8 +108,8 @@ int main(int argc, char** argv) {
   const std::vector<Aabb> queries =
       GenerateRangeWorkload(dataset.bounds, workload);
 
-  // Serial in-memory reference: the oracle both disk configurations must
-  // reproduce bit-for-bit.
+  // Serial in-memory reference: the oracle the disk pass must reproduce
+  // bit-for-bit.
   std::vector<std::vector<uint64_t>> expected(queries.size());
   uint64_t expected_reads = 0;
   {
@@ -154,7 +136,6 @@ int main(int argc, char** argv) {
 
   DiskPageFile::Options options;
   options.use_mmap = !force_pread;
-  options.async_prefetch = flags.GetInt("touch", 1) != 0;
   auto disk = DiskPageFile::Open(path, options);
   FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
   const uint64_t file_bytes = std::filesystem::file_size(path);
@@ -162,21 +143,18 @@ int main(int argc, char** argv) {
   info << "# " << dataset.elements.size() << " neuron elements, "
        << queries.size() << " SN range queries, " << file_bytes
        << " file bytes, backend "
-       << (disk->mmap_backed() ? "mmap" : "pread") << ", prefetch depth "
-       << depth << ", " << repeats << " cold repeats\n";
+       << (disk->mmap_backed() ? "mmap" : "pread") << ", " << repeats
+       << " cold repeats\n";
 
-  const ColdRun off =
-      RunColdPass(reopened, disk.get(), queries, expected, 0, repeats);
-  const ColdRun on =
-      RunColdPass(reopened, disk.get(), queries, expected, depth, repeats);
+  const ColdRun run =
+      RunColdPass(reopened, disk.get(), queries, expected, repeats);
 
   std::error_code ec;
   std::filesystem::remove(path, ec);
 
-  const bool reads_match =
-      off.page_reads == expected_reads && on.page_reads == expected_reads;
-  const double speedup =
-      on.best_seconds > 0 ? off.best_seconds / on.best_seconds : 0.0;
+  const bool reads_match = run.page_reads == expected_reads;
+  const double queries_per_s =
+      run.best_seconds > 0 ? queries.size() / run.best_seconds : 0.0;
 
   if (json) {
     std::cout << "{\n"
@@ -188,49 +166,24 @@ int main(int argc, char** argv) {
               << "  \"queries\": " << queries.size() << ",\n"
               << "  \"file_bytes\": " << file_bytes << ",\n"
               << "  \"page_reads\": " << expected_reads << ",\n"
-              << "  \"runs\": [\n";
-    const ColdRun* runs[] = {&off, &on};
-    for (int i = 0; i < 2; ++i) {
-      const ColdRun& r = *runs[i];
-      std::cout << "    {\"prefetch_depth\": " << r.prefetch_depth
-                << ", \"seconds\": " << r.best_seconds
-                << ", \"queries_per_s\": "
-                << (r.best_seconds > 0 ? queries.size() / r.best_seconds : 0.0)
-                << ", \"page_reads\": " << r.page_reads
-                << ", \"prefetch_issued\": " << r.prefetch_issued
-                << ", \"prefetch_hits\": " << r.prefetch_hits
-                << ", \"prefetch_wasted\": " << r.prefetch_wasted
-                << ", \"pages_touched\": " << r.pages_touched
-                << ", \"identical\": " << (r.identical ? "true" : "false")
-                << "}" << (i == 0 ? "," : "") << "\n";
-    }
-    std::cout << "  ],\n"
-              << "  \"speedup_prefetch\": " << speedup << ",\n"
+              << "  \"run\": {\"seconds\": " << run.best_seconds
+              << ", \"queries_per_s\": " << queries_per_s
+              << ", \"page_reads\": " << run.page_reads
+              << ", \"identical\": " << (run.identical ? "true" : "false")
+              << "},\n"
               << "  \"reads_match_memory_backend\": "
               << (reads_match ? "true" : "false") << "\n"
               << "}\n";
   } else {
-    Table table({"prefetch", "seconds", "queries/s", "page reads", "issued",
-                 "hits", "wasted", "identical"});
-    for (const ColdRun* r : {&off, &on}) {
-      table.AddRow(
-          {FormatNumber(static_cast<double>(r->prefetch_depth), 0),
-           FormatNumber(r->best_seconds, 4),
-           FormatNumber(
-               r->best_seconds > 0 ? queries.size() / r->best_seconds : 0.0,
-               0),
-           FormatNumber(static_cast<double>(r->page_reads), 0),
-           FormatNumber(static_cast<double>(r->prefetch_issued), 0),
-           FormatNumber(static_cast<double>(r->prefetch_hits), 0),
-           FormatNumber(static_cast<double>(r->prefetch_wasted), 0),
-           r->identical ? "yes" : "NO"});
-    }
+    Table table({"seconds", "queries/s", "page reads", "identical"});
+    table.AddRow({FormatNumber(run.best_seconds, 4),
+                  FormatNumber(queries_per_s, 0),
+                  FormatNumber(static_cast<double>(run.page_reads), 0),
+                  run.identical ? "yes" : "NO"});
     flags.csv() ? table.PrintCsv(std::cout) : table.Print(std::cout);
-    std::cout << "prefetch speedup: " << speedup << "x (advisory; ties are "
-              << "legitimate where the page cache cannot be dropped)\n";
   }
 
-  if (!off.identical || !on.identical || !reads_match) {
+  if (!run.identical || !reads_match) {
     std::cerr << "ERROR: disk backend diverged from the in-memory reference "
                  "(results or logical read counts)\n";
     return 1;

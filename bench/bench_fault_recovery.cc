@@ -249,7 +249,6 @@ int main(int argc, char** argv) {
     FaultSchedule schedule;
     MakeTransientSchedule(file.page_count(), &schedule);
     DiskPageFile::Options disk_options;
-    disk_options.async_prefetch = false;
     disk_options.retry_backoff_micros = 0;
     disk_options.fault_schedule = &schedule;
     auto disk = DiskPageFile::Open(path, disk_options);

@@ -2,8 +2,7 @@
 // worker threads on the uniform data set, with every parallel run validated
 // bit-for-bit against serial execution.
 //
-// Flags: --scale --queries --seed --csv --threads-max=N --shared (use the
-// shared striped cache instead of cold-per-query pools) --json (emit the
+// Flags: --scale --queries --seed --csv --threads-max=N --json (emit the
 // sweep as a JSON document, e.g. for the BENCH_crawl.json baseline).
 #include <algorithm>
 #include <iostream>
@@ -48,36 +47,25 @@ int main(int argc, char** argv) {
   std::vector<size_t> thread_counts;
   for (size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 
-  const QueryEngine::CacheMode mode =
-      flags.GetInt("shared", 0) != 0 ? QueryEngine::CacheMode::kSharedStriped
-                                     : QueryEngine::CacheMode::kColdPerQuery;
-
   // In --json mode stdout carries only the JSON document.
   std::ostream& info =
       flags.GetInt("json", 0) != 0 ? std::cerr : std::cout;
   info << "# " << dataset.elements.size() << " uniform elements, "
-       << batch.size() << " range queries, "
-       << (mode == QueryEngine::CacheMode::kSharedStriped
-               ? "shared striped cache"
-               : "cold cache per query")
-       << ", " << hw << " hardware threads\n";
+       << batch.size() << " range queries, cold cache per query, " << hw
+       << " hardware threads\n";
   if (hw < 2) {
     info << "# NOTE: single-core machine — wall-clock speedup is bounded "
             "by 1.0; the 'identical' column still validates the engine\n";
   }
 
   std::vector<ThroughputPoint> points =
-      RunThroughputSweep(index, batch, thread_counts, /*repeats=*/3, mode);
+      RunThroughputSweep(index, batch, thread_counts, /*repeats=*/3);
 
   if (flags.GetInt("json", 0) != 0) {
     std::cout << "{\n"
               << "  \"bench\": \"scaling_threads\",\n"
               << "  \"elements\": " << dataset.elements.size() << ",\n"
               << "  \"queries\": " << batch.size() << ",\n"
-              << "  \"cache_mode\": \""
-              << (mode == QueryEngine::CacheMode::kSharedStriped ? "shared"
-                                                                 : "cold")
-              << "\",\n"
               << "  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
       const ThroughputPoint& p = points[i];

@@ -3,7 +3,7 @@
 // query often" lifecycle (Section IV). The reopened sessions demonstrate
 // both load paths: LoadPageFile (deserialize into RAM) and DiskPageFile
 // (serve pages straight from the file, mmap'd — real out-of-core
-// execution, with crawl prefetch hints available).
+// execution).
 //
 //   $ ./examples/persistent_index [path]
 #include <fstream>
@@ -69,20 +69,16 @@ int main(int argc, char** argv) {
 
   {
     // Session 3: open the same file disk-backed — pages are served from an
-    // mmap'd read-only view, no deserialization; the crawl can prefetch
-    // upcoming frontier pages while the current wave is processed.
+    // mmap'd read-only view, no deserialization.
     auto file = DiskPageFile::Open(path);
     FlatIndex index = FlatIndex::Attach(file.get(), descriptor);
 
     IoStats stats;
     BufferPool pool(file.get(), &stats);
-    pool.set_prefetch_depth(32);  // advisory; results/reads are unchanged
     const size_t got = index.RangeCount(&pool, probe);
     std::cout << "session 3: disk-backed ("
               << (file->mmap_backed() ? "mmap" : "pread") << "), probe query: "
-              << got << " results, " << stats.TotalReads()
-              << " page reads, " << stats.PrefetchIssued()
-              << " prefetch hints\n";
+              << got << " results, " << stats.TotalReads() << " page reads\n";
     if (got != expected || stats.TotalReads() != expected_reads) {
       std::cerr << "MISMATCH on the disk backend!\n";
       return 1;

@@ -44,7 +44,7 @@ SerialReference RunSerialReference(const FlatIndex& index,
 std::vector<ThroughputPoint> RunThroughputSweep(
     const FlatIndex& index, const std::vector<Query>& batch,
     const std::vector<size_t>& thread_counts, int repeats,
-    QueryEngine::CacheMode cache_mode, size_t pool_pages) {
+    size_t pool_pages) {
   const SerialReference ref = RunSerialReference(index, batch, pool_pages);
 
   std::vector<ThroughputPoint> points;
@@ -53,10 +53,6 @@ std::vector<ThroughputPoint> RunThroughputSweep(
     QueryEngine::Options options;
     options.threads = threads;
     options.pool_pages = pool_pages;
-    // `pool_pages` is the cache bound in either mode: per-query pools when
-    // cold, the shared striped cache when shared.
-    options.shared_cache_pages = pool_pages;
-    options.cache_mode = cache_mode;
     QueryEngine engine(&index, options);
 
     ThroughputPoint point;
@@ -75,12 +71,8 @@ std::vector<ThroughputPoint> RunThroughputSweep(
           point.identical_to_serial = false;
         }
       }
-      // Merged I/O totals must match serial exactly in cold-per-query mode;
-      // the shared cache legitimately reads less.
-      if (cache_mode == QueryEngine::CacheMode::kColdPerQuery &&
-          !SameCounts(stats.io, ref.io)) {
-        point.identical_to_serial = false;
-      }
+      // Merged I/O totals must match serial exactly.
+      if (!SameCounts(stats.io, ref.io)) point.identical_to_serial = false;
     }
     point.best_seconds = best;
     point.queries_per_second =

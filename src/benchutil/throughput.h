@@ -41,12 +41,10 @@ SerialReference RunSerialReference(const FlatIndex& index,
 /// Queries/sec vs. thread count: executes `batch` through a QueryEngine at
 /// each thread count (`repeats` times, keeping the best wall time) and
 /// validates every run against the serial reference. `pool_pages` bounds
-/// the cache in either mode — each per-query pool when cold, the shared
-/// striped cache when shared (0 = unbounded).
+/// each per-query pool (0 = unbounded).
 std::vector<ThroughputPoint> RunThroughputSweep(
     const FlatIndex& index, const std::vector<Query>& batch,
     const std::vector<size_t>& thread_counts, int repeats = 3,
-    QueryEngine::CacheMode cache_mode = QueryEngine::CacheMode::kColdPerQuery,
     size_t pool_pages = 0);
 
 }  // namespace flat

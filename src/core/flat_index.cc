@@ -417,10 +417,6 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
   s->Push(start);  // breadth-first (Algorithm 2)
   s->Insert(start.Key());
 
-  // Hoisted: prefetching is a per-query setting, so the hot loop only pays
-  // for hint generation when a depth is actually configured.
-  const bool hint = pool->prefetch_enabled();
-
   RecordRef ref;
   while (s->Pop(&ref)) {
     // Cancellation point, once per BFS frontier pop: a pop reads at most two
@@ -449,25 +445,7 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
       const uint32_t n = record.neighbor_count();
       for (uint32_t i = 0; i < n; ++i) {
         const RecordRef neighbor = record.NeighborAt(i);
-        if (s->Insert(neighbor.Key())) {
-          s->Push(neighbor);
-          if (hint) {
-            // The frontier names the exact pages of the next BFS wave: hint
-            // the neighbor's seed-leaf page so its I/O overlaps the SIMD
-            // gates on the current wave.
-            pool->Prefetch(neighbor.page);
-            // If that leaf happens to be cached already, its record is free
-            // to inspect (Peek charges nothing): chase one level deeper and
-            // hint the object page the next wave will scan.
-            if (const char* cached = pool->Peek(neighbor.page)) {
-              const MetadataRecordView next =
-                  SeedLeafView(cached).RecordAt(neighbor.slot);
-              if (next.page_mbr().Intersects(gate_box)) {
-                pool->Prefetch(next.object_page());
-              }
-            }
-          }
-        }
+        if (s->Insert(neighbor.Key())) s->Push(neighbor);
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -40,11 +39,12 @@ class ScratchControlGuard {
 // failure (the storage backends throw std::runtime_error once their retry
 // budget is exhausted). std::logic_error — API misuse, e.g. kKnn over an
 // overlay — is NOT absorbed; the caller rethrows it. The partial ids
-// gathered so far remain valid; kRangeCount partials keep the tally
-// accumulated up to the stop point (RangeCountInto bumps the result's
-// counter in place; the overlay path materializes ids, so the larger of
-// the two is the matches seen so far) — consistent with partial kRange
-// keeping its ids (core/query_control.h).
+// gathered so far remain valid (over an overlay they are already masked:
+// DispatchQueryImpl masks a stopped base pass); kRangeCount partials keep
+// the tally accumulated up to the stop point (RangeCountInto bumps the
+// result's counter in place; the overlay path materializes ids, so the
+// larger of the two is the matches seen so far) — consistent with partial
+// kRange keeping its ids (core/query_control.h).
 void SettleFailedResult(const Query& query, QueryResult* result) {
   if (query.type == Query::Type::kRangeCount) {
     result->count = std::max<uint64_t>(result->count, result->ids.size());
@@ -119,24 +119,9 @@ std::vector<QueryResult> QueryEngine::RunMulti(
       for (size_t i = first; i < last; ++i) queues_[w]->items.push_back(i);
     }
 
-    // In shared-cache mode, one striped pool per distinct PageFile in the
-    // batch. Built single-threaded before the fan-out, read-only during it.
-    SharedCacheMap shared_caches;
-    if (options_.cache_mode == CacheMode::kSharedStriped) {
-      for (const IndexedQuery& iq : batch) {
-        if (iq.index == nullptr || iq.index->file() == nullptr) continue;
-        std::unique_ptr<StripedBufferPool>& slot =
-            shared_caches[iq.index->file()];
-        if (slot == nullptr) {
-          slot = std::make_unique<StripedBufferPool>(
-              iq.index->file(), options_.shared_cache_pages);
-        }
-      }
-    }
     Job job;
     job.batch = &batch;
     job.results = &results;
-    job.shared_caches = shared_caches.empty() ? nullptr : &shared_caches;
     pool_.RunOnAllWorkers([this, &job](size_t w) { ProcessQueue(w, job); });
   }
 
@@ -157,8 +142,7 @@ std::vector<QueryResult> QueryEngine::RunInline(
   WorkerState state;
   std::vector<QueryResult> results(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    ExecuteQuery(options, /*shared_caches=*/nullptr, batch[i], &results[i],
-                 &state);
+    ExecuteQuery(options, batch[i], &results[i], &state);
   }
   return results;
 }
@@ -167,7 +151,7 @@ void QueryEngine::ProcessQueue(size_t worker_index, const Job& job) {
   size_t query_index;
   while (PopOwn(worker_index, &query_index) ||
          Steal(worker_index, &query_index)) {
-    ExecuteQuery(options_, job.shared_caches, (*job.batch)[query_index],
+    ExecuteQuery(options_, (*job.batch)[query_index],
                  &(*job.results)[query_index], workers_[worker_index].get());
   }
 }
@@ -218,20 +202,28 @@ void DispatchQueryImpl(const IndexedQuery& iq, PageCache* cache,
 
   std::vector<uint64_t>* ids = &result->ids;
   if (index != nullptr) {
-    switch (query.type) {
-      case Query::Type::kRange:
-      case Query::Type::kRangeCount:  // overlayed: masking needs the ids
-        index->RangeQuery(cache, query.box, ids, scratch, query.guard);
-        break;
-      case Query::Type::kSeedScan:
-        index->RangeQueryViaSeedScan(cache, query.box, ids, scratch);
-        break;
-      case Query::Type::kKnn:
-        *ids = index->KnnQuery(cache, query.center, query.k, scratch);
-        break;
-      case Query::Type::kSphere:
-        index->SphereQuery(cache, query.center, query.radius, ids, scratch);
-        break;
+    try {
+      switch (query.type) {
+        case Query::Type::kRange:
+        case Query::Type::kRangeCount:  // overlayed: masking needs the ids
+          index->RangeQuery(cache, query.box, ids, scratch, query.guard);
+          break;
+        case Query::Type::kSeedScan:
+          index->RangeQueryViaSeedScan(cache, query.box, ids, scratch);
+          break;
+        case Query::Type::kKnn:
+          *ids = index->KnnQuery(cache, query.center, query.k, scratch);
+          break;
+        case Query::Type::kSphere:
+          index->SphereQuery(cache, query.center, query.radius, ids, scratch);
+          break;
+      }
+    } catch (...) {
+      // A stop mid-pass (deadline, cancel, budget, I/O error) leaves raw base
+      // ids; mask them as a finished pass would, so the partial stays a
+      // subset of the snapshot's answer. No overlay match is appended yet.
+      if (overlay != nullptr) FilterOverlayMasked(*overlay, ids);
+      throw;
     }
   }
   if (overlay != nullptr) {
@@ -287,31 +279,18 @@ void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
   }
 }
 
-void QueryEngine::ExecuteQuery(const Options& options,
-                               const SharedCacheMap* shared_caches,
-                               const IndexedQuery& iq, QueryResult* result,
-                               WorkerState* state) {
+void QueryEngine::ExecuteQuery(const Options& options, const IndexedQuery& iq,
+                               QueryResult* result, WorkerState* state) {
   const PageStore* file = iq.index != nullptr ? iq.index->file() : nullptr;
-  const int prefetch_depth = iq.query.prefetch_depth >= 0
-                                 ? iq.query.prefetch_depth
-                                 : options.prefetch_depth;
   if (file == nullptr) {
     // No PageStore to read from: without an overlay the query legitimately
     // returns empty; with one it is a pure overlay bucket scan (the spill
     // tail of an overlayed store) — no cache needed.
     DispatchQuery(iq, nullptr, result, &state->scratch);
-  } else if (shared_caches != nullptr) {
-    auto it = shared_caches->find(file);
-    assert(it != shared_caches->end());
-    StripedBufferPool::Session session(it->second.get(), &result->io,
-                                       prefetch_depth);
-    DispatchQuery(iq, &session, result, &state->scratch);
   } else {
-    // Cold-per-query mode: recycle the worker's pool — Clear() is an O(1)
-    // epoch bump, so this is exactly as cold as a fresh pool (identical
-    // IoStats) without rebuilding the page table per query. Clear() runs
-    // before set_stats(), so hints left pending are charged as wasted to the
-    // query that issued them.
+    // Recycle the worker's pool — Clear() is an O(1) epoch bump, so this is
+    // exactly as cold as a fresh pool (identical IoStats) without
+    // rebuilding the page table per query.
     BufferPool* pool = state->pool.get();
     if (pool == nullptr || &pool->store() != file) {
       state->pool = std::make_unique<BufferPool>(file, &result->io,
@@ -321,7 +300,6 @@ void QueryEngine::ExecuteQuery(const Options& options,
       pool->Clear();
       pool->set_stats(&result->io);
     }
-    pool->set_prefetch_depth(prefetch_depth);
     DispatchQuery(iq, pool, result, &state->scratch);
   }
   // A failing sub-query poisons its group (if any) so scattered siblings of

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/crawl_scratch.h"
@@ -16,7 +15,6 @@
 #include "parallel/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_stats.h"
-#include "storage/striped_buffer_pool.h"
 
 namespace flat {
 
@@ -37,12 +35,6 @@ struct Query {
   double radius = 0.0;     // kSphere
   size_t k = 0;            // kKnn
   FlatIndex::CrawlGuard guard = FlatIndex::CrawlGuard::kPartitionMbr;
-  /// Per-query prefetch depth: maximum outstanding crawl-frontier hints
-  /// while this query runs. 0 disables prefetching, negative (default)
-  /// inherits QueryEngine::Options::prefetch_depth. Prefetching never
-  /// changes results or logical IoStats read counts — only wall-clock on a
-  /// disk-backed store and the prefetch counters.
-  int prefetch_depth = -1;
   /// Optional fail-soft controls (deadline, cancel token, I/O budget; see
   /// core/query_control.h). Must outlive the batch. Null (default) runs the
   /// query to completion with zero overhead on the hot path — results and
@@ -148,22 +140,22 @@ struct IndexedQuery {
 /// no mutable state.
 ///
 /// With a non-empty `iq.overlay`, base ids the overlay touches are masked
-/// out and matching live entries of bucket `iq.overlay_bucket` are
-/// appended/counted, the gate tests charged to `result->io` as overlay
-/// probes; a null/unbuilt index then degenerates to a pure bucket scan (no
-/// page reads). An overlayed kRangeCount runs the materializing range path
-/// — identical page reads by the FlatIndex contract — so delete masking can
-/// see the ids, then reports only the count. kKnn over an overlay throws
-/// std::logic_error. A null/empty overlay with a null/unbuilt index yields
-/// an empty result.
+/// out (a partial result's too, when the base pass stops early) and
+/// matching live entries of bucket `iq.overlay_bucket` are appended/counted,
+/// the gate tests charged to `result->io` as overlay probes; a null/unbuilt
+/// index then degenerates to a pure bucket scan (no page reads). An
+/// overlayed kRangeCount runs the materializing range path — identical page
+/// reads by the FlatIndex contract — so delete masking can see the ids, then
+/// reports only the count. kKnn over an overlay throws std::logic_error. A
+/// null/empty overlay with a null/unbuilt index yields an empty result.
 void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
                    QueryResult* result, CrawlScratch* scratch = nullptr);
 
 /// Aggregate outcome of one batch execution.
 struct BatchStats {
-  /// Sum of every query's IoStats. In kColdPerQuery mode this is identical —
-  /// per category — to executing the batch serially with a cold cache per
-  /// query (the paper's methodology).
+  /// Sum of every query's IoStats: identical — per category — to executing
+  /// the batch serially with a cold cache per query (the paper's
+  /// methodology).
   IoStats io;
   /// Sum of every query's `count` (ids for materializing queries, tallies
   /// for kRangeCount).
@@ -211,14 +203,10 @@ struct BatchStats {
 ///
 /// Each query runs the unmodified serial FlatIndex code path, so per-query
 /// result vectors are bit-identical to serial execution no matter the thread
-/// count. I/O accounting is per query and merged into BatchStats:
-///
-///  - kColdPerQuery (default): every query gets a fresh BufferPool over its
-///    index's PageFile — cold cache per query, exactly the paper's benchmark
-///    methodology — so merged totals equal serial execution's.
-///  - kSharedStriped: queries share one StripedBufferPool per distinct
-///    PageFile in the batch; results are unchanged but total reads shrink
-///    because the batch shares the cache (the multi-client serving scenario).
+/// count. I/O accounting is per query and merged into BatchStats: every
+/// query gets a cold BufferPool over its index's PageStore — exactly the
+/// paper's benchmark methodology — so merged totals equal serial
+/// execution's.
 ///
 /// Thread-safety: construction and destruction must happen on one thread;
 /// `Run` must not be called concurrently from multiple threads (queue the
@@ -226,22 +214,11 @@ struct BatchStats {
 /// stay alive and unmodified for the duration of `Run`.
 class QueryEngine {
  public:
-  enum class CacheMode { kColdPerQuery, kSharedStriped };
-
   struct Options {
     /// Worker threads (0 means std::thread::hardware_concurrency()).
     size_t threads = 0;
-    /// Per-query BufferPool capacity in kColdPerQuery mode (0 = unbounded).
+    /// Per-query BufferPool capacity (0 = unbounded).
     size_t pool_pages = 0;
-    /// Shared cache capacity in kSharedStriped mode (0 = unbounded),
-    /// per distinct PageStore in the batch.
-    size_t shared_cache_pages = 0;
-    CacheMode cache_mode = CacheMode::kColdPerQuery;
-    /// Default prefetch depth for queries that leave Query::prefetch_depth
-    /// negative: maximum outstanding crawl-frontier hints per query. 0
-    /// (default) turns prefetching off; useful values are a few dozen on a
-    /// disk-backed store (see docs/benchmarks.md).
-    int prefetch_depth = 0;
     /// Admission control: when non-zero, at most this many queries of a
     /// batch are admitted; the excess (batch tail, in order) comes back
     /// immediately with status kRejected and no I/O, and is counted in
@@ -272,16 +249,15 @@ class QueryEngine {
 
   /// Executes a multi-index batch: each query runs against its own
   /// IndexedQuery::index. Queries with a null/unbuilt index yield empty
-  /// results (and no I/O). All indexes' PageFiles may differ; in
-  /// kSharedStriped mode one striped cache is kept per distinct PageFile.
+  /// results (and no I/O). All indexes' PageStores may differ.
   std::vector<QueryResult> RunMulti(const std::vector<IndexedQuery>& batch,
                                     BatchStats* stats = nullptr);
 
   /// The inline, one-thread runner: executes a multi-index batch serially
   /// on the calling thread with default Options (cold cache per query, no
-  /// prefetch, no admission control). Stateless, so any number of threads
-  /// may call it at once; results and IoStats are identical to RunMulti on
-  /// an engine with default Options, at any thread count.
+  /// admission control). Stateless, so any number of threads may call it at
+  /// once; results and IoStats are identical to RunMulti on an engine with
+  /// default Options, at any thread count.
   static std::vector<QueryResult> RunInline(
       const std::vector<IndexedQuery>& batch);
 
@@ -294,22 +270,17 @@ class QueryEngine {
     std::deque<size_t> items;  // indices into the current batch
   };
 
-  using SharedCacheMap =
-      std::unordered_map<const PageStore*, std::unique_ptr<StripedBufferPool>>;
-
   struct Job {
     const std::vector<IndexedQuery>* batch = nullptr;
     std::vector<QueryResult>* results = nullptr;
-    const SharedCacheMap* shared_caches = nullptr;
   };
 
-  /// Per-worker reusable state: the crawl scratch plus, in kColdPerQuery
-  /// mode, one BufferPool recycled across the worker's queries — Clear()
-  /// (an O(1) epoch bump) plus set_stats() gives every query the same cold
-  /// cache and per-query accounting a fresh pool would, without
-  /// re-allocating the pool's page table each time. The pool is rebuilt
-  /// only when a multi-index batch switches the worker to a different
-  /// PageStore.
+  /// Per-worker reusable state: the crawl scratch plus one BufferPool
+  /// recycled across the worker's queries — Clear() (an O(1) epoch bump)
+  /// plus set_stats() gives every query the same cold cache and per-query
+  /// accounting a fresh pool would, without re-allocating the pool's page
+  /// table each time. The pool is rebuilt only when a multi-index batch
+  /// switches the worker to a different PageStore.
   struct WorkerState {
     CrawlScratch scratch;
     std::unique_ptr<BufferPool> pool;
@@ -318,10 +289,8 @@ class QueryEngine {
   void ProcessQueue(size_t worker_index, const Job& job);
   bool PopOwn(size_t worker_index, size_t* query_index);
   bool Steal(size_t worker_index, size_t* query_index);
-  static void ExecuteQuery(const Options& options,
-                           const SharedCacheMap* shared_caches,
-                           const IndexedQuery& iq, QueryResult* result,
-                           WorkerState* state);
+  static void ExecuteQuery(const Options& options, const IndexedQuery& iq,
+                           QueryResult* result, WorkerState* state);
 
   const FlatIndex* index_;
   Options options_;

@@ -291,7 +291,7 @@ class ShardedFlatStore {
   enum class LoadBackend {
     /// DiskPageFile (default): pages are served from an mmap'd (fallback:
     /// pread) read-only view of the shard file — real out-of-core
-    /// execution, with crawl prefetch hints forwarded to the OS.
+    /// execution.
     kDisk,
     /// LoadPageFile into in-memory slab arenas (the pre-disk behavior);
     /// page reads are counters only. Byte- and IoStats-identical to kDisk.
@@ -308,10 +308,10 @@ class ShardedFlatStore {
   /// catalog restored into a post-compaction directory).
   ///
   /// `disk_options` (kDisk backend only; may be null for the defaults)
-  /// configures every shard's DiskPageFile — retry policy, prefetch
-  /// toucher, and the fault-injection schedule used by the robustness
-  /// tests/benches. Must outlive nothing: the options are copied at Open
-  /// (though a non-null Options::fault_schedule must outlive the store).
+  /// configures every shard's DiskPageFile — access mode, retry policy and
+  /// the fault-injection schedule used by the robustness tests/benches.
+  /// Must outlive nothing: the options are copied at Open (though a non-null
+  /// Options::fault_schedule must outlive the store).
   static ShardedFlatStore Load(const std::string& dir, size_t num_threads = 1,
                                LoadBackend backend = LoadBackend::kDisk,
                                const DiskPageFile::Options* disk_options =

@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "storage/fault_injection.h"
@@ -22,16 +21,6 @@ const char* BufferPool::Read(PageId id) {
   ++misses_;
   stats_->RecordRead(store_->category(id));
   table_.Insert(id);
-  if (!pending_.empty()) {
-    auto it = std::find(pending_.begin(), pending_.end(), id);
-    if (it != pending_.end()) {
-      // The miss landed on a hinted page: the prefetch overlapped real
-      // work. Swap-erase; pending order carries no meaning.
-      *it = pending_.back();
-      pending_.pop_back();
-      stats_->RecordPrefetchHit();
-    }
-  }
   // A miss is where the backend may actually perform I/O: attribute any
   // transient-read retries it burned to this query's stats.
   const uint64_t retries_before = ThreadReadRetries();
@@ -39,26 +28,6 @@ const char* BufferPool::Read(PageId id) {
   const uint64_t retries = ThreadReadRetries() - retries_before;
   if (retries != 0) stats_->RecordIoRetries(retries);
   return data;
-}
-
-void BufferPool::Prefetch(PageId id) {
-  if (prefetch_depth_ <= 0) return;
-  if (table_.Contains(id)) return;  // already paid for; nothing to overlap
-  if (pending_.size() >= static_cast<size_t>(prefetch_depth_)) return;
-  if (std::find(pending_.begin(), pending_.end(), id) != pending_.end()) {
-    return;
-  }
-  pending_.push_back(id);
-  stats_->RecordPrefetchIssued();
-  store_->Prefetch(id);
-}
-
-void BufferPool::Clear() {
-  if (!pending_.empty()) {
-    stats_->RecordPrefetchWasted(pending_.size());
-    pending_.clear();
-  }
-  table_.Clear();
 }
 
 void BufferPool::set_stats(IoStats* stats) {

@@ -1,8 +1,8 @@
 #ifndef FLAT_STORAGE_BUFFER_POOL_H_
 #define FLAT_STORAGE_BUFFER_POOL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "storage/epoch_page_table.h"
 #include "storage/io_stats.h"
@@ -20,16 +20,8 @@ namespace flat {
 /// benchmark harness does the same through this method. Clearing is O(1)
 /// (an epoch bump in the page table), so reusing one pool with a Clear()
 /// per query is exactly as cold as — and much cheaper than — constructing a
-/// fresh pool per query. For concurrent readers use StripedBufferPool (one
-/// Session per thread).
-///
-/// Prefetching: `set_prefetch_depth(d)` with d > 0 turns `Prefetch` into a
-/// real hint — forwarded to the PageStore (OS readahead / background touch
-/// on DiskPageFile, a no-op on the in-memory PageFile) and tracked in a
-/// small pending set of at most d pages. Prefetch never inserts into the
-/// cache table, so read accounting is bit-identical with prefetching on or
-/// off; only the IoStats prefetch counters move (issued on hint, hit when a
-/// miss lands on a pending page, wasted for hints still pending at Clear).
+/// fresh pool per query. Concurrent readers each use their own pool (the
+/// QueryEngine keeps one per worker).
 class BufferPool final : public PageCache {
  public:
   /// `capacity_pages` bounds the number of cached pages (0 means unbounded).
@@ -44,35 +36,14 @@ class BufferPool final : public PageCache {
   /// PageCache::Read); eviction only affects hit/miss accounting.
   const char* Read(PageId id) override;
 
-  /// Hints `id` (no-op unless a prefetch depth is set; see class comment).
-  void Prefetch(PageId id) override;
-
-  /// Cached-page data without charging or recency update; nullptr on miss.
-  const char* Peek(PageId id) override {
-    return table_.Contains(id) ? store_->Data(id) : nullptr;
-  }
-
-  bool prefetch_enabled() const override { return prefetch_depth_ > 0; }
-
-  /// Drops every cached page (cold cache). Hints still pending are counted
-  /// as wasted against the currently attached IoStats — the QueryEngine
-  /// calls Clear() before retargeting stats, so waste lands on the query
-  /// that issued the hints.
-  void Clear();
+  /// Drops every cached page (cold cache).
+  void Clear() { table_.Clear(); }
 
   /// Redirects future miss charges to `stats` (never null). Lets a reused
   /// pool account each query against its own IoStats — the QueryEngine pairs
   /// this with Clear() to keep the paper's cold-per-query methodology while
   /// amortizing the pool across a worker's whole batch share.
   void set_stats(IoStats* stats);
-
-  /// Maximum outstanding prefetch hints (0 disables prefetching; hints
-  /// beyond the depth are dropped). This is the per-query knob the
-  /// QueryEngine sets from Query/Options::prefetch_depth.
-  void set_prefetch_depth(int depth) {
-    prefetch_depth_ = depth > 0 ? depth : 0;
-  }
-  int prefetch_depth() const { return prefetch_depth_; }
 
   /// True if the page is currently cached (test hook; does not touch LRU
   /// order or counters).
@@ -91,11 +62,6 @@ class BufferPool final : public PageCache {
   const PageStore* store_;
   IoStats* stats_;
   EpochPageTable table_;
-
-  // Outstanding prefetch hints; bounded by prefetch_depth_, so a linear
-  // scan beats any hashed structure at crawl-frontier sizes.
-  std::vector<PageId> pending_;
-  int prefetch_depth_ = 0;
 
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

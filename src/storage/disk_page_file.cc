@@ -11,6 +11,7 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <thread>
 
 #include "storage/fault_injection.h"
 #include "storage/persistence.h"
@@ -51,8 +52,8 @@ uint32_t LoadU32(const char* bytes) {
 
 // Sentinel marking a pread-mode page whose read is in flight. A resident
 // slot moves null -> kBusyPage -> buffer (or back to null on a failed
-// read); exactly one thread ever reads a given page from the fd, so the
-// prefetch toucher and the query thread never duplicate the same I/O.
+// read); exactly one thread ever reads a given page from the fd, so
+// concurrent query threads never duplicate the same I/O.
 char* const kBusyPage = reinterpret_cast<char*>(1);
 
 }  // namespace
@@ -133,24 +134,10 @@ std::unique_ptr<DiskPageFile> DiskPageFile::Open(const std::string& path,
   if (file->map_base_ == nullptr) {
     file->resident_ = std::make_unique<std::atomic<char*>[]>(page_count);
   }
-
-  file->async_prefetch_ = options.async_prefetch;
-  file->prefetch_queue_limit_ = options.prefetch_queue_limit;
-  if (file->async_prefetch_) {
-    file->toucher_ = std::thread([f = file.get()] { f->TouchLoop(); });
-  }
   return file;
 }
 
 DiskPageFile::~DiskPageFile() {
-  if (toucher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      stop_ = true;
-    }
-    queue_cv_.notify_all();
-    toucher_.join();
-  }
   if (resident_ != nullptr) {
     for (size_t i = 0; i < categories_.size(); ++i) {
       char* buffer = resident_[i].load(std::memory_order_relaxed);
@@ -173,8 +160,8 @@ const char* DiskPageFile::EnsureResident(PageId id) const {
   for (;;) {
     char* resident = slot.load(std::memory_order_acquire);
     if (resident == kBusyPage) {
-      // Another thread (typically the prefetch toucher) is mid-read; waiting
-      // for its result is strictly cheaper than issuing a duplicate pread.
+      // Another query thread is mid-read; waiting for its result is strictly
+      // cheaper than issuing a duplicate pread.
       std::this_thread::yield();
       continue;
     }
@@ -212,7 +199,7 @@ void DiskPageFile::ReadPage(PageId id, char* dst) const {
   uint32_t error_retries = 0;
 
   // Charges one counted retry (member total + the thread-local counter the
-  // buffer pools sample for per-query IoStats attribution).
+  // BufferPool samples for per-query IoStats attribution).
   const auto count_retry = [this] {
     read_retries_.fetch_add(1, std::memory_order_relaxed);
     AddThreadReadRetries(1);
@@ -294,89 +281,7 @@ void DiskPageFile::ReadPage(PageId id, char* dst) const {
   }
 }
 
-void DiskPageFile::Prefetch(PageId id) const {
-  if (id >= categories_.size()) return;
-  if (async_prefetch_) {
-    // With a background toucher the touch *subsumes* the OS advice: it
-    // faults (mmap) resp. reads (pread) the page itself, off the query
-    // thread. Issuing madvise/fadvise here too would put a syscall on the
-    // query thread per hint — on some platforms (measured ~10 us under
-    // gVisor) that alone exceeds the cost of the cached read the hint is
-    // trying to hide. So the hot path is just a queue push, and the
-    // condition variable is only signalled on the empty->non-empty
-    // transition (the toucher drains whole batches; while it is awake,
-    // further pushes need no wakeup).
-    bool was_empty = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (stop_ || queue_.size() >= prefetch_queue_limit_) return;  // advisory
-      was_empty = queue_.empty();
-      queue_.push_back(id);
-    }
-    if (was_empty) queue_cv_.notify_one();
-    return;
-  }
-  // No toucher: OS readahead advice is the only asynchrony available.
-  if (map_base_ != nullptr) {
-    // madvise wants an OS-page-aligned address: align the range outward.
-    static const uintptr_t kOsPage =
-        static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
-    const uintptr_t begin =
-        reinterpret_cast<uintptr_t>(map_base_) + PageOffset(id);
-    const uintptr_t aligned = begin & ~(kOsPage - 1);
-    ::madvise(reinterpret_cast<void*>(aligned),
-              (begin - aligned) + page_size_, MADV_WILLNEED);
-  } else {
-#if defined(POSIX_FADV_WILLNEED)
-    ::posix_fadvise(fd_, static_cast<off_t>(PageOffset(id)), page_size_,
-                    POSIX_FADV_WILLNEED);
-#endif
-  }
-}
-
-void DiskPageFile::Touch(PageId id) const {
-  if (map_base_ != nullptr) {
-    // Fault every OS page of the flat page into the process off the query
-    // thread; the volatile reads cannot be elided.
-    const char* begin = map_base_ + PageOffset(id);
-    for (uint32_t off = 0; off < page_size_; off += 4096) {
-      volatile char sink = begin[off];
-      (void)sink;
-    }
-  } else {
-    EnsureResident(id);
-  }
-}
-
-void DiskPageFile::TouchLoop() {
-  std::vector<PageId> batch;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_) return;  // hints are advisory; no drain on shutdown
-      batch.swap(queue_);
-    }
-    for (PageId id : batch) {
-      try {
-        Touch(id);
-        pages_touched_.fetch_add(1, std::memory_order_relaxed);
-      } catch (...) {
-        // A failed touch only loses the hint; the query-path read will
-        // surface any real I/O error.
-      }
-    }
-    batch.clear();
-  }
-}
-
 void DiskPageFile::DropOsCache() {
-  {
-    // Entries queued before the drop would re-warm the cache right after;
-    // discard them (hints are advisory).
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.clear();
-  }
   if (map_base_ != nullptr) {
     // Release this process's mapped copies, then ask the kernel to drop the
     // file's page-cache pages. Subsequent reads re-fault from disk.
@@ -385,8 +290,8 @@ void DiskPageFile::DropOsCache() {
   if (resident_ != nullptr) {
     // pread mode: forget the resident copies. This (documentedly) breaks
     // pointer stability for pages returned before the drop — DropOsCache is
-    // a benchmark-harness operation, not a query-time one. A slot the
-    // toucher is mid-read on (kBusyPage) is left alone: it will finish
+    // a benchmark-harness operation, not a query-time one. A slot with a
+    // read in flight (kBusyPage) is left alone: it will finish
     // materializing, costing only a slightly-less-cold next pass.
     for (size_t i = 0; i < categories_.size(); ++i) {
       char* value = resident_[i].load(std::memory_order_acquire);

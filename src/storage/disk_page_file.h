@@ -3,12 +3,9 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "storage/page.h"
@@ -27,8 +24,7 @@ class FaultSchedule;
 /// crawl queries are 97.8–98.8 % I/O-bound (Section VII-E.2), which an
 /// in-memory PageFile can only *model* (DiskModel), never *exhibit*. With a
 /// DiskPageFile behind the same PageCache API, cold-cache benchmarks read
-/// actual pages from an actual file, and the crawl prefetcher
-/// (PageCache::Prefetch) can overlap that I/O with the SIMD gates.
+/// actual pages from an actual file.
 ///
 /// Two access modes, chosen at Open:
 ///
@@ -36,43 +32,27 @@ class FaultSchedule;
 ///    `Data(id)` is pure address arithmetic into the mapping, so the
 ///    on-disk layout *is* the in-memory layout and the pointer-stability
 ///    contract of PageStore holds for free (the mapping never moves).
-///    `Prefetch` issues `madvise(MADV_WILLNEED)` on the page's byte range.
 ///  - **pread fallback** (mmap unavailable or `Options::use_mmap ==
 ///    false`). Pages are read on demand into individually allocated
 ///    buffers that live for the file's lifetime (pointer stability again);
-///    materialization is lock-free (compare-exchange publishes the loaded
-///    buffer; a racing loser frees its copy). `Prefetch` issues
-///    `posix_fadvise(POSIX_FADV_WILLNEED)`.
-///
-/// With `Options::async_prefetch` (default on) an additional background
-/// thread drains a queue of hinted PageIds and *touches* them — faulting
-/// mmap'd pages resp. materializing pread pages off the query thread — so
-/// even synchronous page-fault cost overlaps the caller's compute. In this
-/// mode a hint is just a queue push (no syscall on the query thread); with
-/// the toucher disabled, Prefetch falls back to inline OS readahead advice.
-/// Hints are advisory: dropping them (full queue, stopped thread) affects
-/// only latency, never results or logical IoStats.
+///    materialization is lock-free: the first reader claims the page's
+///    slot with a busy marker, reads it, and publishes the buffer; a
+///    concurrent reader of the same page waits for that publish instead of
+///    issuing a second read.
 ///
 /// Header and size are validated against the actual file size before any
 /// page is touched (no trust in the on-disk page_count), and every category
 /// byte is range-checked; corrupt files are rejected with
 /// std::runtime_error at Open.
 ///
-/// Thread-safety: all const members (including Prefetch) are safe to call
-/// concurrently once Open returns.
+/// Thread-safety: all const members are safe to call concurrently once Open
+/// returns.
 class DiskPageFile final : public PageStore {
  public:
   struct Options {
     /// Map the file and serve pages from the mapping. When false — or when
     /// mmap fails at runtime — the pread fallback is used instead.
     bool use_mmap = true;
-    /// Run a background thread that touches prefetch-hinted pages so the
-    /// fault/read happens off the query thread. When false, Prefetch only
-    /// issues the (asynchronous) OS advice.
-    bool async_prefetch = true;
-    /// Bound on queued-but-untouched prefetch hints; further hints are
-    /// dropped (they are advisory).
-    size_t prefetch_queue_limit = 4096;
 
     /// Transient pread failures (anything but EINTR, which always retries
     /// immediately) are retried up to this many times with exponential
@@ -127,12 +107,6 @@ class DiskPageFile final : public PageStore {
     return categories_.size() * uint64_t{page_size_};
   }
 
-  /// Hints that `id` will be read soon. Async mode (default): enqueues the
-  /// page for the background toucher — a queue push, no syscall on the
-  /// calling thread. Without the toucher: issues OS readahead advice
-  /// (madvise/posix_fadvise WILLNEED) inline. Never blocks on I/O.
-  void Prefetch(PageId id) const override;
-
   /// Drops this file's pages from the OS page cache as far as the kernel
   /// allows (`posix_fadvise(POSIX_FADV_DONTNEED)` over the whole file) and
   /// discards pread-mode resident copies. The cold-cache benchmark
@@ -142,11 +116,6 @@ class DiskPageFile final : public PageStore {
 
   /// True when pages are served from an mmap'd region (false: pread mode).
   bool mmap_backed() const { return map_base_ != nullptr; }
-
-  /// Pages touched by the background prefetch thread so far (test hook).
-  uint64_t pages_touched() const {
-    return pages_touched_.load(std::memory_order_relaxed);
-  }
 
   /// Transient page-read failures recovered by retry (EINTR + retried
   /// errors) and permanent read failures thrown, across all threads.
@@ -176,9 +145,6 @@ class DiskPageFile final : public PageStore {
   /// std::runtime_error once the retry budget is exhausted.
   void ReadPage(PageId id, char* dst) const;
 
-  void TouchLoop();
-  void Touch(PageId id) const;
-
   std::string path_;
   int fd_ = -1;
   uint32_t page_size_ = 0;
@@ -194,16 +160,6 @@ class DiskPageFile final : public PageStore {
   // pread mode: one owned buffer per materialized page, kept for the
   // file's lifetime (pointer stability).
   mutable std::unique_ptr<std::atomic<char*>[]> resident_;
-
-  // Background prefetch toucher.
-  bool async_prefetch_ = false;
-  size_t prefetch_queue_limit_ = 0;
-  mutable std::mutex queue_mu_;
-  mutable std::condition_variable queue_cv_;
-  mutable std::vector<PageId> queue_;
-  bool stop_ = false;
-  std::thread toucher_;
-  mutable std::atomic<uint64_t> pages_touched_{0};
 
   // Fail-soft read policy (see Options).
   const FaultSchedule* fault_schedule_ = nullptr;

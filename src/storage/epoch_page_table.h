@@ -9,8 +9,8 @@
 
 namespace flat {
 
-/// Residency bookkeeping shared by BufferPool and StripedBufferPool's
-/// stripes: an epoch-stamped, direct-mapped page table.
+/// BufferPool's residency bookkeeping: an epoch-stamped, direct-mapped page
+/// table.
 ///
 /// This replaces the previous hash-based LRU set (std::unordered_map +
 /// std::list): every probe is now one array access — the entry for page `id`
@@ -29,14 +29,10 @@ namespace flat {
 ///
 /// Memory: the table grows to the highest page id probed — 4 bytes per
 /// slot unbounded (~0.1% of the file at 4 KiB pages), plus 8 bytes per
-/// slot for the LRU links when a capacity is set. Note that
-/// StripedBufferPool keeps one table per stripe over the *global* id space
-/// (its hash partition is not arithmetically invertible), so its footprint
-/// is stripe_count times that figure (~1.6% of the file at the default 16
-/// stripes). A direct-mapped table deliberately trades this O(file pages)
-/// footprint for O(1) everything; a tiny bounded cache over a very large
-/// file is the one configuration where the replaced hash-based set was
-/// more compact.
+/// slot for the LRU links when a capacity is set. A direct-mapped table
+/// deliberately trades this O(file pages) footprint for O(1) everything; a
+/// tiny bounded cache over a very large file is the one configuration where
+/// the replaced hash-based set was more compact.
 /// Not thread-safe — callers provide their own locking.
 class EpochPageTable {
  public:

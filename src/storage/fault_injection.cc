@@ -149,8 +149,4 @@ uint64_t FaultInjectingPageStore::SizeBytes() const {
   return inner_->SizeBytes();
 }
 
-void FaultInjectingPageStore::Prefetch(PageId id) const {
-  inner_->Prefetch(id);
-}
-
 }  // namespace flat

@@ -75,8 +75,8 @@ class FaultSchedule {
 
 /// Per-thread running count of transient page-read retries performed by the
 /// storage backends (DiskPageFile's pread recovery and
-/// FaultInjectingPageStore). The buffer pools sample this counter around
-/// PageStore::Data() on a cache miss and charge the delta to the querying
+/// FaultInjectingPageStore). BufferPool samples this counter around
+/// PageStore::Data() on a cache miss and charges the delta to the querying
 /// IoStats — deterministic per-query retry attribution without threading a
 /// stats pointer through the const PageStore interface.
 uint64_t ThreadReadRetries();
@@ -114,7 +114,6 @@ class FaultInjectingPageStore final : public PageStore {
   size_t page_count() const override;
   size_t PageCountIn(PageCategory category) const override;
   uint64_t SizeBytes() const override;
-  void Prefetch(PageId id) const override;
 
   /// Transient faults recovered (EINTR + retried errors) and permanent
   /// failures thrown, across all threads.

@@ -14,17 +14,10 @@ namespace flat {
 /// this repository performs reads through a BufferPool that charges misses
 /// here, so FLAT and the R-Tree baselines are accounted identically.
 ///
-/// Prefetch accounting is carried alongside but deliberately separate from
-/// the read counters: a prefetch hint never is and never becomes a read, so
-/// the logical read counts stay identical whether prefetching is on, off, or
-/// unsupported by the backend. `issued` counts hints forwarded to the
-/// PageStore, `hits` counts misses whose page had an outstanding hint (the
-/// prefetch did useful work), `wasted` counts hints still outstanding when
-/// the cache was cleared (pages hinted but never read).
-///
-/// Overlay probes are likewise separate: a query against a store with a
-/// delta overlay gate-tests in-memory overlay entries that live on no page,
-/// so charging them as page reads would corrupt the paper's I/O metrics.
+/// Overlay probes are carried alongside but deliberately separate: a query
+/// against a store with a delta overlay gate-tests in-memory overlay entries
+/// that live on no page, so charging them as page reads would corrupt the
+/// paper's I/O metrics.
 /// One probe = one live overlay entry tested against a query's gate; the
 /// count depends only on the snapshot's overlay contents, never on thread
 /// count or execution order.
@@ -34,9 +27,6 @@ class IoStats {
     ++reads_[static_cast<size_t>(category)];
   }
 
-  void RecordPrefetchIssued() { ++prefetch_issued_; }
-  void RecordPrefetchHit() { ++prefetch_hits_; }
-  void RecordPrefetchWasted(uint64_t count) { prefetch_wasted_ += count; }
   void RecordOverlayProbes(uint64_t count) { overlay_probes_ += count; }
 
   /// Fail-soft counters (see docs/architecture.md "Fail-soft execution").
@@ -49,9 +39,6 @@ class IoStats {
   void RecordIoError() { ++io_errors_; }
   void RecordQueryShed() { ++queries_shed_; }
 
-  uint64_t PrefetchIssued() const { return prefetch_issued_; }
-  uint64_t PrefetchHits() const { return prefetch_hits_; }
-  uint64_t PrefetchWasted() const { return prefetch_wasted_; }
   uint64_t OverlayProbes() const { return overlay_probes_; }
   uint64_t IoRetries() const { return io_retries_; }
   uint64_t IoErrors() const { return io_errors_; }
@@ -74,9 +61,6 @@ class IoStats {
 
   void Reset() {
     reads_.fill(0);
-    prefetch_issued_ = 0;
-    prefetch_hits_ = 0;
-    prefetch_wasted_ = 0;
     overlay_probes_ = 0;
     io_retries_ = 0;
     io_errors_ = 0;
@@ -85,9 +69,6 @@ class IoStats {
 
   IoStats& operator+=(const IoStats& other) {
     for (size_t i = 0; i < reads_.size(); ++i) reads_[i] += other.reads_[i];
-    prefetch_issued_ += other.prefetch_issued_;
-    prefetch_hits_ += other.prefetch_hits_;
-    prefetch_wasted_ += other.prefetch_wasted_;
     overlay_probes_ += other.overlay_probes_;
     io_retries_ += other.io_retries_;
     io_errors_ += other.io_errors_;
@@ -101,9 +82,6 @@ class IoStats {
     for (size_t i = 0; i < reads_.size(); ++i) {
       delta.reads_[i] = reads_[i] - snapshot.reads_[i];
     }
-    delta.prefetch_issued_ = prefetch_issued_ - snapshot.prefetch_issued_;
-    delta.prefetch_hits_ = prefetch_hits_ - snapshot.prefetch_hits_;
-    delta.prefetch_wasted_ = prefetch_wasted_ - snapshot.prefetch_wasted_;
     delta.overlay_probes_ = overlay_probes_ - snapshot.overlay_probes_;
     delta.io_retries_ = io_retries_ - snapshot.io_retries_;
     delta.io_errors_ = io_errors_ - snapshot.io_errors_;
@@ -111,14 +89,11 @@ class IoStats {
     return delta;
   }
 
-  /// Every counter equal (reads per category, prefetch, overlay, fail-soft).
+  /// Every counter equal (reads per category, overlay, fail-soft).
   bool operator==(const IoStats&) const = default;
 
  private:
   std::array<uint64_t, kNumPageCategories> reads_{};
-  uint64_t prefetch_issued_ = 0;
-  uint64_t prefetch_hits_ = 0;
-  uint64_t prefetch_wasted_ = 0;
   uint64_t overlay_probes_ = 0;
   uint64_t io_retries_ = 0;
   uint64_t io_errors_ = 0;

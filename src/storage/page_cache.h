@@ -7,16 +7,15 @@ namespace flat {
 
 /// Interface for query-time page access. Every index query reads pages
 /// through a PageCache; implementations charge a page read (in the page's
-/// category) against an IoStats on cache miss, so all execution paths —
-/// serial BufferPool or the concurrent StripedBufferPool sessions used by
-/// the QueryEngine — are accounted identically.
+/// category) against an IoStats on cache miss, so every execution path —
+/// serial loops, QueryEngine workers, the store's inline runner — is
+/// accounted identically. BufferPool, one cold pool per sub-query, is the
+/// library's page cache.
 ///
 /// Thread-safety is defined by the implementation, and the contract queries
 /// rely on is per-instance: one PageCache instance serves one thread at a
-/// time. BufferPool is single-threaded outright; StripedBufferPool shares
-/// its page set across threads but hands each thread its own Session (the
-/// PageCache it actually reads through). Concurrent query code must
-/// therefore give every thread its own PageCache instance.
+/// time. Concurrent query code must therefore give every thread its own
+/// PageCache instance (the QueryEngine gives each worker its own pool).
 class PageCache {
  public:
   virtual ~PageCache() = default;
@@ -24,28 +23,15 @@ class PageCache {
   /// Fetches a page, charging a read on miss. Implementations must return a
   /// pointer that stays valid for the lifetime of the underlying PageStore,
   /// independent of later Reads or eviction — index code (e.g. the FLAT
-  /// crawl) holds a record pointer across further Read calls. Both current
-  /// implementations satisfy this by returning pointers into the immutable
-  /// PageStore; eviction only forgets accounting state.
+  /// crawl) holds a record pointer across further Read calls. BufferPool
+  /// satisfies this by returning pointers into the immutable PageStore;
+  /// eviction only forgets accounting state.
   virtual const char* Read(PageId id) = 0;
 
-  /// Advisory hint that `id` will likely be Read soon. Never charges a read
-  /// and never inserts the page into the cache: a later Read still counts
-  /// its miss, so logical IoStats read counts are identical with prefetching
-  /// on or off (only the prefetch issued/hit/wasted counters move). The
-  /// default is a no-op; caching implementations forward the hint to the
-  /// PageStore (where DiskPageFile turns it into OS readahead and a
-  /// background touch) when a prefetch depth is configured.
+  /// No-op hooks that no library code calls. They stay only because
+  /// benchmark/counting_cache.h overrides them; never charge a read.
   virtual void Prefetch(PageId id) { (void)id; }
-
-  /// Returns the page's data only if it is already cached, else nullptr.
-  /// Charges nothing and does not disturb recency. Lets the crawl peek at
-  /// pages it has provably paid for (e.g. to chase a metadata record's
-  /// object page for a deeper prefetch hint) without perturbing accounting.
   virtual const char* Peek(PageId id) { (void)id; return nullptr; }
-
-  /// True when this cache has a prefetch depth configured — lets hot loops
-  /// skip hint generation entirely when prefetching is off.
   virtual bool prefetch_enabled() const { return false; }
 };
 

@@ -18,10 +18,10 @@ namespace flat {
 ///
 /// Index *construction* writes pages directly (bulkloading is measured by
 /// wall-clock time, as in the paper's Figure 10); *query execution* must go
-/// through a PageCache (BufferPool / StripedBufferPool), which is where page
-/// reads are counted. Keeping the data in memory while accounting I/O at
-/// page granularity reproduces the paper's cold-cache methodology without a
-/// physical SAS array — see docs/file_format.md §1 and docs/benchmarks.md.
+/// through a PageCache (BufferPool), which is where page reads are counted.
+/// Keeping the data in memory while accounting I/O at page granularity
+/// reproduces the paper's cold-cache methodology without a physical SAS
+/// array — see docs/file_format.md §1 and docs/benchmarks.md.
 ///
 /// Storage layout: pages live in contiguous slab arenas of
 /// `kArenaTargetBytes` each (the last slab is partially filled), so

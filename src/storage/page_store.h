@@ -13,8 +13,8 @@ namespace flat {
 /// disk backend (DiskPageFile).
 ///
 /// Everything downstream of index construction (BufferPool,
-/// StripedBufferPool, FlatIndex::Attach, the QueryEngine, ShardedFlatStore
-/// after Load) reads pages through this interface, so an index can be
+/// FlatIndex::Attach, the QueryEngine, ShardedFlatStore after Load) reads
+/// pages through this interface, so an index can be
 /// served from memory or from an mmap'd file without any change to query
 /// code, results, or I/O accounting.
 ///
@@ -51,14 +51,6 @@ class PageStore {
   virtual uint64_t SizeBytes() const {
     return page_count() * uint64_t{page_size()};
   }
-
-  /// Advisory hint that `id` will be read soon. Non-blocking; the default
-  /// (and the in-memory PageFile) does nothing. DiskPageFile forwards the
-  /// hint to the OS (madvise(MADV_WILLNEED) on the mmap path,
-  /// posix_fadvise(POSIX_FADV_WILLNEED) on the pread path) and optionally
-  /// to a background touch thread, so the I/O overlaps the caller's
-  /// compute. Hints never affect results or logical IoStats read counts.
-  virtual void Prefetch(PageId id) const { (void)id; }
 };
 
 }  // namespace flat

@@ -2,14 +2,13 @@
 // stream is indistinguishable from the in-memory PageFile it was saved from —
 // byte-identical pages, identical category accounting, bit-identical query
 // results and logical IoStats through the same PageCache API — in both mmap
-// and pread modes, with prefetching on or off. Corrupt files are rejected at
+// and pread modes, at any engine thread count. Corrupt files are rejected at
 // Open, before any page is served.
 #include "storage/disk_page_file.h"
 
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -174,56 +173,41 @@ TEST_P(DiskBackendIdentityTest, PreadModeMatchesMmap) {
     EXPECT_EQ(got, expected);
   }
   EXPECT_EQ(CategoryCounts(pread_io), CategoryCounts(memory_io));
+
+  // Concurrent readers race on the resident-slot publish: a 4-thread engine
+  // over a freshly opened (nothing resident) pread file must match the
+  // 1-thread engine per query — ids, count and per-category reads.
+  auto cold_file =
+      DiskPageFile::Open(on_disk.path(), DiskPageFile::Options{
+                                             .use_mmap = false,
+                                         });
+  FlatIndex cold = FlatIndex::Attach(cold_file.get(), index.descriptor());
+  std::vector<Query> batch;
+  for (const Aabb& query : DatasetQueries(dataset, /*seed=*/94)) {
+    batch.push_back(Query::Range(query));
+  }
+  QueryEngine four_threads(&cold, {.threads = 4});
+  const std::vector<QueryResult> got = four_threads.Run(batch);
+  QueryEngine one_thread(&cold, {.threads = 1});
+  const std::vector<QueryResult> expected = one_thread.Run(batch);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ids, expected[i].ids) << "query " << i;
+    EXPECT_EQ(got[i].count, expected[i].count) << "query " << i;
+    EXPECT_EQ(CategoryCounts(got[i].io), CategoryCounts(expected[i].io))
+        << "query " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DiskBackendIdentityTest,
                          ::testing::Values("neuron", "mesh", "uniform"),
                          [](const auto& info) { return info.param; });
 
-// Crawl prefetching over a disk store must never change results or logical
-// read counts — only the prefetch_* counters move, and every issued hint is
-// accounted as either a hit or (at Clear) waste.
-TEST(DiskPrefetchTest, PrefetchingIsInvisibleToResultsAndReads) {
-  const Dataset dataset = MakeDataset("neuron");
-  PageFile file;
-  FlatIndex index = FlatIndex::Build(&file, dataset.elements);
-
-  ScopedPageFileOnDisk on_disk(file, "prefetch");
-  auto disk = DiskPageFile::Open(on_disk.path());
-  FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
-
-  IoStats off_io, on_io;
-  BufferPool off_pool(disk.get(), &off_io);
-  BufferPool on_pool(disk.get(), &on_io);
-  on_pool.set_prefetch_depth(16);
-
-  uint64_t total_results = 0;
-  for (const Aabb& query : DatasetQueries(dataset, /*seed=*/93)) {
-    std::vector<uint64_t> expected, got;
-    off_pool.Clear();
-    reopened.RangeQuery(&off_pool, query, &expected);
-    on_pool.Clear();
-    reopened.RangeQuery(&on_pool, query, &got);
-    EXPECT_EQ(got, expected);
-    total_results += got.size();
-  }
-  on_pool.Clear();  // flush the last query's pending hints into waste
-  ASSERT_GT(total_results, 0u);
-
-  // Logical reads identical; prefetch counters zero without the knob.
-  EXPECT_EQ(CategoryCounts(on_io), CategoryCounts(off_io));
-  EXPECT_EQ(off_io.PrefetchIssued(), 0u);
-  EXPECT_EQ(off_io.PrefetchHits(), 0u);
-  EXPECT_EQ(off_io.PrefetchWasted(), 0u);
-
-  // The crawl issued hints, and every one resolved as a hit or as waste.
-  EXPECT_GT(on_io.PrefetchIssued(), 0u);
-  EXPECT_EQ(on_io.PrefetchHits() + on_io.PrefetchWasted(),
-            on_io.PrefetchIssued());
-}
-
-// The same invariant through the QueryEngine's per-query knob, at multiple
-// thread counts: prefetch depth must not perturb results or read counts.
+// The QueryEngine over an mmap-backed disk store at several thread counts
+// must match the 1-thread engine per query — ids, count and per-category
+// reads. The crawl issues no prefetch hints (PageCache::Prefetch is a no-op
+// hook), so "prefetch on" and "off" are the same engine: the invariant left
+// to check is that thread count does not perturb results or read counts.
 TEST(DiskPrefetchTest, EngineResultsIdenticalWithPrefetchOnAndOff) {
   const Dataset dataset = MakeDataset("uniform");
   PageFile file;
@@ -238,17 +222,12 @@ TEST(DiskPrefetchTest, EngineResultsIdenticalWithPrefetchOnAndOff) {
     batch.push_back(Query::Range(query));
   }
 
-  QueryEngine::Options off_options;
-  off_options.threads = 1;
-  QueryEngine off_engine(&reopened, off_options);
-  const std::vector<QueryResult> expected = off_engine.Run(batch);
+  QueryEngine baseline(&reopened, {.threads = 1});
+  const std::vector<QueryResult> expected = baseline.Run(batch);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    QueryEngine::Options options;
-    options.threads = threads;
-    options.prefetch_depth = 16;
-    QueryEngine engine(&reopened, options);
+    QueryEngine engine(&reopened, {.threads = threads});
     const std::vector<QueryResult> got = engine.Run(batch);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -258,29 +237,6 @@ TEST(DiskPrefetchTest, EngineResultsIdenticalWithPrefetchOnAndOff) {
           << "query " << i;
     }
   }
-}
-
-// The async toucher drains hinted pages in the background (pread mode makes
-// the touch observable: it materializes the resident buffer).
-TEST(DiskPageFileTest, BackgroundToucherProcessesHints) {
-  PageFile file(256);
-  for (int i = 0; i < 64; ++i) file.Allocate(PageCategory::kObject);
-  ScopedPageFileOnDisk on_disk(file, "toucher");
-
-  auto disk = DiskPageFile::Open(on_disk.path(), DiskPageFile::Options{
-                                                     .use_mmap = false,
-                                                 });
-  for (PageId id = 0; id < 64; ++id) disk->Prefetch(id);
-
-  // Hints are advisory, but on an idle queue they drain quickly; poll with a
-  // generous deadline rather than assuming scheduling latency.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (disk->pages_touched() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(disk->pages_touched(), 0u);
 }
 
 // DropOsCache (the cold-cache bench primitive) must leave the store fully
@@ -415,7 +371,6 @@ TEST(DiskPageFileFaultTest, TransientFaultSequencesRecoverExactly) {
                 .latency_micros = 50});
 
   DiskPageFile::Options options;
-  options.async_prefetch = false;  // keep schedule attempts query-driven
   options.retry_backoff_micros = 0;
   options.fault_schedule = &schedule;
   auto disk = DiskPageFile::Open(on_disk.path(), options);
@@ -451,7 +406,6 @@ TEST(DiskPageFileFaultTest, FailedReadReleasesBusySentinelAndCanRecover) {
   schedule.FailRead(id, /*times=*/3);
 
   DiskPageFile::Options options;
-  options.async_prefetch = false;
   options.max_read_retries = 0;
   options.fault_schedule = &schedule;
   auto disk = DiskPageFile::Open(on_disk.path(), options);
@@ -480,7 +434,6 @@ TEST(DiskPageFileFaultTest, ConcurrentReadersSurviveFailingPage) {
   schedule.FailRead(id, /*times=*/5);
 
   DiskPageFile::Options options;
-  options.async_prefetch = false;
   options.max_read_retries = 0;
   options.fault_schedule = &schedule;
   auto disk = DiskPageFile::Open(on_disk.path(), options);
@@ -508,32 +461,6 @@ TEST(DiskPageFileFaultTest, ConcurrentReadersSurviveFailingPage) {
   EXPECT_EQ(failures.load(), 5);
   EXPECT_GT(successes.load(), 0);
   ASSERT_EQ(std::memcmp(disk->Data(id), file.Data(id), 256), 0);
-}
-
-// Destroying the store with hints still queued — while another thread
-// hammers DropOsCache — must shut down cleanly (the prefetch toucher holds
-// no lock across I/O and drops advisory work on stop).
-TEST(DiskPageFileTest, ShutdownWithQueuedHintsAndConcurrentDropOsCache) {
-  PageFile file(256);
-  for (int i = 0; i < 256; ++i) file.Allocate(PageCategory::kObject);
-  ScopedPageFileOnDisk on_disk(file, "shutdown");
-
-  for (int round = 0; round < 20; ++round) {
-    auto disk = DiskPageFile::Open(on_disk.path(), DiskPageFile::Options{
-                                                       .use_mmap = false,
-                                                   });
-    std::atomic<bool> stop{false};
-    std::thread dropper([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        disk->DropOsCache();
-      }
-    });
-    for (PageId id = 0; id < 256; ++id) disk->Prefetch(id);
-    stop.store(true, std::memory_order_release);
-    dropper.join();
-    // Destroy with whatever is still queued; must join the toucher cleanly.
-    disk.reset();
-  }
 }
 
 }  // namespace

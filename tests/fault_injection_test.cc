@@ -5,6 +5,7 @@
 // retry/error accounting is exact, not statistical.
 #include "storage/fault_injection.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -476,6 +477,51 @@ TEST(ShardedFailSoftTest, BatchMixesControlledAndUncontrolledQueries) {
   EXPECT_EQ(stats.queries_failed, 1u);
 }
 
+// A stop during an overlayed sub-query's base pass must still mask the ids
+// the overlay erased: every partial is a subset of the snapshot's exact
+// answer, and a partial count never exceeds the exact count.
+TEST(ShardedFailSoftTest, OverlayedPartialsNeverKeepErasedIds) {
+  auto entries = RandomEntries(6000, /*seed=*/79);
+  const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
+
+  ShardedFlatStore::Options options;
+  options.num_shards = 1;
+  options.num_threads = 2;
+  ShardedFlatStore store = ShardedFlatStore::Build(std::move(entries), options);
+  for (uint64_t id = 0; id < 6000; id += 2) store.Erase(id);
+
+  const std::vector<Query> exact_batch = {
+      Query::Range(universe), Query::RangeCount(universe),
+      Query::RangeSeedScan(universe), Query::Sphere(Vec3(50, 50, 50), 100.0)};
+  std::vector<QueryResult> exact = store.RunBatch(exact_batch);
+  for (QueryResult& r : exact) {
+    ASSERT_EQ(r.status, QueryStatus::kOk);
+    std::sort(r.ids.begin(), r.ids.end());
+  }
+  ASSERT_EQ(exact[1].count, 3000u);
+
+  uint64_t partials = 0;
+  for (uint64_t budget = 4; budget <= 64; budget += 4) {
+    QueryControl control;
+    control.max_page_reads = budget;
+    std::vector<Query> batch = exact_batch;
+    for (Query& q : batch) q.control = &control;
+    std::vector<QueryResult> results = store.RunBatch(batch);
+    ASSERT_EQ(results.size(), exact.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + ", query " +
+                   std::to_string(i));
+      QueryResult& r = results[i];
+      if (r.status != QueryStatus::kOk) ++partials;
+      EXPECT_LE(r.count, exact[i].count);
+      std::sort(r.ids.begin(), r.ids.end());
+      EXPECT_TRUE(std::includes(exact[i].ids.begin(), exact[i].ids.end(),
+                                r.ids.begin(), r.ids.end()));
+    }
+  }
+  EXPECT_GT(partials, 0u);
+}
+
 // A loaded sharded store wired with a fault schedule: unrecoverable shard
 // reads surface as kIoError batch results (scatter-gather propagates the
 // failing shard's status), never as an exception or a torn merge — and the
@@ -499,7 +545,6 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
   {
     // Clean reload through DiskPageFile with explicit (default) options.
     DiskPageFile::Options disk_options;
-    disk_options.async_prefetch = false;
     ShardedFlatStore reloaded = ShardedFlatStore::Load(
         dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk,
         &disk_options);
@@ -515,7 +560,6 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
       schedule.FailRead(page, /*times=*/1000000);
     }
     DiskPageFile::Options disk_options;
-    disk_options.async_prefetch = false;
     disk_options.max_read_retries = 1;
     disk_options.retry_backoff_micros = 0;
     disk_options.fault_schedule = &schedule;

@@ -45,9 +45,7 @@ class QueryEngineTest : public ::testing::Test {
     return r;
   }
 
-  void ExpectMatchesSerial(const std::vector<Query>& batch, size_t threads,
-                           QueryEngine::CacheMode mode =
-                               QueryEngine::CacheMode::kColdPerQuery) {
+  void ExpectMatchesSerial(const std::vector<Query>& batch, size_t threads) {
     std::vector<QueryResult> serial;
     serial.reserve(batch.size());
     IoStats serial_io;
@@ -58,7 +56,6 @@ class QueryEngineTest : public ::testing::Test {
 
     QueryEngine::Options options;
     options.threads = threads;
-    options.cache_mode = mode;
     QueryEngine engine(&index_, options);
     BatchStats stats;
     std::vector<QueryResult> parallel = engine.Run(batch, &stats);
@@ -73,17 +70,13 @@ class QueryEngineTest : public ::testing::Test {
       EXPECT_EQ(parallel[i].ids, serial[i].ids) << "query " << i;
       elements += parallel[i].ids.size();
       merged += parallel[i].io;
-      if (mode == QueryEngine::CacheMode::kColdPerQuery) {
-        EXPECT_EQ(CategoryCounts(parallel[i].io), CategoryCounts(serial[i].io))
-            << "query " << i;
-      }
+      EXPECT_EQ(CategoryCounts(parallel[i].io), CategoryCounts(serial[i].io))
+          << "query " << i;
     }
     EXPECT_EQ(stats.result_elements, elements);
     // The batch aggregate is exactly the sum of the per-query breakdowns.
     EXPECT_EQ(CategoryCounts(stats.io), CategoryCounts(merged));
-    if (mode == QueryEngine::CacheMode::kColdPerQuery) {
-      EXPECT_EQ(CategoryCounts(stats.io), CategoryCounts(serial_io));
-    }
+    EXPECT_EQ(CategoryCounts(stats.io), CategoryCounts(serial_io));
   }
 
   PageFile file_;
@@ -146,34 +139,6 @@ TEST_F(QueryEngineTest, KnnAndSphereBatches) {
     SCOPED_TRACE(threads);
     ExpectMatchesSerial(batch, threads);
   }
-}
-
-TEST_F(QueryEngineTest, SharedStripedCacheSameResultsFewerReads) {
-  std::vector<Query> batch;
-  for (const Aabb& box : RandomQueries(64, /*seed=*/31)) {
-    batch.push_back(Query::Range(box));
-  }
-  ExpectMatchesSerial(batch, /*threads=*/8,
-                      QueryEngine::CacheMode::kSharedStriped);
-
-  IoStats cold_io, shared_io;
-  {
-    QueryEngine engine(&index_, {.threads = 4});
-    BatchStats stats;
-    engine.Run(batch, &stats);
-    cold_io = stats.io;
-  }
-  {
-    QueryEngine engine(
-        &index_,
-        {.threads = 4, .cache_mode = QueryEngine::CacheMode::kSharedStriped});
-    BatchStats stats;
-    engine.Run(batch, &stats);
-    shared_io = stats.io;
-  }
-  // Sharing the cache across the batch can only reduce page reads.
-  EXPECT_LE(shared_io.TotalReads(), cold_io.TotalReads());
-  EXPECT_GT(shared_io.TotalReads(), 0u);
 }
 
 TEST_F(QueryEngineTest, RandomizedStress) {

@@ -481,20 +481,13 @@ TEST(MultiIndexEngineTest, MixedIndexBatch) {
                                  Query::Range(boxes[i])});
   }
 
-  for (QueryEngine::CacheMode mode :
-       {QueryEngine::CacheMode::kColdPerQuery,
-        QueryEngine::CacheMode::kSharedStriped}) {
-    SCOPED_TRACE(mode == QueryEngine::CacheMode::kColdPerQuery ? "cold"
-                                                               : "shared");
-    QueryEngine engine({.threads = 4, .cache_mode = mode});
-    const std::vector<QueryResult> results = engine.RunMulti(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const std::vector<RTreeEntry>& entries =
-          i % 2 == 0 ? entries_a : entries_b;
-      EXPECT_EQ(Sorted(results[i].ids), BruteForce(entries, boxes[i]))
-          << "query " << i;
-    }
+  QueryEngine engine({.threads = 4});
+  const std::vector<QueryResult> results = engine.RunMulti(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<RTreeEntry>& entries = i % 2 == 0 ? entries_a : entries_b;
+    EXPECT_EQ(Sorted(results[i].ids), BruteForce(entries, boxes[i]))
+        << "query " << i;
   }
 }
 

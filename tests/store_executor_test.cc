@@ -272,7 +272,6 @@ TEST(RunInlineTest, SnapshotMatchesStoreUnderShardFaults) {
     schedule.FailRead(page, /*times=*/1000000);
   }
   DiskPageFile::Options disk_options;
-  disk_options.async_prefetch = false;
   disk_options.max_read_retries = 1;
   disk_options.retry_backoff_micros = 0;
   disk_options.fault_schedule = &schedule;
