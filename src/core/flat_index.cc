@@ -155,14 +155,14 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
       options.aggregate_counts && AllBoxesAggregatable(elements);
   const uint64_t total_elements = elements.size();
 
-  // Phase 1: STR partitioning (Algorithm 1, sorting passes).
+  // Phase 1: STR partitioning (Algorithm 1, by selection).
   auto t_partition = Clock::now();
   const Aabb universe = BoundsOf(elements);
   std::vector<PartitionInfo> partitions =
       StrPartition(&elements, page_capacity, universe, pool);
   stats.partition_seconds = SecondsSince(t_partition);
 
-  // Phase 2: neighborhood computation (grid intersection join).
+  // Phase 2: neighborhood computation (tile grid join).
   auto t_neighbor = Clock::now();
   ComputeNeighbors(&partitions, pool);
   stats.neighbor_seconds = SecondsSince(t_neighbor);
@@ -174,13 +174,17 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   // every worker writes only its own pages.
   auto t_write = Clock::now();
 
-  // Object pages: one per partition, elements in STR order.
+  // Object pages: one per partition. StrPartition fixes only which
+  // elements share a page; each page stores them sorted on z, the order
+  // the STR sort of its run would give.
   std::vector<PageId> object_pages(partitions.size());
   for (size_t i = 0; i < partitions.size(); ++i) {
     object_pages[i] = file->Allocate(PageCategory::kObject);
   }
   ParallelFor(pool, partitions.size(), /*grain=*/0, [&](size_t, size_t i) {
     const PartitionInfo& p = partitions[i];
+    std::sort(elements.begin() + p.first, elements.begin() + p.first + p.count,
+              EntryCenterOrder{2});
     NodeWriter writer(file->MutableData(object_pages[i]), file->page_size());
     writer.Init(/*level=*/0);
     for (uint32_t j = 0; j < p.count; ++j) {

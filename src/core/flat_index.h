@@ -57,8 +57,9 @@ class FlatIndex {
   /// Timing and layout information captured during Build, matching the
   /// phases reported in Figure 10 and the size breakdown of Figure 11.
   struct BuildStats {
-    double partition_seconds = 0.0;  ///< STR sort + tile ("Partitioning").
-    double neighbor_seconds = 0.0;   ///< grid join + relation filter
+    double partition_seconds = 0.0;  ///< STR selection + tile
+                                     ///< ("Partitioning").
+    double neighbor_seconds = 0.0;   ///< tile grid join
                                      ///< ("Finding Neighbors").
     double write_seconds = 0.0;      ///< object pages + seed tree.
     size_t partitions = 0;
@@ -88,8 +89,9 @@ class FlatIndex {
   struct BuildOptions {
     /// Worker threads: 1 (default) builds serially on the calling thread,
     /// 0 uses std::thread::hardware_concurrency(). Every thread count
-    /// produces a byte-identical PageFile — the sorting passes use a strict
-    /// total order and all page writes happen at deterministic PageIds
+    /// produces a byte-identical PageFile — the STR passes depend only on
+    /// the element set, each object page is sorted by EntryCenterOrder,
+    /// and all page writes happen at deterministic PageIds
     /// (verified by tests/parallel_build_test.cc).
     size_t num_threads = 1;
 
@@ -130,7 +132,7 @@ class FlatIndex {
   static FlatIndex Build(PageFile* file, std::vector<RTreeEntry> elements,
                          BuildStats* stats = nullptr);
 
-  /// As above, with the parallel build pipeline: STR sorting passes, the
+  /// As above, with the parallel build pipeline: STR selection passes, the
   /// neighbor join, and page serialization all fan out over
   /// `options.num_threads` workers, with the per-phase BuildStats timings
   /// still measured at the (sequential) phase boundaries.

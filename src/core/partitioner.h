@@ -18,8 +18,8 @@ struct PartitionInfo {
   /// MBR of the elements on the page ("page MBR").
   Aabb page_mbr;
   /// The space tile stretched to enclose page_mbr ("partition MBR"). The
-  /// neighbor join draws its candidate pairs from these; the index does
-  /// not store it.
+  /// neighbor relation requires these to intersect; the index does not
+  /// store it.
   Aabb partition_mbr;
   /// The unstretched tile; tiles jointly cover the universe with no gaps.
   Aabb tile;
@@ -30,46 +30,50 @@ struct PartitionInfo {
   std::vector<uint32_t> neighbors;
 };
 
-/// Segments space into page-sized partitions per Algorithm 1: sort elements
-/// on x-center into slabs, each slab on y into runs, each run on z into
-/// page-capacity chunks. Tile boundaries are placed midway between adjacent
-/// element centers (outermost tiles extend to the universe bounds), so the
-/// tiles cover `universe` with no empty space — the first partitioning
-/// property of Section V-B. Each partition MBR is then stretched to enclose
-/// its page MBR — the second property.
+/// Segments space into page-sized partitions per Algorithm 1: elements by
+/// x-center into slabs, each slab by y-center into runs, each run by
+/// z-center into page-capacity chunks. Tile boundaries are placed midway
+/// between adjacent element centers (outermost tiles extend to the universe
+/// bounds), so the tiles cover `universe` with no empty space — the first
+/// partitioning property of Section V-B. Each partition MBR is then
+/// stretched to enclose its page MBR — the second property.
 ///
 /// `elements` is reordered in place; on return, partition i owns
-/// elements [first, first+count).
-///
-/// With a `pool`, the x pass runs as a parallel merge sort and the per-slab
-/// y / per-run z passes sort independent ranges in parallel. The sorting
-/// passes use a strict total order (EntryCenterOrder), so the element order —
-/// and therefore every downstream page — is identical for any thread count.
+/// elements [first, first+count), in unspecified order. The passes cut
+/// slabs, runs and pages by selection (SelectChunks) rather than sorting,
+/// so membership, tiles and MBRs are exactly what full sorts with
+/// EntryCenterOrder would give, and are the same for any input order and
+/// any thread count. With a `pool`, the selection rounds and the per-run
+/// work fan out over it.
 std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
                                         uint32_t page_capacity,
                                         const Aabb& universe,
                                         ThreadPool* pool = nullptr);
 
 /// Fills `neighbors` for every partition. Partition A lists partition B
-/// (A != B) iff tile_A ∩ tile_B, page_A ∩ tile_B or tile_A ∩ page_B is
-/// non-empty (closed intervals, so face-adjacent tiles qualify), evaluated
-/// on the float32 outward-rounded boxes a seed-leaf record stores
-/// (PackedAabb). The relation is symmetric and irreflexive, and each list
-/// is sorted ascending.
+/// (A != B) iff both
+///  - tile_A ∩ tile_B, page_A ∩ tile_B or tile_A ∩ page_B is non-empty on
+///    the float32 outward-rounded boxes a seed-leaf record stores
+///    (PackedAabb), and
+///  - the float64 stretched partition MBRs intersect (Algorithm 1's
+///    relation; outward rounding makes more f32 boxes touch, and this
+///    clause drops some of those extra links).
+/// Intervals are closed, so face-adjacent tiles qualify. The relation is
+/// symmetric and irreflexive, and each list is sorted ascending.
 ///
 /// This is what the crawl needs and no more: the tiles meeting a query box
 /// cover it, so they are connected through tile ∩ tile links, and every
 /// element hit lies in one of those tiles, which links to the element's
 /// page through tile ∩ page (docs/architecture.md, "Why the crawl is
-/// exact"). Algorithm 1's relation — stretched partition MBRs intersect —
-/// is a superset with about 2.7x the pointers on neuron data.
+/// exact"). Every link that argument uses meets in float64, so both
+/// clauses keep it. Algorithm 1's relation alone keeps about 2.7x the
+/// pointers on neuron data.
 ///
-/// Candidate pairs come from a uniform-grid intersection join over the
-/// partition MBRs (GridIntersectionJoin; each partition MBR must enclose
-/// its tile and page MBR, as StrPartition guarantees), which replaces
-/// Algorithm 1's temporary R-tree; one pass then filters them by the
-/// relation above. Both run in parallel when `pool` is given, and the
-/// output is independent of the thread count.
+/// A uniform grid over the f32 tiles replaces Algorithm 1's temporary
+/// R-tree: each partition probes it with its tile and its page MBR, which
+/// finds the first two clauses, and the third is their mirror image. The
+/// probes run in parallel when `pool` is given; the output is independent
+/// of the thread count.
 void ComputeNeighbors(std::vector<PartitionInfo>* partitions,
                       ThreadPool* pool = nullptr);
 

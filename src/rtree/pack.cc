@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "parallel/parallel_sort.h"
 #include "parallel/thread_pool.h"
 #include "rtree/node.h"
 
@@ -28,6 +27,40 @@ size_t CeilSqrt(size_t value) {
   return r;
 }
 
+void SelectChunks(std::vector<RTreeEntry>* entries,
+                  const std::vector<ChunkedRange>& ranges, int axis,
+                  ThreadPool* pool) {
+  // A task holds the boundaries origin + k * chunk, k in [k_lo, k_hi), all
+  // inside [lo, hi). It places the middle one and leaves each side to the
+  // next round; the tasks of a round own disjoint entries.
+  struct Task {
+    size_t lo, hi, origin, chunk, k_lo, k_hi;
+  };
+  std::vector<Task> tasks;
+  for (const ChunkedRange& r : ranges) {
+    const size_t chunks = (r.end - r.begin + r.chunk - 1) / r.chunk;
+    if (chunks > 1) {
+      tasks.push_back({r.begin, r.end, r.begin, r.chunk, 1, chunks});
+    }
+  }
+  const auto first = entries->begin();
+  const EntryCenterOrder order{axis};
+  while (!tasks.empty()) {
+    std::vector<Task> halves(2 * tasks.size());
+    ParallelFor(pool, tasks.size(), /*grain=*/0, [&](size_t, size_t t) {
+      const Task& task = tasks[t];
+      const size_t k = task.k_lo + (task.k_hi - task.k_lo) / 2;
+      const size_t cut = task.origin + k * task.chunk;
+      std::nth_element(first + task.lo, first + cut, first + task.hi, order);
+      halves[2 * t] = {task.lo, cut, task.origin, task.chunk, task.k_lo, k};
+      halves[2 * t + 1] = {cut + 1,    task.hi, task.origin,
+                           task.chunk, k + 1,   task.k_hi};
+    });
+    std::erase_if(halves, [](const Task& h) { return h.k_lo == h.k_hi; });
+    tasks = std::move(halves);
+  }
+}
+
 void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
               ThreadPool* pool) {
   const size_t n = entries->size();
@@ -38,30 +71,26 @@ void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
   // pages and is tiled recursively in y and z.
   const size_t sx = CeilCbrt(pages);
   const size_t slab_size = (n + sx - 1) / sx;
+  SelectChunks(entries, {{0, n, slab_size}}, 0, pool);
 
-  ParallelSort(pool, entries->begin(), entries->end(), EntryCenterOrder{0});
+  std::vector<ChunkedRange> slabs;
+  for (size_t xs = 0; xs < n; xs += slab_size) {
+    const size_t slab_n = std::min(n - xs, slab_size);
+    const size_t sy = CeilSqrt((slab_n + node_capacity - 1) / node_capacity);
+    slabs.push_back({xs, xs + slab_n, (slab_n + sy - 1) / sy});
+  }
+  SelectChunks(entries, slabs, 1, pool);
 
+  // Nodes pack consecutive entries across run ends, so every run needs the
+  // full z order.
   struct Range {
     size_t begin;
     size_t end;
   };
-  std::vector<Range> slabs;
-  for (size_t xs = 0; xs < n; xs += slab_size) {
-    slabs.push_back({xs, std::min(n, xs + slab_size)});
-  }
-  ParallelFor(pool, slabs.size(), /*grain=*/1, [&](size_t, size_t s) {
-    std::sort(entries->begin() + slabs[s].begin,
-              entries->begin() + slabs[s].end, EntryCenterOrder{1});
-  });
-
   std::vector<Range> runs;
-  for (const Range& slab : slabs) {
-    const size_t slab_n = slab.end - slab.begin;
-    const size_t slab_pages = (slab_n + node_capacity - 1) / node_capacity;
-    const size_t sy = CeilSqrt(slab_pages);
-    const size_t run_size = (slab_n + sy - 1) / sy;
-    for (size_t ys = slab.begin; ys < slab.end; ys += run_size) {
-      runs.push_back({ys, std::min(slab.end, ys + run_size)});
+  for (const ChunkedRange& slab : slabs) {
+    for (size_t ys = slab.begin; ys < slab.end; ys += slab.chunk) {
+      runs.push_back({ys, std::min(slab.end, ys + slab.chunk)});
     }
   }
   ParallelFor(pool, runs.size(), /*grain=*/1, [&](size_t, size_t r) {

@@ -1,6 +1,8 @@
 #ifndef FLAT_RTREE_PACK_H_
 #define FLAT_RTREE_PACK_H_
 
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "rtree/aggregates.h"
@@ -13,31 +15,61 @@ namespace flat {
 
 class ThreadPool;
 
-/// Strict *total* order on entries for the STR sorting passes: center
-/// coordinate on `axis`, tie-broken lexicographically by the box corners and
-/// finally the id. A total order makes the sorted permutation unique, so
-/// serial std::sort and the chunk-and-merge ParallelSort produce the same
-/// layout — the property behind "parallel build is byte-identical to serial".
-/// Entries that still compare equal are byte-identical, so their relative
-/// order cannot affect the output pages either.
+/// Order on entries for the STR passes: center coordinate on `axis`,
+/// tie-broken lexicographically by the box corners and finally the id. Each
+/// key compares numbers by value and puts NaN after every number, so empty
+/// boxes (`Aabb()` has a NaN center) and NaN coordinates keep it a strict
+/// weak order, as std::sort and std::nth_element require. Entries compare
+/// equal only with equal ids and equal coordinates, so for distinct ids the
+/// sorted sequence, and every chunk SelectChunks cuts from it, is unique:
+/// the property behind "the build is byte-identical for every thread count
+/// and input order".
 struct EntryCenterOrder {
   int axis;
 
   bool operator()(const RTreeEntry& a, const RTreeEntry& b) const {
-    const double ca = a.box.Center()[axis];
-    const double cb = b.box.Center()[axis];
-    if (ca != cb) return ca < cb;
+    if (const int c = Compare(CenterOn(a.box), CenterOn(b.box))) return c < 0;
     for (int ax = 0; ax < 3; ++ax) {
-      if (a.box.lo()[ax] != b.box.lo()[ax]) {
-        return a.box.lo()[ax] < b.box.lo()[ax];
-      }
-      if (a.box.hi()[ax] != b.box.hi()[ax]) {
-        return a.box.hi()[ax] < b.box.hi()[ax];
-      }
+      if (const int c = Compare(a.box.lo()[ax], b.box.lo()[ax])) return c < 0;
+      if (const int c = Compare(a.box.hi()[ax], b.box.hi()[ax])) return c < 0;
     }
     return a.id < b.id;
   }
+
+  /// box.Center()[axis], without computing the other two axes.
+  double CenterOn(const Aabb& box) const {
+    return (box.lo()[axis] + box.hi()[axis]) * 0.5;
+  }
+
+  /// -1, 0 or 1 as `a` orders before, with or after `b`: numbers by value,
+  /// NaN after every number and equal to NaN.
+  static int Compare(double a, double b) {
+    if (a < b) return -1;
+    if (b < a) return 1;
+    return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+  }
 };
+
+/// A range [begin, end) of entries to split into consecutive chunks of
+/// `chunk` entries; the last chunk may be shorter.
+struct ChunkedRange {
+  size_t begin;
+  size_t end;
+  size_t chunk;
+};
+
+/// Moves every entry of every range into the chunk that std::sort with
+/// EntryCenterOrder{axis} would put it in, without sorting: afterwards each
+/// chunk holds exactly a sort's entries, in unspecified order, and each
+/// chunk boundary holds the entry a sort puts there, the smallest of its
+/// chunk. One std::nth_element per boundary, middle boundary first, then
+/// each half: O(m log k) comparisons for m entries in k chunks instead of a
+/// sort's O(m log m). Ranges must be disjoint. Each round of halves runs
+/// over `pool`; a half sees the same steps at any thread count, so the
+/// arrangement is the same too.
+void SelectChunks(std::vector<RTreeEntry>* entries,
+                  const std::vector<ChunkedRange>& ranges, int axis,
+                  ThreadPool* pool = nullptr);
 
 /// How a bulkloader arranges the entries of each tree level before packing
 /// them into consecutive full pages.
@@ -50,12 +82,13 @@ enum class LevelOrder {
 };
 
 /// Reorders `entries` in 3-D Sort-Tile-Recursive order (Leutenegger et al.,
-/// ICDE '97 — reference [16]): sort by x-center into vertical slabs, each slab
-/// by y-center into runs, each run by z-center. `node_capacity` determines the
-/// tile size so that consecutive runs of `node_capacity` entries form tight
-/// tiles. With a `pool` the x pass is a parallel merge sort and the per-slab
-/// y / per-run z passes sort independent ranges in parallel; the output is
-/// identical to the serial order (EntryCenterOrder is total).
+/// ICDE '97 — reference [16]): by x-center into vertical slabs, each slab by
+/// y-center into runs, each run sorted by z-center. `node_capacity`
+/// determines the tile size so that consecutive runs of `node_capacity`
+/// entries form tight tiles. Slabs and runs are cut by SelectChunks and only
+/// the runs are sorted, which yields exactly the order of three full sorts.
+/// With a `pool` the selection rounds and the run sorts fan out over it; the
+/// output is the same for any thread count and input order.
 void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
               ThreadPool* pool = nullptr);
 

@@ -302,10 +302,10 @@ std::shared_ptr<const ShardedFlatStore::Base> ShardedFlatStore::BuildBase(
     }
 
     // Top-level STR split: the same tiling machinery as the index build, at
-    // shard granularity. Deterministic for any thread count
-    // (EntryCenterOrder is total), so the shard assignment is unique —
-    // and, crucially for compaction, independent of the order the merged
-    // elements were collected in.
+    // shard granularity. Its membership depends only on the element set,
+    // so the shard assignment is the same for any thread count and, as
+    // compaction needs, for any order the merged elements were collected
+    // in.
     const auto t_split = Clock::now();
     const Aabb universe = BoundsOf(elements);
     const size_t target_shards = std::max<size_t>(1, options.num_shards);

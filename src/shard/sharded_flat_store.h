@@ -30,9 +30,9 @@ class OverlayView;
 ///  - **Split.** A top-level STR pass (the same Sort-Tile-Recursive machinery
 ///    as Algorithm 1, via StrPartition with shard-sized capacity) divides the
 ///    elements into ~`num_shards` spatially tight, disjoint element sets.
-///    The split uses the strict total EntryCenterOrder, so the shard
-///    assignment — and every shard's PageFile — is byte-identical for any
-///    thread count.
+///    The split's shard membership depends only on the element set, so
+///    the shard assignment — and every shard's PageFile — is
+///    byte-identical for any thread count and input order.
 ///  - **Build.** Each shard's FlatIndex is bulk-built independently; shard
 ///    builds fan out over a shared ThreadPool (one serial build per worker at
 ///    a time), so K shards build in parallel end to end.

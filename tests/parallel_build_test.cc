@@ -5,11 +5,12 @@
 // IoStats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "core/flat_index.h"
-#include "core/grid_join.h"
 #include "data/mesh_generator.h"
 #include "data/neuron_generator.h"
 #include "data/uniform_generator.h"
@@ -111,45 +112,26 @@ TEST(ParallelBuildTest, AllIdenticalMbrs) {
   ExpectParallelBuildIdentical(elements);
 }
 
-TEST(GridJoinTest, MatchesBruteForceOnRandomBoxes) {
-  const auto entries = RandomEntries(800, 35, /*max_side=*/12.0);
-  std::vector<Aabb> boxes;
-  for (const auto& e : entries) boxes.push_back(e.box);
+// Empty boxes (NaN center) and NaN coordinates used to make the STR order
+// undefined: the PageFile then depended on the thread count and on the
+// input order.
+TEST(ParallelBuildTest, EmptyAndNanBoxesIdenticalForAnyThreadCountAndOrder) {
+  std::vector<RTreeEntry> elements =
+      testing::RandomEntriesWithEmptyAndNan(20000, 37);
+  PageFile serial_file;
+  FlatIndex::Build(&serial_file, elements);
 
-  std::vector<std::vector<uint32_t>> expected(boxes.size());
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    for (size_t j = 0; j < boxes.size(); ++j) {
-      if (i != j && boxes[i].Intersects(boxes[j])) {
-        expected[i].push_back(static_cast<uint32_t>(j));
-      }
+  std::vector<RTreeEntry> shuffled = elements;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(38));
+  std::vector<RTreeEntry> reversed(elements.rbegin(), elements.rend());
+  for (size_t threads : {1, 4}) {
+    for (const std::vector<RTreeEntry>* input :
+         {&elements, &shuffled, &reversed}) {
+      PageFile file;
+      FlatIndex::Build(&file, *input, FlatIndex::BuildOptions{threads});
+      ExpectFilesIdentical(serial_file, file);
     }
   }
-
-  for (size_t threads : {1, 4}) {
-    ThreadPool pool(threads);
-    std::vector<std::vector<uint32_t>> got;
-    GridIntersectionJoin(boxes, &pool, &got);
-    EXPECT_EQ(got, expected) << threads << " threads";
-  }
-  std::vector<std::vector<uint32_t>> serial;
-  GridIntersectionJoin(boxes, nullptr, &serial);
-  EXPECT_EQ(serial, expected);
-}
-
-TEST(GridJoinTest, DegenerateInputs) {
-  std::vector<std::vector<uint32_t>> got;
-  GridIntersectionJoin({}, nullptr, &got);
-  EXPECT_TRUE(got.empty());
-
-  GridIntersectionJoin({Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1))}, nullptr, &got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(got[0].empty());
-
-  // All-identical (zero-extent grid): everyone neighbors everyone.
-  std::vector<Aabb> same(10, Aabb(Vec3(5, 5, 5), Vec3(6, 6, 6)));
-  GridIntersectionJoin(same, nullptr, &got);
-  ASSERT_EQ(got.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(got[i].size(), 9u);
 }
 
 class CrawlScratchQueryTest : public ::testing::Test {

@@ -3,14 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/metadata.h"
+#include "parallel/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace flat {
 namespace {
 
 using testing::RandomEntries;
+using testing::RandomEntriesWithEmptyAndNan;
 
 Aabb UniverseOf(const std::vector<RTreeEntry>& entries) {
   Aabb u;
@@ -102,6 +110,106 @@ TEST(PartitionerEdgeTest, AllElementsIdentical) {
   size_t total = 0;
   for (const auto& p : partitions) total += p.count;
   EXPECT_EQ(total, entries.size());
+}
+
+bool SameBits(const Aabb& a, const Aabb& b) {
+  return std::memcmp(&a, &b, sizeof(Aabb)) == 0;
+}
+
+// StrPartition fixes which elements share a partition, but not their order
+// inside it; everything it returns must be the same for any input order
+// and thread count.
+TEST(PartitionerDeterminismTest, SameForAnyInputOrderAndThreadCount) {
+  ThreadPool pool(4);
+  for (const std::vector<RTreeEntry>& input :
+       {RandomEntries(20000, 90), RandomEntriesWithEmptyAndNan(20000, 91)}) {
+    const Aabb universe = UniverseOf(input);
+    std::vector<RTreeEntry> ref_elements = input;
+    const std::vector<PartitionInfo> ref =
+        StrPartition(&ref_elements, 73, universe);
+    std::vector<RTreeEntry> shuffled = input;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(92));
+    std::vector<RTreeEntry> reversed(input.rbegin(), input.rend());
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (std::vector<RTreeEntry> elements : {input, shuffled, reversed}) {
+        const std::vector<PartitionInfo> got =
+            StrPartition(&elements, 73, universe, threads);
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(got[i].first, ref[i].first) << "partition " << i;
+          ASSERT_EQ(got[i].count, ref[i].count) << "partition " << i;
+          ASSERT_TRUE(SameBits(got[i].tile, ref[i].tile)) << "partition " << i;
+          ASSERT_TRUE(SameBits(got[i].page_mbr, ref[i].page_mbr));
+          ASSERT_TRUE(SameBits(got[i].partition_mbr, ref[i].partition_mbr));
+          std::vector<uint64_t> got_ids;
+          std::vector<uint64_t> ref_ids;
+          for (uint32_t k = 0; k < ref[i].count; ++k) {
+            got_ids.push_back(elements[got[i].first + k].id);
+            ref_ids.push_back(ref_elements[ref[i].first + k].id);
+          }
+          std::sort(got_ids.begin(), got_ids.end());
+          std::sort(ref_ids.begin(), ref_ids.end());
+          ASSERT_EQ(got_ids, ref_ids) << "members of partition " << i;
+        }
+      }
+    }
+  }
+}
+
+// ComputeNeighbors against its definition, pair by pair: A lists B iff the
+// stretched partition MBRs intersect and tile_A ∩ tile_B, page_A ∩ tile_B
+// or tile_A ∩ page_B on the float32 boxes a record stores.
+std::vector<std::vector<uint32_t>> BruteForceNeighbors(
+    const std::vector<PartitionInfo>& partitions) {
+  const size_t n = partitions.size();
+  std::vector<Aabb> tiles(n);
+  std::vector<Aabb> pages(n);
+  for (size_t i = 0; i < n; ++i) {
+    tiles[i] = PackedAabb::FromAabb(partitions[i].tile).ToAabb();
+    pages[i] = PackedAabb::FromAabb(partitions[i].page_mbr).ToAabb();
+  }
+  std::vector<std::vector<uint32_t>> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if (i != j &&
+          partitions[i].partition_mbr.Intersects(partitions[j].partition_mbr) &&
+          (tiles[i].Intersects(tiles[j]) || pages[i].Intersects(tiles[j]) ||
+           tiles[i].Intersects(pages[j]))) {
+        out[i].push_back(static_cast<uint32_t>(j));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(NeighborTest, MatchesBruteForceRelation) {
+  std::vector<RTreeEntry> identical;
+  for (uint64_t i = 0; i < 300; ++i) {
+    identical.push_back(RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), i});
+  }
+  const std::vector<std::pair<std::string, std::vector<RTreeEntry>>> inputs = {
+      {"random", RandomEntries(20000, 93, /*max_side=*/12.0)},
+      {"empty", {}},
+      {"single_partition", RandomEntries(50, 94)},
+      {"identical", identical},
+      {"empty_and_nan", RandomEntriesWithEmptyAndNan(3000, 95)},
+  };
+  ThreadPool pool(4);
+  for (const auto& [name, input] : inputs) {
+    std::vector<RTreeEntry> elements = input;
+    const std::vector<PartitionInfo> base =
+        StrPartition(&elements, 73, UniverseOf(elements));
+    const std::vector<std::vector<uint32_t>> want = BruteForceNeighbors(base);
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      std::vector<PartitionInfo> partitions = base;
+      ComputeNeighbors(&partitions, threads);
+      ASSERT_EQ(partitions.size(), want.size()) << name;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(partitions[i].neighbors, want[i])
+            << name << ", partition " << i;
+      }
+    }
+  }
 }
 
 TEST(NeighborTest, TwoTouchingPartitionsAreNeighbors) {

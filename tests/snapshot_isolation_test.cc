@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -158,6 +159,55 @@ TEST(SnapshotIsolationTest, CompactionIsByteIdenticalToFreshBulkload) {
 
   // And the merged view still answers like the oracle.
   for (const Aabb& q : RandomQueries(10, /*seed=*/33)) {
+    EXPECT_EQ(store.RangeQuery(q), mirror.RangeQuery(q));
+  }
+}
+
+// Empty boxes and NaN coordinates, in the base and in the overlay, must not
+// break that invariant: Compact collects the merged elements in another
+// order than the fresh build gets them.
+TEST(SnapshotIsolationTest, CompactionWithEmptyAndNanBoxesMatchesFreshBuild) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<RTreeEntry> entries =
+      testing::RandomEntriesWithEmptyAndNan(6000, /*seed=*/34);
+  ShardedFlatStore::Options options{.num_shards = 4, .num_threads = 4};
+  ShardedFlatStore store = ShardedFlatStore::Build(entries, options);
+  OracleMirror mirror(entries);
+
+  Rng rng(35);
+  const Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
+  for (int i = 0; i < 600; ++i) {
+    RTreeEntry e{Aabb::FromCenterHalfExtents(rng.PointIn(universe),
+                                             Vec3(0.5, 0.5, 0.5)),
+                 static_cast<uint64_t>(rng.UniformInt(0, 7000))};
+    if (i % 10 == 0) e.box = Aabb();
+    if (i % 10 == 5) e.box = Aabb(Vec3(nan, 1, 1), Vec3(2, 2, 2));
+    store.Insert(e);
+    mirror.Insert(e);
+  }
+  for (int i = 0; i < 300; ++i) {
+    const uint64_t id = static_cast<uint64_t>(rng.UniformInt(0, 7000));
+    store.Erase(id);
+    mirror.Erase(id);
+  }
+  store.Compact();
+
+  ShardedFlatStore::Options serial = options;
+  serial.num_threads = 1;
+  ShardedFlatStore fresh =
+      ShardedFlatStore::Build(mirror.LiveElements(), serial);
+  ASSERT_EQ(store.shard_count(), fresh.shard_count());
+  for (size_t s = 0; s < store.shard_count(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(store.catalog().shards[s].element_count,
+              fresh.catalog().shards[s].element_count);
+    std::ostringstream compacted_bytes, fresh_bytes;
+    SavePageFile(store.shard_file(s), compacted_bytes);
+    SavePageFile(fresh.shard_file(s), fresh_bytes);
+    EXPECT_TRUE(compacted_bytes.str() == fresh_bytes.str())
+        << "shard PageFile bytes diverge after compaction";
+  }
+  for (const Aabb& q : RandomQueries(10, /*seed=*/36)) {
     EXPECT_EQ(store.RangeQuery(q), mirror.RangeQuery(q));
   }
 }

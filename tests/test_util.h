@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,21 @@ inline std::vector<RTreeEntry> RandomEntries(size_t count, uint64_t seed,
               rng.Uniform(0.01, max_side) / 2);
     entries.push_back(
         RTreeEntry{Aabb::FromCenterHalfExtents(center, half), i});
+  }
+  return entries;
+}
+
+/// RandomEntries with every 20th box replaced by the empty box `Aabb()`
+/// (NaN center) and every 20th, offset 10, given one NaN coordinate.
+inline std::vector<RTreeEntry> RandomEntriesWithEmptyAndNan(size_t count,
+                                                            uint64_t seed) {
+  std::vector<RTreeEntry> entries = RandomEntries(count, seed);
+  for (size_t i = 0; i < entries.size(); i += 20) entries[i].box = Aabb();
+  for (size_t i = 10; i < entries.size(); i += 20) {
+    Vec3 lo = entries[i].box.lo();
+    lo.At(static_cast<int>(i / 20 % 3)) =
+        std::numeric_limits<double>::quiet_NaN();
+    entries[i].box = Aabb(lo, entries[i].box.hi());
   }
   return entries;
 }

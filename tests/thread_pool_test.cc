@@ -3,15 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "parallel/parallel_sort.h"
-#include "rtree/pack.h"
-#include "tests/test_util.h"
 
 namespace flat {
 namespace {
@@ -132,61 +126,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsCallbackException) {
                              }
                            }),
                std::runtime_error);
-}
-
-TEST(ParallelSortTest, MatchesSerialSortOnRandomData) {
-  std::mt19937_64 rng(99);
-  std::vector<uint64_t> values(200000);
-  for (auto& v : values) v = rng() % 1000;  // plenty of duplicates
-
-  std::vector<uint64_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-
-  ThreadPool pool(4);
-  ParallelSort(&pool, values.begin(), values.end(), std::less<uint64_t>());
-  EXPECT_EQ(values, expected);
-}
-
-TEST(ParallelSortTest, SmallInputFallsBackToSerial) {
-  std::vector<int> values = {5, 3, 1, 4, 2};
-  ThreadPool pool(4);
-  ParallelSort(&pool, values.begin(), values.end(), std::less<int>());
-  EXPECT_EQ(values, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(ParallelSortTest, TotalOrderEntriesIdenticalToSerialAtAnyThreadCount) {
-  // The build-determinism property at its root: with the total
-  // EntryCenterOrder, ParallelSort must produce exactly std::sort's output.
-  const auto base = testing::RandomEntries(50000, 17);
-  std::vector<RTreeEntry> serial = base;
-  std::sort(serial.begin(), serial.end(), EntryCenterOrder{1});
-
-  for (size_t threads : {2, 3, 5, 8}) {
-    std::vector<RTreeEntry> parallel = base;
-    ThreadPool pool(threads);
-    ParallelSort(&pool, parallel.begin(), parallel.end(), EntryCenterOrder{1});
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(parallel[i].id, serial[i].id)
-          << "divergence at " << i << " with " << threads << " threads";
-    }
-  }
-}
-
-TEST(EntryCenterOrderTest, IsAStrictTotalOrderOnDistinctEntries) {
-  // Identical centers, distinct ids: the tie-break must order them.
-  const Aabb box(Vec3(1, 1, 1), Vec3(2, 2, 2));
-  const RTreeEntry a{box, 1};
-  const RTreeEntry b{box, 2};
-  EntryCenterOrder order{0};
-  EXPECT_TRUE(order(a, b));
-  EXPECT_FALSE(order(b, a));
-  EXPECT_FALSE(order(a, a));
-
-  // Same center, different extents: corners break the tie before ids.
-  const RTreeEntry wide{Aabb(Vec3(0.5, 1, 1), Vec3(2.5, 2, 2)), 9};
-  EXPECT_TRUE(order(wide, a));
-  EXPECT_FALSE(order(a, wide));
 }
 
 }  // namespace
