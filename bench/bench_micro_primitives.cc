@@ -145,7 +145,7 @@ BENCHMARK(BM_SoaTranspose);
 // --- Containment-gate primitives ------------------------------------------
 // The covered-child test behind aggregate pruning (rtree/aggregates.h): the
 // same page as the node gates, against a query large enough to contain most
-// of the boxes — the mix RangeCountViaAggregates sees on viewport queries.
+// of the boxes — the mix the aggregate RangeCount sees on viewport queries.
 
 void BM_CoverGateScalar(benchmark::State& state) {
   auto& f = NodePage();

@@ -9,11 +9,13 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "geometry/box_kernels.h"
 #include "parallel/thread_pool.h"
 #include "rtree/node.h"
 #include "rtree/pack.h"
+#include "storage/buffer_pool.h"
 
 namespace flat {
 namespace {
@@ -347,23 +349,12 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   return index;
 }
 
-template <typename Accept>
-bool FlatIndex::ProbeRecord(PageCache* pool, const MetadataRecordView& record,
-                            const Accept& accept) const {
-  const char* data = pool->Read(record.object_page());
-  NodeView elements(data);
-  for (uint16_t i = 0; i < elements.count(); ++i) {
-    if (accept(elements.BoxAt(i))) return true;
-  }
-  return false;
-}
-
-template <typename Accept>
-std::optional<RecordRef> FlatIndex::SeedWhere(PageCache* pool,
-                                              const Aabb& gate,
-                                              const Accept& accept,
-                                              CrawlScratch* scratch) const {
-  if (empty() || gate.IsEmpty()) return std::nullopt;
+template <typename Visit, typename Covered>
+void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
+                             CrawlScratch* scratch, const Visit& visit,
+                             const Covered& covered) const {
+  if (empty() || gate.IsEmpty()) return;
+  constexpr bool kWantCovered = !std::is_same_v<Covered, std::nullptr_t>;
 
   struct Frame {
     PageId page;
@@ -376,35 +367,57 @@ std::optional<RecordRef> FlatIndex::SeedWhere(PageCache* pool,
   std::vector<Frame> stack = {{seed_root_, root_is_leaf_}};
   while (!stack.empty()) {
     // Cancellation point: one pop reads at most one node page before the
-    // next check (plus per-record probes below, each checked too).
+    // next check (visitors check again before each object-page read).
     s->CheckControl();
     const Frame frame = stack.back();
     stack.pop_back();
     if (frame.is_leaf) {
       SeedLeafView leaf(pool->Read(frame.page));
       for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
-        MetadataRecordView record = leaf.RecordAt(slot);
-        if (!record.page_mbr().Intersects(gate)) continue;
-        s->CheckControl();  // each probe below reads one object page
-        if (ProbeRecord(pool, record, accept)) {
-          return RecordRef{frame.page, slot};
+        const MetadataRecordView record = leaf.RecordAt(slot);
+        if (record.page_mbr().Intersects(gate) &&
+            visit(RecordRef{frame.page, slot}, record, s)) {
+          return;
         }
       }
       continue;
     }
-    // Gate the whole fanout in one batched, format-dispatching sweep (same
-    // push order as the former per-entry loop, so the descent — and thus
-    // the returned seed — is unchanged on exact pages).
-    const InternalNodeGate gated(pool->Read(frame.page), gate, s);
+    // Gate the whole fanout in one batched, format-dispatching sweep; push
+    // the hits last to first so they pop first to last.
+    const InternalNodeGate gated(pool->Read(frame.page), gate, s,
+                                 kWantCovered);
     const bool children_are_leaves = gated.level() == 1;
     for (int i = gated.count() - 1; i >= 0; --i) {
-      if (gated.Hit(static_cast<uint16_t>(i))) {
-        stack.push_back(Frame{gated.ChildAt(static_cast<uint16_t>(i)),
-                              children_are_leaves});
+      const auto slot = static_cast<uint16_t>(i);
+      if (!gated.Hit(slot)) continue;
+      if constexpr (kWantCovered) {
+        if (gated.Covered(slot) && covered(frame.page, slot)) continue;
       }
+      stack.push_back(Frame{gated.ChildAt(slot), children_are_leaves});
     }
   }
-  return std::nullopt;
+}
+
+template <typename Accept>
+std::optional<RecordRef> FlatIndex::SeedWhere(PageCache* pool,
+                                              const Aabb& gate,
+                                              const Accept& accept,
+                                              CrawlScratch* scratch) const {
+  std::optional<RecordRef> seed;
+  WalkSeedTree(pool, gate, scratch,
+               [&](RecordRef ref, const MetadataRecordView& record,
+                   CrawlScratch* s) {
+                 s->CheckControl();  // the probe reads one object page
+                 const NodeView elements(pool->Read(record.object_page()));
+                 for (uint16_t i = 0; i < elements.count(); ++i) {
+                   if (accept(elements.BoxAt(i))) {
+                     seed = ref;
+                     return true;
+                   }
+                 }
+                 return false;
+               });
+  return seed;
 }
 
 template <typename ScanPage>
@@ -520,7 +533,36 @@ size_t FlatIndex::RangeCount(PageCache* pool, const Aabb& query,
 void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
                                uint64_t* acc, CrawlScratch* scratch) const {
   if (aggregates_ != nullptr) {
-    RangeCountViaAggregates(pool, query, acc, scratch);
+    // Aggregate-pruned plan: the seed-tree walk visits every candidate
+    // object page exactly once, so it tallies the same count as the crawl.
+    // A child fully covered by the query contributes its stored subtree
+    // count with zero reads below it, and a fully covered record skips its
+    // object page (aggregated builds have no empty element boxes) — only
+    // subtrees straddling the query boundary are gated exactly.
+    const SeedAggregates& agg = *aggregates_;
+    const auto stored = [&agg, acc](PageId page, uint16_t slot) {
+      const AggEntry* e = agg.Find(page, slot);
+      if (e != nullptr) *acc += e->elements;
+      return e != nullptr;
+    };
+    WalkSeedTree(
+        pool, query, scratch,
+        [&](RecordRef ref, const MetadataRecordView& record,
+            CrawlScratch* s) {
+          if (query.Contains(record.page_mbr()) &&
+              stored(ref.page, ref.slot)) {
+            return false;
+          }
+          s->CheckControl();  // each boundary record reads one object page
+          const char* page = pool->Read(record.object_page());
+          const uint16_t n = NodeView(page).count();
+          uint8_t* hits = s->Hits(n);
+          IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n,
+                          query, hits);
+          for (uint16_t i = 0; i < n; ++i) *acc += hits[i];
+          return false;
+        },
+        stored);
     return;
   }
   std::optional<RecordRef> start = SeedWhere(
@@ -536,71 +578,6 @@ void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
                    IntersectsSoa(soa, query, hits);
                  },
                  [acc](const NodeView&, uint16_t) { ++*acc; }));
-}
-
-void FlatIndex::RangeCountViaAggregates(PageCache* pool, const Aabb& query,
-                                        uint64_t* acc,
-                                        CrawlScratch* scratch) const {
-  if (empty() || query.IsEmpty()) return;
-  struct Frame {
-    PageId page;
-    bool is_leaf;
-  };
-  std::vector<uint8_t> hits;  // reused across boundary object pages
-  std::optional<CrawlScratch> throwaway;
-  CrawlScratch* s = scratch != nullptr ? scratch : &throwaway.emplace();
-  const SeedAggregates& agg = *aggregates_;
-  // Hierarchical descent like RangeQueryViaSeedScan (which is exact and
-  // visits every candidate object page exactly once, so it tallies the same
-  // count as the crawl). The difference: a child fully covered by the query
-  // contributes its stored subtree count with zero reads below it, and a
-  // fully covered record skips its object page — only subtrees straddling
-  // the query boundary are gated exactly.
-  std::vector<Frame> stack = {{seed_root_, root_is_leaf_}};
-  while (!stack.empty()) {
-    s->CheckControl();  // cancellation point, once per tree-node pop
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.is_leaf) {
-      SeedLeafView leaf(pool->Read(frame.page));
-      for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
-        MetadataRecordView record = leaf.RecordAt(slot);
-        const Aabb page_mbr = record.page_mbr();
-        if (!page_mbr.Intersects(query)) continue;
-        if (query.Contains(page_mbr)) {
-          // Covered record: every element in the object page matches
-          // (aggregated builds have no empty element boxes), so the stored
-          // count stands in for reading the page.
-          if (const AggEntry* e = agg.Find(frame.page, slot)) {
-            *acc += e->elements;
-            continue;
-          }
-        }
-        s->CheckControl();  // each boundary record reads one object page
-        const char* page = pool->Read(record.object_page());
-        NodeView elements(page);
-        const uint16_t n = elements.count();
-        if (hits.size() < n) hits.resize(n);
-        IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n, query,
-                        hits.data());
-        for (uint16_t i = 0; i < n; ++i) *acc += hits[i];
-      }
-      continue;
-    }
-    const InternalNodeGate gated(pool->Read(frame.page), query, s,
-                                 /*want_covered=*/true);
-    const bool children_are_leaves = gated.level() == 1;
-    for (uint16_t i = 0; i < gated.count(); ++i) {
-      if (!gated.Hit(i)) continue;
-      if (gated.Covered(i)) {
-        if (const AggEntry* e = agg.Find(frame.page, i)) {
-          *acc += e->elements;  // whole subtree inside the query: O(1)
-          continue;
-        }
-      }
-      stack.push_back(Frame{gated.ChildAt(i), children_are_leaves});
-    }
-  }
 }
 
 namespace {
@@ -725,105 +702,59 @@ void FlatIndex::CrawlSphere(PageCache* pool, const Vec3& center,
 void FlatIndex::RangeQueryViaSeedScan(PageCache* pool, const Aabb& query,
                                       std::vector<uint64_t>* out,
                                       CrawlScratch* scratch) const {
-  if (empty() || query.IsEmpty()) return;
-  struct Frame {
-    PageId page;
-    bool is_leaf;
+  // Amortized reservation keeps vector growth out of the measurement for
+  // this ablation baseline. Every object page belongs to exactly one
+  // metadata record and every leaf is visited once, so the output needs no
+  // de-duplication afterwards.
+  const auto reserve_more = [out](size_t more) {
+    const size_t need = out->size() + more;
+    if (out->capacity() < need) {
+      out->reserve(std::max(need, out->capacity() * 2));
+    }
   };
-  std::vector<uint8_t> hits;  // reused across object pages
-  // Caller scratch (control-aware, allocation-free across queries) or a
-  // throwaway for the internal-node gate buffers.
-  std::optional<CrawlScratch> throwaway;
-  CrawlScratch* s = scratch != nullptr ? scratch : &throwaway.emplace();
-  std::vector<Frame> stack = {{seed_root_, root_is_leaf_}};
-  while (!stack.empty()) {
-    s->CheckControl();  // cancellation point, once per tree-node pop
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.is_leaf) {
-      SeedLeafView leaf(pool->Read(frame.page));
-      for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
-        MetadataRecordView record = leaf.RecordAt(slot);
-        const Aabb page_mbr = record.page_mbr();
-        if (!page_mbr.Intersects(query)) continue;
+  WalkSeedTree(
+      pool, query, scratch,
+      [&](RecordRef, const MetadataRecordView& record, CrawlScratch* s) {
         s->CheckControl();  // each candidate record reads one object page
         const char* page = pool->Read(record.object_page());
         NodeView elements(page);
         const uint16_t n = elements.count();
-        if (aggregates_ != nullptr && query.Contains(page_mbr)) {
+        if (aggregates_ != nullptr && query.Contains(record.page_mbr())) {
           // Fully covered record: every element box sits inside the page MBR
           // and thus inside the query, so skip the per-entry gates and copy
           // the whole page's ids. Licensed by has_aggregates(): an aggregated
           // build certified all element boxes non-empty and finite, which is
           // exactly what the gated path's hit test would re-check. The page
           // read itself stays (same bytes, same I/O as the gated path).
-          const size_t need = out->size() + n;
-          if (out->capacity() < need) {
-            out->reserve(std::max(need, out->capacity() * 2));
-          }
+          reserve_more(n);
           for (uint16_t i = 0; i < n; ++i) out->push_back(elements.IdAt(i));
-          continue;
+          return false;
         }
-        if (hits.size() < n) hits.resize(n);
+        uint8_t* hits = s->Hits(n);
         IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n, query,
-                        hits.data());
-        // Amortized reservation keeps vector growth out of the measurement
-        // for this ablation baseline. Every object page belongs to exactly
-        // one metadata record and every leaf is visited once, so the output
-        // needs no de-duplication afterwards.
+                        hits);
         size_t matched = 0;
         for (uint16_t i = 0; i < n; ++i) matched += hits[i];
-        const size_t need = out->size() + matched;
-        if (out->capacity() < need) {
-          out->reserve(std::max(need, out->capacity() * 2));
-        }
+        reserve_more(matched);
         for (uint16_t i = 0; i < n; ++i) {
           if (hits[i]) out->push_back(elements.IdAt(i));
         }
-      }
-      continue;
-    }
-    const InternalNodeGate gated(pool->Read(frame.page), query, s);
-    const bool children_are_leaves = gated.level() == 1;
-    for (uint16_t i = 0; i < gated.count(); ++i) {
-      if (gated.Hit(i)) {
-        stack.push_back(Frame{gated.ChildAt(i), children_are_leaves});
-      }
-    }
-  }
+        return false;
+      });
 }
 
 std::vector<RecordRef> FlatIndex::FindAllCandidateRecords(
     const Aabb& query) const {
   std::vector<RecordRef> result;
-  if (empty() || query.IsEmpty()) return result;
-
-  struct Frame {
-    PageId page;
-    bool is_leaf;
-  };
-  CrawlScratch scratch;  // buffers for the internal-node gates
-  std::vector<Frame> stack = {{seed_root_, root_is_leaf_}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.is_leaf) {
-      SeedLeafView leaf(file_->Data(frame.page));
-      for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
-        if (leaf.RecordAt(slot).page_mbr().Intersects(query)) {
-          result.push_back(RecordRef{frame.page, slot});
-        }
-      }
-      continue;
-    }
-    const InternalNodeGate gated(file_->Data(frame.page), query, &scratch);
-    const bool children_are_leaves = gated.level() == 1;
-    for (uint16_t i = 0; i < gated.count(); ++i) {
-      if (gated.Hit(i)) {
-        stack.push_back(Frame{gated.ChildAt(i), children_are_leaves});
-      }
-    }
-  }
+  if (empty()) return result;
+  IoStats uncharged;  // a test hook's reads are no query's I/O
+  BufferPool pool(file_, &uncharged);
+  WalkSeedTree(&pool, query, nullptr,
+               [&result](RecordRef ref, const MetadataRecordView&,
+                         CrawlScratch*) {
+                 result.push_back(ref);
+                 return false;
+               });
   return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef FLAT_CORE_FLAT_INDEX_H_
 #define FLAT_CORE_FLAT_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -161,7 +162,8 @@ class FlatIndex {
   /// whose box is fully covered by the query contributes its stored subtree
   /// count with zero page reads below it, and only boundary subtrees are
   /// descended and gated exactly — same count, far fewer reads on large
-  /// query boxes.
+  /// query boxes, but possibly more on small ones, where overlapping seed
+  /// nodes send the descent down several paths.
   size_t RangeCount(PageCache* pool, const Aabb& query,
                     CrawlScratch* scratch = nullptr) const;
 
@@ -239,8 +241,9 @@ class FlatIndex {
                    RecordRef start, std::vector<uint64_t>* out,
                    CrawlScratch* scratch = nullptr) const;
 
-  /// All record addresses whose page MBR intersects `query`; test hook for
-  /// the seed-independence property (walks without charging I/O).
+  /// All record addresses whose page MBR intersects `query`, in seed-walk
+  /// order; test hook for the seed-independence property (walks through an
+  /// uncharged pool).
   std::vector<RecordRef> FindAllCandidateRecords(const Aabb& query) const;
 
   /// Ablation baseline ("why crawl?"): answers the range query by a plain
@@ -293,15 +296,23 @@ class FlatIndex {
   // page (append ids, count, ...). Templates keep the hot loops free of
   // std::function indirection; all instantiations live in flat_index.cc.
 
-  // Scans one metadata record during the seed phase; returns true on hit.
-  template <typename Accept>
-  bool ProbeRecord(PageCache* pool, const MetadataRecordView& record,
-                   const Accept& accept) const;
+  // The one walk of the seed tree (Section V-B.1), behind SeedWhere,
+  // RangeCount with aggregates, RangeQueryViaSeedScan and
+  // FindAllCandidateRecords: depth first, children first to last, each
+  // internal page gated once against `gate`. Calls visit(ref, record,
+  // scratch) for every record whose page MBR meets `gate`; true stops the
+  // walk. A `covered` callback adds the containment mask: each covered
+  // child goes to covered(page, slot) first, and true means answered, not
+  // descended. Uses `scratch` when given, else a throwaway, and checks its
+  // control once per popped page.
+  template <typename Visit, typename Covered = std::nullptr_t>
+  void WalkSeedTree(PageCache* pool, const Aabb& gate, CrawlScratch* scratch,
+                    const Visit& visit,
+                    const Covered& covered = nullptr) const;
 
-  // Generalized seed phase: finds a record whose object page holds an
-  // accepted element, pruning by `gate` (the query's bounding box). Uses
-  // `scratch`'s hit buffer for the batched node gates when given (keeping
-  // the seed phase allocation-free); nullptr falls back to a local buffer.
+  // Generalized seed phase: the first record, in walk order, whose object
+  // page holds an accepted element, pruning by `gate` (the query's bounding
+  // box).
   template <typename Accept>
   std::optional<RecordRef> SeedWhere(PageCache* pool, const Aabb& gate,
                                      const Accept& accept,
@@ -314,12 +325,6 @@ class FlatIndex {
   void CrawlPages(PageCache* pool, const Aabb& gate, RecordRef start,
                   CrawlGuard guard, CrawlScratch* scratch,
                   const ScanPage& scan) const;
-
-  // Aggregate-pruned counting plan (only reachable with aggregates_ set):
-  // descends the seed tree, adding stored subtree counts for fully-covered
-  // children and gating only boundary pages exactly.
-  void RangeCountViaAggregates(PageCache* pool, const Aabb& query,
-                               uint64_t* acc, CrawlScratch* scratch) const;
 
   const PageStore* file_ = nullptr;
   PageId seed_root_ = kInvalidPageId;

@@ -23,7 +23,7 @@ namespace flat {
 struct Query {
   enum class Type {
     kRange,       ///< ids of elements intersecting `box` (seed + crawl).
-    kRangeCount,  ///< count only; same page reads as kRange, no id vector.
+    kRangeCount,  ///< count only, no id vector (reads: see RangeCount).
     kSeedScan,    ///< kRange answered via the seed tree alone (ablation plan).
     kKnn,         ///< `k` nearest element MBRs around `center`.
     kSphere,      ///< ids of elements intersecting the ball around `center`.
@@ -51,8 +51,10 @@ struct Query {
     return q;
   }
 
-  /// Count-only range query: reads the same pages as Range (identical
-  /// IoStats) but reports only `QueryResult::count`, never materializing ids.
+  /// Count-only range query: reports only `QueryResult::count`, never
+  /// materializing ids. It reads the same pages as Range only when the index
+  /// has no aggregates; with them it runs the aggregate descent
+  /// (FlatIndex::RangeCount) or the store's covered-shard shortcut.
   static Query RangeCount(const Aabb& box) {
     Query q;
     q.type = Type::kRangeCount;
@@ -144,10 +146,11 @@ struct IndexedQuery {
 /// matching live entries of bucket `iq.overlay_bucket` are appended/counted,
 /// the gate tests charged to `result->io` as overlay probes; a null/unbuilt
 /// index then degenerates to a pure bucket scan (no page reads). An
-/// overlayed kRangeCount runs the materializing range path — identical page
-/// reads by the FlatIndex contract — so delete masking can see the ids, then
-/// reports only the count. kKnn over an overlay throws std::logic_error. A
-/// null/empty overlay with a null/unbuilt index yields an empty result.
+/// overlayed kRangeCount runs the materializing range path — seed + crawl,
+/// Range's page reads even with aggregates attached — so delete masking can
+/// see the ids, then reports only the count. kKnn over an overlay throws
+/// std::logic_error. A null/empty overlay with a null/unbuilt index yields
+/// an empty result.
 void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
                    QueryResult* result, CrawlScratch* scratch = nullptr);
 

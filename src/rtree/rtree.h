@@ -19,8 +19,9 @@ namespace flat {
 ///
 /// All bulkloaders (STR, Hilbert/Morton, PR-Tree, TGS) and the dynamic
 /// R*-tree produce trees with the same on-page layout, so this single query
-/// engine serves every variant — guaranteeing the baselines and FLAT's seed
-/// tree are measured by identical code.
+/// engine serves every R-tree baseline. FLAT's seed tree is not queried
+/// here: FlatIndex walks it with its own seed-tree walker
+/// (core/flat_index.cc). Both charge their reads through the caller's cache.
 class RTree {
  public:
   /// Constructs an empty handle (no root; all queries return nothing).

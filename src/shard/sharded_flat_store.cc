@@ -812,6 +812,11 @@ ShardedFlatStore ShardedFlatStore::Load(
   store.options_.num_shards = std::max<size_t>(1, base->catalog.shards.size());
   store.options_.num_threads = num_threads;
   store.options_.page_size = base->catalog.page_size;
+  // Saved sidecars mean the store was built with aggregates; Compact must
+  // rebuild them, or the next Save would delete them.
+  store.options_.aggregate_counts = std::any_of(
+      base->indexes.begin(), base->indexes.end(),
+      [](const FlatIndex& index) { return index.has_aggregates(); });
   store.state_->base = std::move(base);
 
   // Replay the overlay WAL (absent in directories saved before the overlay

@@ -244,7 +244,10 @@ class ShardedFlatStore {
                                    IoStats* io = nullptr) const;
 
   /// Number of elements RangeQuery would return, without materializing ids.
-  /// Reads the same pages as RangeQuery (identical IoStats).
+  /// Reads the same pages as RangeQuery only without aggregates; with
+  /// Options::aggregate_counts it takes the covered-shard shortcut or each
+  /// shard's aggregate descent, fewer reads on large boxes and possibly more
+  /// on small ones (BENCH_aggregate.json).
   uint64_t RangeCount(const Aabb& query, IoStats* io = nullptr) const;
 
   /// RangeQuery answered through each shard's seed tree alone (the seed-scan
@@ -302,8 +305,10 @@ class ShardedFlatStore {
   /// the reopened store's query engine (1 = serial, 0 = hardware
   /// concurrency). The overlay WAL (if present) is replayed, so queries
   /// behave identically to the saved store's — and identically across
-  /// backends. Throws std::runtime_error on missing/corrupt catalog or page
-  /// files, and on a stale catalog: one whose generation regressed behind
+  /// backends. Shards saved with aggregate sidecars reattach them and turn
+  /// Options::aggregate_counts on, so Compact rebuilds them as the saving
+  /// store would. Throws std::runtime_error on missing/corrupt catalog or
+  /// page files, and on a stale catalog: one whose generation regressed behind
   /// the directory's "generation.flatgen" sidecar (e.g. a pre-compaction
   /// catalog restored into a post-compaction directory).
   ///

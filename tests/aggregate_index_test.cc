@@ -536,5 +536,44 @@ TEST(AggregateShardedTest, SaveLoadRoundTripsSidecars) {
   fs::remove_all(dir);
 }
 
+// A reloaded store must rebuild its sidecars when it compacts, exactly as
+// the store that saved them would: Load → Insert → Compact → Save keeps one
+// sidecar per shard, and the universe count still reads no page.
+TEST(AggregateShardedTest, CompactAfterLoadKeepsSidecars) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "flat_aggregate_compact_after_load_test";
+  fs::remove_all(dir);
+
+  const auto entries = RandomEntries(6000, 917);
+  ShardedFlatStore::Options options;
+  options.num_shards = 3;
+  options.aggregate_counts = true;
+  ShardedFlatStore::Build(entries, options).Save(dir.string());
+
+  ShardedFlatStore loaded = ShardedFlatStore::Load(dir.string());
+  loaded.Insert(
+      RTreeEntry{Aabb(Vec3(50, 50, 50), Vec3(51, 51, 51)), 999999});
+  loaded.Compact();
+  for (size_t s = 0; s < loaded.shard_count(); ++s) {
+    EXPECT_TRUE(loaded.shard_index(s).has_aggregates()) << "shard " << s;
+  }
+  const Aabb universe(Vec3(-5, -5, -5), Vec3(110, 110, 110));
+  IoStats io;
+  EXPECT_EQ(loaded.RangeCount(universe, &io), entries.size() + 1);
+  EXPECT_EQ(io.TotalReads(), 0u);
+
+  loaded.Save(dir.string());
+  for (const ShardCatalogEntry& shard : loaded.catalog().shards) {
+    const fs::path sidecar = dir / (shard.page_file_name + ".agg");
+    EXPECT_TRUE(fs::exists(sidecar)) << sidecar;
+  }
+  ShardedFlatStore reloaded = ShardedFlatStore::Load(dir.string());
+  IoStats reloaded_io;
+  EXPECT_EQ(reloaded.RangeCount(universe, &reloaded_io), entries.size() + 1);
+  EXPECT_EQ(reloaded_io.TotalReads(), 0u);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace flat
