@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "core/tile_directory.h"
 #include "geometry/box_kernels.h"
 #include "parallel/thread_pool.h"
 #include "rtree/node.h"
@@ -327,7 +328,13 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     index.seed_root_ = upper.root();
     index.root_is_leaf_ = false;
     index.seed_height_ = upper.height();
+    // The tile directory replaces the seed walk only where its lookup reads
+    // no more pages than the tree has internal levels.
+    const size_t tree_pages = file->page_count() - pages_before;
+    index.directory_root_ = WriteTileDirectory(file, partitions, refs,
+                                               index.seed_height_ - 1);
     stats.seed_internal_pages = file->page_count() - pages_before;
+    stats.directory_pages = stats.seed_internal_pages - tree_pages;
   }
   stats.seed_height = index.seed_height_;
   stats.write_seconds = SecondsSince(t_write);
@@ -420,6 +427,16 @@ std::optional<RecordRef> FlatIndex::SeedWhere(PageCache* pool,
   return seed;
 }
 
+template <typename Accept>
+std::optional<RecordRef> FlatIndex::StartRecord(PageCache* pool,
+                                                const Aabb& gate,
+                                                const Accept& accept,
+                                                CrawlScratch* scratch) const {
+  if (!has_directory()) return SeedWhere(pool, gate, accept, scratch);
+  if (scratch != nullptr) scratch->CheckControl();
+  return LocateTile(pool, *file_, directory_root_, gate);
+}
+
 template <typename ScanPage>
 void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
                            RecordRef start, CrawlGuard guard,
@@ -452,8 +469,9 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     // The paper follows M's neighbor pointers iff M's stretched partition
     // MBR intersects the query. The tile suffices: the tiles meeting the
     // query are linked tile to tile and reach every hit's record. The start
-    // record always expands — its page meets the query, so it links to a
-    // tile that does (docs/architecture.md, "Why the crawl is exact").
+    // record always expands: a seed-tree start's page meets the query, so
+    // it links to a tile that does, and a directory start's tile meets the
+    // query itself (docs/architecture.md, "Why the crawl is exact").
     // kPageMbr reproduces the broken variant of Figures 8/9 for the
     // ablation bench.
     const Aabb gate = guard == CrawlGuard::kPartitionMbr ? record.tile()
@@ -493,8 +511,9 @@ auto SoaScan(GateFn gate, SinkFn sink) {
 
 std::optional<RecordRef> FlatIndex::Seed(PageCache* pool,
                                          const Aabb& query) const {
-  return SeedWhere(pool, query,
-                   [&query](const Aabb& box) { return box.Intersects(query); });
+  return StartRecord(
+      pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
+      nullptr);
 }
 
 void FlatIndex::Crawl(PageCache* pool, const Aabb& query, RecordRef start,
@@ -516,9 +535,15 @@ void FlatIndex::Crawl(PageCache* pool, const Aabb& query, RecordRef start,
 void FlatIndex::RangeQuery(PageCache* pool, const Aabb& query,
                            std::vector<uint64_t>* out, CrawlScratch* scratch,
                            CrawlGuard guard) const {
-  std::optional<RecordRef> start = SeedWhere(
-      pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
-      scratch);
+  // The page-MBR ablation crawls without the tile gate, so only a start
+  // whose page meets the query is valid for it: the seed tree's.
+  const auto intersects = [&query](const Aabb& box) {
+    return box.Intersects(query);
+  };
+  std::optional<RecordRef> start =
+      guard == CrawlGuard::kPageMbr
+          ? SeedWhere(pool, query, intersects, scratch)
+          : StartRecord(pool, query, intersects, scratch);
   if (!start.has_value()) return;
   Crawl(pool, query, *start, out, guard, scratch);
 }
@@ -565,7 +590,7 @@ void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
         stored);
     return;
   }
-  std::optional<RecordRef> start = SeedWhere(
+  std::optional<RecordRef> start = StartRecord(
       pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
       scratch);
   if (!start.has_value()) return;
@@ -603,13 +628,14 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
   std::vector<uint64_t> result;
   if (empty() || k == 0) return result;
 
-  // Initial radius guess: the partition holding `center` (or the nearest
-  // record's page MBR). Probe with SeedWhere over a tiny gate; fall back to
-  // a coarse default when the point lies outside all page MBRs.
+  // Initial radius guess: the page MBR of the record the seed phase finds
+  // for `center` (with a directory, the record whose tile holds it; else
+  // one whose page holds an element containing it); fall back to a coarse
+  // default when there is none.
   double radius = 0.0;
   {
     const Aabb probe = Aabb::FromPoint(center);
-    std::optional<RecordRef> seed = SeedWhere(
+    std::optional<RecordRef> seed = StartRecord(
         pool, probe,
         [&center](const Aabb& box) { return box.Contains(center); }, scratch);
     if (seed.has_value()) {
@@ -634,12 +660,14 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
     std::vector<uint64_t> ids;
     const auto accept = [&center, radius2, &distances](const Aabb& box) {
       const double d2 = box.DistanceSquaredTo(center);
-      if (d2 > radius2) return false;
+      // A NaN coordinate gives a NaN distance: no ball holds that box (as
+      // in IntersectsSphere), and it must not reach the ranking below.
+      if (!(d2 <= radius2)) return false;
       distances.push_back(d2);
       return true;
     };
-    std::optional<RecordRef> start = SeedWhere(pool, gate, accept, scratch);
-    distances.clear();  // seed probes also ran the predicate
+    std::optional<RecordRef> start = StartRecord(pool, gate, accept, scratch);
+    distances.clear();  // seed-tree probes also ran the predicate
     if (start.has_value()) {
       CrawlPages(pool, gate, *start, CrawlGuard::kPartitionMbr, scratch,
                  PredicateScan(accept, &ids));
@@ -673,7 +701,7 @@ void FlatIndex::SphereQuery(PageCache* pool, const Vec3& center,
   const auto accept = [&center, radius](const Aabb& box) {
     return box.IntersectsSphere(center, radius);
   };
-  std::optional<RecordRef> start = SeedWhere(pool, gate, accept, scratch);
+  std::optional<RecordRef> start = StartRecord(pool, gate, accept, scratch);
   if (!start.has_value()) return;
   CrawlSphere(pool, center, radius, *start, out, scratch);
 }

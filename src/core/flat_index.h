@@ -31,8 +31,9 @@ namespace flat {
 ///   index.RangeQuery(&pool, query_box, &result);
 ///
 /// Build bulkloads (the data sets "change only slowly, if at all"; no updates
-/// by design — Section I). Queries run the seed phase (find one intersecting
-/// page through the seed R-tree) followed by the crawl phase (BFS over
+/// by design — Section I). Queries run the seed phase (find one record to
+/// start from: by point location in the tile directory when the index has
+/// one, else through the seed R-tree) followed by the crawl phase (BFS over
 /// neighbor pointers, Algorithm 2); their I/O is charged to the BufferPool's
 /// IoStats under the kSeedInternal / kSeedLeaf / kObject categories,
 /// reproducing the paper's Figure 14/18 breakdowns.
@@ -66,7 +67,8 @@ class FlatIndex {
     size_t partitions = 0;
     size_t object_pages = 0;
     size_t seed_leaf_pages = 0;
-    size_t seed_internal_pages = 0;
+    size_t seed_internal_pages = 0;  ///< includes directory_pages
+    size_t directory_pages = 0;      ///< tile directory (0: none written)
     uint64_t neighbor_pointers = 0;
     uint64_t metadata_bytes = 0;  ///< serialized record bytes (excl. padding).
     int seed_height = 0;          ///< seed tree levels incl. leaf level.
@@ -200,11 +202,15 @@ class FlatIndex {
     PageId seed_root = kInvalidPageId;
     bool root_is_leaf = false;
     int seed_height = 0;
+    /// Root of the tile directory (core/tile_directory.h), or
+    /// kInvalidPageId: the index then seeds through the seed tree.
+    PageId directory_root = kInvalidPageId;
   };
 
   /// The handle to persist alongside the PageFile (see Attach).
   Descriptor descriptor() const {
-    return Descriptor{seed_root_, root_is_leaf_, seed_height_};
+    return Descriptor{seed_root_, root_is_leaf_, seed_height_,
+                      directory_root_};
   }
 
   /// Re-attaches an index previously built into `file` — any PageStore
@@ -219,24 +225,38 @@ class FlatIndex {
     index.seed_root_ = descriptor.seed_root;
     index.root_is_leaf_ = descriptor.root_is_leaf;
     index.seed_height_ = descriptor.seed_height;
+    index.directory_root_ = descriptor.directory_root;
     return index;
   }
 
-  /// Seed phase only: finds one metadata record whose object page contains an
-  /// element intersecting `query` (Section V-B.1), or nullopt when the query
-  /// region is empty of data.
+  /// Seed phase only: the record RangeQuery crawls from.
+  ///
+  /// With a tile directory (has_directory()), the record whose stored tile
+  /// holds the center of `query`'s overlap with the index bounds (the union
+  /// of the stored tiles), found by point location, or nullopt exactly when
+  /// that overlap is empty. The record's tile meets the query, but its
+  /// object page need not hold a hit, and a query with no hits inside the
+  /// bounds still gets a record. Reads the directory pages (kSeedInternal)
+  /// and no seed leaf or object page.
+  ///
+  /// Without one (small seed trees, files and catalogs that predate the
+  /// directory), the first record in seed-walk order whose object page holds
+  /// an element intersecting `query` (Section V-B.1), or nullopt when there
+  /// is none.
   std::optional<RecordRef> Seed(PageCache* pool, const Aabb& query) const;
 
   /// Crawl phase only (Algorithm 2), starting BFS at `start`. Exposed so
-  /// tests can verify seed-choice independence: any record whose page MBR
-  /// intersects the query is a valid start and yields the same result set.
+  /// tests can verify seed-choice independence: every record whose page MBR
+  /// intersects the query, and the record Seed returns, is a valid start
+  /// and yields the same result set.
   void Crawl(PageCache* pool, const Aabb& query, RecordRef start,
              std::vector<uint64_t>* out,
              CrawlGuard guard = CrawlGuard::kPartitionMbr,
              CrawlScratch* scratch = nullptr) const;
 
   /// Crawl phase of SphereQuery, starting BFS at `start`: any record whose
-  /// page MBR intersects the ball's bounding box is a valid start.
+  /// page MBR intersects the ball's bounding box, and the record Seed
+  /// returns for that box, is a valid start.
   void CrawlSphere(PageCache* pool, const Vec3& center, double radius,
                    RecordRef start, std::vector<uint64_t>* out,
                    CrawlScratch* scratch = nullptr) const;
@@ -268,6 +288,11 @@ class FlatIndex {
 
   /// Height of the seed tree (levels including the metadata leaf level).
   int seed_height() const { return seed_height_; }
+
+  /// True when the index seeds by point location in a tile directory.
+  /// Build writes one when its lookup reads no more pages than the seed
+  /// tree has internal levels (seed_height() - 1).
+  bool has_directory() const { return directory_root_ != kInvalidPageId; }
 
   /// The PageStore this index reads from (nullptr before Build/Attach).
   /// Query engines use it to construct per-worker page caches.
@@ -310,13 +335,20 @@ class FlatIndex {
                     const Visit& visit,
                     const Covered& covered = nullptr) const;
 
-  // Generalized seed phase: the first record, in walk order, whose object
-  // page holds an accepted element, pruning by `gate` (the query's bounding
-  // box).
+  // Generalized seed phase of the seed tree: the first record, in walk
+  // order, whose object page holds an accepted element, pruning by `gate`
+  // (the query's bounding box).
   template <typename Accept>
   std::optional<RecordRef> SeedWhere(PageCache* pool, const Aabb& gate,
                                      const Accept& accept,
                                      CrawlScratch* scratch = nullptr) const;
+
+  // The crawl's start for `gate`: the directory's point location when the
+  // index has a directory (see Seed), else SeedWhere with `accept`.
+  template <typename Accept>
+  std::optional<RecordRef> StartRecord(PageCache* pool, const Aabb& gate,
+                                       const Accept& accept,
+                                       CrawlScratch* scratch) const;
 
   // Generalized crawl (Algorithm 2): BFS over neighbor pointers, calling
   // scan(page_data, scratch) for every object page whose page MBR passes the
@@ -330,6 +362,7 @@ class FlatIndex {
   PageId seed_root_ = kInvalidPageId;
   bool root_is_leaf_ = false;  // single seed-leaf tree, no internal nodes
   int seed_height_ = 0;
+  PageId directory_root_ = kInvalidPageId;  // kInvalidPageId: seed the tree
   BuildStats build_stats_;
   std::vector<PartitionProfile> partition_profiles_;
   std::shared_ptr<const SeedAggregates> aggregates_;  // null = no pruning

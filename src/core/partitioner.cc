@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "core/metadata.h"
 #include "parallel/thread_pool.h"
@@ -24,28 +25,47 @@ struct Chunk {
 // chunks share the boundary midway between the left chunk's largest center
 // and the right chunk's first (smallest) one, which keeps every element's
 // center inside its own tile; the outermost chunks extend to
-// [axis_lo, axis_hi].
+// [axis_lo, axis_hi]. Boundaries are cut from finite centers only:
+// EntryCenterOrder puts NaN centers last, so the chunks holding a finite
+// center come first, and the last of them runs to axis_hi. The chunks after
+// it, whose centers are all NaN, get an empty interval (and so an empty
+// tile); a range with no finite center at all keeps one chunk spanning the
+// axis, so the tiles still cover the universe.
 std::vector<Chunk> MakeChunks(const std::vector<RTreeEntry>& elements,
                               const ChunkedRange& range, int axis,
                               double axis_lo, double axis_hi) {
+  const EntryCenterOrder order{axis};
+  const auto finite_center = [&](size_t i) {
+    return !std::isnan(order.CenterOn(elements[i].box));
+  };
+  // Every chunk after the first holds its smallest center at its first
+  // slot, so the finite chunks end at the first such slot holding NaN.
+  size_t finite_end = range.begin + range.chunk;
+  while (finite_end < range.end && finite_center(finite_end)) {
+    finite_end += range.chunk;
+  }
+  finite_end = std::min(finite_end, range.end);
   std::vector<Chunk> chunks;
   double lo = axis_lo;
   for (size_t s = range.begin; s < range.end; s += range.chunk) {
     const size_t e = std::min(range.end, s + range.chunk);
+    if (s >= finite_end) {
+      chunks.push_back({s, e, std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()});
+      continue;
+    }
     double hi = axis_hi;
-    if (e < range.end) {
+    if (e < finite_end) {
       const Aabb& left_max =
-          std::max_element(elements.begin() + s, elements.begin() + e,
-                           EntryCenterOrder{axis})
+          std::max_element(elements.begin() + s, elements.begin() + e, order)
               ->box;
-      hi = 0.5 * (left_max.Center()[axis] + elements[e].box.Center()[axis]);
+      hi = 0.5 * (order.CenterOn(left_max) + order.CenterOn(elements[e].box));
     }
     // Guard against non-monotone boundaries when many centers coincide.
     hi = std::max(hi, lo);
     chunks.push_back({s, e, lo, hi});
     lo = hi;
   }
-  if (!chunks.empty()) chunks.back().hi = std::max(axis_hi, chunks.back().lo);
   return chunks;
 }
 
@@ -183,6 +203,8 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
       PartitionInfo partition;
       partition.first = static_cast<uint32_t>(zc.begin);
       partition.count = static_cast<uint32_t>(zc.end - zc.begin);
+      partition.slab = static_cast<uint32_t>(runs[r].x_index);
+      partition.run = static_cast<uint32_t>(r);
       partition.tile =
           Aabb(Vec3(xc.lo, yc.lo, zc.lo), Vec3(xc.hi, yc.hi, zc.hi));
       Aabb page_mbr;

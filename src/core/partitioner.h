@@ -25,6 +25,12 @@ struct PartitionInfo {
   Aabb tile;
   uint32_t first = 0;
   uint32_t count = 0;
+  /// The x-slab and the y-run (numbered across all slabs) the tile was cut
+  /// from: partitions come out slab by slab, run by run, and the tile is
+  /// the slab's x-interval × the run's y-interval × the page's z-interval.
+  /// The tile directory (core/tile_directory.h) is built from them.
+  uint32_t slab = 0;
+  uint32_t run = 0;
   /// Indices of neighboring partitions, ascending; filled by
   /// ComputeNeighbors (see there for the relation).
   std::vector<uint32_t> neighbors;
@@ -36,7 +42,11 @@ struct PartitionInfo {
 /// between adjacent element centers (outermost tiles extend to the universe
 /// bounds), so the tiles cover `universe` with no empty space — the first
 /// partitioning property of Section V-B. Each partition MBR is then
-/// stretched to enclose its page MBR — the second property.
+/// stretched to enclose its page MBR — the second property. Boundaries come
+/// from finite centers only; a chunk whose centers on the pass axis are all
+/// NaN (empty boxes, NaN coordinates) gets an empty tile, and the last chunk
+/// with a finite center extends to the universe bound instead (when a slab
+/// or run has no finite center at all, its first chunk spans the axis).
 ///
 /// `elements` is reordered in place; on return, partition i owns
 /// elements [first, first+count), in unspecified order. The passes cut

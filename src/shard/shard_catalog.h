@@ -52,15 +52,16 @@ struct ShardCatalog {
   std::vector<ShardCatalogEntry> shards;
 };
 
-/// Writes `catalog` in the versioned binary format (magic "FLATSHC2",
+/// Writes `catalog` in the versioned binary format (magic "FLATSHC3",
 /// little-endian; see docs/file_format.md). Throws std::runtime_error on
 /// stream failure.
 void SaveShardCatalog(const ShardCatalog& catalog, std::ostream& out);
 
 /// Reads a catalog previously written by SaveShardCatalog. Accepts the
-/// current "FLATSHC2" layout and the pre-generation "FLATSHC1" layout
-/// (loaded as generation 0). Rejects unknown magics, truncated streams and
-/// implausible field values by throwing std::runtime_error.
+/// current "FLATSHC3" layout, the pre-directory "FLATSHC2" layout (shards
+/// load without a tile directory) and the pre-generation "FLATSHC1" layout
+/// (loaded as generation 0, too). Rejects unknown magics, truncated streams
+/// and implausible field values by throwing std::runtime_error.
 ShardCatalog LoadShardCatalog(std::istream& in);
 
 }  // namespace flat

@@ -781,6 +781,21 @@ ShardedFlatStore ShardedFlatStore::Load(
             path.string());
       }
     }
+    const PageId directory_root = entry.descriptor.directory_root;
+    if (directory_root != kInvalidPageId) {
+      if (directory_root >= file.page_count()) {
+        throw std::runtime_error(
+            "ShardedFlatStore::Load: catalog directory root outside shard "
+            "file: " +
+            path.string());
+      }
+      if (file.category(directory_root) != PageCategory::kSeedInternal) {
+        throw std::runtime_error(
+            "ShardedFlatStore::Load: catalog directory root has the wrong "
+            "page category: " +
+            path.string());
+      }
+    }
     base->indexes.push_back(
         FlatIndex::Attach(base->files.back().get(), entry.descriptor));
 

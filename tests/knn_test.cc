@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/flat_index.h"
 #include "rtree/bulkload.h"
@@ -134,6 +137,36 @@ TEST_F(KnnTest, QueryPointFarOutsideUniverse) {
   ExpectKnnMatches(entries_, far, rtree_ids, 3);
   auto flat_ids = flat_.KnnQuery(&fpool, far, 3);
   ExpectKnnMatches(entries_, far, flat_ids, 3);
+}
+
+// A box with a NaN coordinate is at NaN distance from every point: no ball
+// holds it (IntersectsSphere says no), so it is never among the nearest,
+// and a NaN distance must not reach the ranking, whose sort it would break.
+TEST(KnnNanTest, FlatSkipsNanBoxes) {
+  const auto entries = testing::RandomEntriesWithEmptyAndNan(5000, 505);
+  PageFile file(512);
+  const FlatIndex flat = FlatIndex::Build(&file, entries);
+  IoStats stats;
+  BufferPool pool(&file, &stats);
+  Rng rng(506);
+  const Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
+  for (size_t k : {1u, 8u, 50u}) {
+    for (int i = 0; i < 10; ++i) {
+      const Vec3 center = rng.PointIn(universe);
+      std::vector<std::pair<double, uint64_t>> ranked;
+      for (const RTreeEntry& e : entries) {
+        const double d2 = e.box.DistanceSquaredTo(center);
+        if (d2 <= std::numeric_limits<double>::max()) {
+          ranked.emplace_back(d2, e.id);
+        }
+      }
+      std::sort(ranked.begin(), ranked.end());
+      std::vector<uint64_t> want;
+      for (size_t r = 0; r < k; ++r) want.push_back(ranked[r].second);
+      EXPECT_EQ(flat.KnnQuery(&pool, center, k), want)
+          << "center " << center << ", k " << k;
+    }
+  }
 }
 
 TEST_F(KnnTest, BestFirstReadsFewPagesForSmallK) {

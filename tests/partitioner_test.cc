@@ -3,15 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/flat_index.h"
 #include "core/metadata.h"
 #include "parallel/thread_pool.h"
+#include "rtree/node.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_file.h"
 #include "tests/test_util.h"
 
 namespace flat {
@@ -110,6 +116,74 @@ TEST(PartitionerEdgeTest, AllElementsIdentical) {
   size_t total = 0;
   for (const auto& p : partitions) total += p.count;
   EXPECT_EQ(total, entries.size());
+}
+
+// Random boxes centered outside 39 ≤ x ≤ 43, plus 2000 boxes centered in
+// 40.25 ≤ x ≤ 41.75 whose y lower bound is NaN: whole x-slabs then have no
+// finite y-center, and only their tiles cover that stretch of x.
+std::vector<RTreeEntry> EntriesWithNanYSlabs() {
+  std::vector<RTreeEntry> entries;
+  for (const RTreeEntry& e : RandomEntries(3000, 96)) {
+    const double x = e.box.Center().x;
+    if (x < 39 || x > 43) entries.push_back(e);
+  }
+  Rng rng(97);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    const double x = rng.Uniform(40, 41.5);
+    const double z = rng.Uniform(0, 100);
+    entries.push_back(RTreeEntry{
+        Aabb(Vec3(x, std::numeric_limits<double>::quiet_NaN(), z),
+             Vec3(x + 0.5, 50, z + 0.5)),
+        3000 + i});
+  }
+  return entries;
+}
+
+// Empty boxes and NaN coordinates give NaN centers, which EntryCenterOrder
+// sorts last. A tile boundary cut at a NaN center gives the neighboring
+// finite tile a NaN bound, which no query meets, so crawls that must pass
+// through that tile miss finite hits; a range with no finite center at all
+// must still be covered. Every tile must be empty (a chunk of NaN centers)
+// or NaN-free, and every query must match the oracle.
+TEST(PartitionerEdgeTest, EmptyAndNanBoxesLeaveNoHoleInTheTiling) {
+  std::vector<std::pair<std::vector<RTreeEntry>, uint64_t>> data_sets;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (const size_t count : {2000u, 20000u}) {
+      data_sets.emplace_back(RandomEntriesWithEmptyAndNan(count, seed),
+                             100 + seed);
+    }
+  }
+  data_sets.emplace_back(EntriesWithNanYSlabs(), 98);
+  size_t nan_tiles = 0;
+  size_t queries = 0;
+  size_t wrong = 0;
+  for (const auto& [entries, query_seed] : data_sets) {
+    for (const uint32_t page_size : {512u, 4096u}) {
+      std::vector<RTreeEntry> elements = entries;
+      for (const PartitionInfo& p :
+           StrPartition(&elements, NodeCapacity(page_size),
+                        UniverseOf(entries))) {
+        bool has_nan = false;
+        for (int axis = 0; axis < 3; ++axis) {
+          has_nan = has_nan || std::isnan(p.tile.lo()[axis]) ||
+                    std::isnan(p.tile.hi()[axis]);
+        }
+        nan_tiles += !p.tile.IsEmpty() && has_nan;
+      }
+      PageFile file(page_size);
+      const FlatIndex index = FlatIndex::Build(&file, entries);
+      IoStats stats;
+      BufferPool pool(&file, &stats);
+      for (const Aabb& q : testing::RandomQueries(60, query_seed)) {
+        std::vector<uint64_t> got;
+        index.RangeQuery(&pool, q, &got);
+        ++queries;
+        wrong += testing::Sorted(got) != testing::BruteForce(entries, q);
+      }
+    }
+  }
+  EXPECT_EQ(nan_tiles, 0u);
+  EXPECT_EQ(wrong, 0u) << "of " << queries << " queries";
 }
 
 bool SameBits(const Aabb& a, const Aabb& b) {

@@ -260,9 +260,12 @@ TEST(PersistenceTest, DescriptorIsTrivialToStoreExternally) {
 }
 
 // Page files written by earlier versions: 600 boxes at 1 KiB pages, exact
-// seed pages (FLATPGF1) and compressed seed pages (FLATPGF2). Their seed
+// seed pages (FLATPGF1) and compressed seed pages (FLATPGF2), whose seed
 // leaves store the stretched partition MBR and Algorithm 1's stretched-MBR
-// neighbor relation; both must still load and answer exactly.
+// neighbor relation, and exact seed pages written before the tile
+// directory existed (FLATPGF3, tile boxes and the tile-adjacency relation,
+// no directory pages). All must still load and answer exactly, seeding
+// through the seed tree.
 struct LegacyFile {
   const char* name;
   const char* magic;
@@ -270,8 +273,9 @@ struct LegacyFile {
 constexpr LegacyFile kLegacyFiles[] = {
     {"flatpgf1_exact.pgf", "FLATPGF1"},
     {"flatpgf2_compressed.pgf", "FLATPGF2"},
+    {"flatpgf3_exact.pgf", "FLATPGF3"},
 };
-// The descriptor both files were built with (root = last page).
+// The descriptor all three files were built with (root = last page).
 constexpr FlatIndex::Descriptor kLegacyDescriptor{40, false, 2};
 
 std::string LegacyPath(const LegacyFile& legacy) {

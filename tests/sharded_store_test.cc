@@ -328,7 +328,8 @@ TEST(ShardCatalogTest, RoundTrip) {
     ShardCatalogEntry entry;
     entry.page_file_name = "shard-000" + std::to_string(i) + ".pgf";
     entry.descriptor = {static_cast<PageId>(10 + i), i == 1,
-                        static_cast<int>(i)};
+                        static_cast<int>(i),
+                        i == 2 ? static_cast<PageId>(20) : kInvalidPageId};
     entry.bounds = Aabb(Vec3(i, 0, 0), Vec3(i + 1, 2, 3));
     entry.tile = Aabb(Vec3(i, 0, 0), Vec3(i + 1, 9, 9));
     entry.element_count = 4;
@@ -353,6 +354,8 @@ TEST(ShardCatalogTest, RoundTrip) {
               catalog.shards[i].descriptor.root_is_leaf);
     EXPECT_EQ(loaded.shards[i].descriptor.seed_height,
               catalog.shards[i].descriptor.seed_height);
+    EXPECT_EQ(loaded.shards[i].descriptor.directory_root,
+              catalog.shards[i].descriptor.directory_root);
     EXPECT_EQ(loaded.shards[i].bounds, catalog.shards[i].bounds);
     EXPECT_EQ(loaded.shards[i].tile, catalog.shards[i].tile);
     EXPECT_EQ(loaded.shards[i].element_count,
