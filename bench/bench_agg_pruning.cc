@@ -241,8 +241,8 @@ int RunGates(const BenchFlags& flags) {
   bool loaded_identical = true;
   uint64_t loaded_universe_reads = 0;
   {
-    ShardedFlatStore loaded = ShardedFlatStore::Load(
-        dir.string(), /*num_threads=*/1, ShardedFlatStore::LoadBackend::kDisk);
+    ShardedFlatStore loaded =
+        ShardedFlatStore::Load(dir.string(), /*num_threads=*/1);
     for (size_t s = 0; s < loaded.shard_count(); ++s) {
       loaded_identical =
           loaded_identical && loaded.shard_index(s).has_aggregates();

@@ -44,8 +44,9 @@ int main() {
   }
 
   // Scatter-gather a batch: each query fans out to the shards its box
-  // overlaps, all sub-queries share one work-stealing engine batch, and per
-  // query the shard results merge into ascending id order.
+  // overlaps, all sub-queries share one engine batch whose workers claim
+  // them one at a time, and per query the shard results merge into
+  // ascending id order.
   Rng rng(7);
   std::vector<Query> batch;
   for (int i = 0; i < 40; ++i) {

@@ -75,9 +75,9 @@ Contender BuildContender(IndexKind kind,
 
 WorkloadResult RunWorkload(const Contender& contender,
                            const std::vector<Aabb>& queries,
-                           const DiskModel& disk_model, size_t pool_pages) {
+                           const DiskModel& disk_model) {
   WorkloadResult result;
-  BufferPool pool(contender.file.get(), &result.io, pool_pages);
+  BufferPool pool(contender.file.get(), &result.io);
   std::vector<uint64_t> ids;
   for (const Aabb& query : queries) {
     pool.Clear();  // cold cache before each query, as in the paper

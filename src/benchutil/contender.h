@@ -75,12 +75,11 @@ struct WorkloadResult {
 
 /// Executes all `queries` against `contender`. Per the paper's methodology
 /// the cache is cleared before *each* query ("Before each query is executed,
-/// the OS caches and disk buffers are cleared"). `pool_pages` bounds the
-/// buffer pool (0 = unbounded within one query).
+/// the OS caches and disk buffers are cleared"); within one query the
+/// buffer pool is unbounded.
 WorkloadResult RunWorkload(const Contender& contender,
                            const std::vector<Aabb>& queries,
-                           const DiskModel& disk_model,
-                           size_t pool_pages = 0);
+                           const DiskModel& disk_model);
 
 }  // namespace flat
 

@@ -20,13 +20,12 @@ bool SameCounts(const IoStats& a, const IoStats& b) {
 }  // namespace
 
 SerialReference RunSerialReference(const FlatIndex& index,
-                                   const std::vector<Query>& batch,
-                                   size_t pool_pages) {
+                                   const std::vector<Query>& batch) {
   SerialReference ref;
   ref.results.resize(batch.size());
   CrawlScratch scratch;  // reused across the loop, same as an engine worker
   IoStats unused;
-  BufferPool pool(index.file(), &unused, pool_pages);
+  BufferPool pool(index.file(), &unused);
   const auto start = Clock::now();
   for (size_t i = 0; i < batch.size(); ++i) {
     QueryResult& r = ref.results[i];
@@ -43,16 +42,14 @@ SerialReference RunSerialReference(const FlatIndex& index,
 
 std::vector<ThroughputPoint> RunThroughputSweep(
     const FlatIndex& index, const std::vector<Query>& batch,
-    const std::vector<size_t>& thread_counts, int repeats,
-    size_t pool_pages) {
-  const SerialReference ref = RunSerialReference(index, batch, pool_pages);
+    const std::vector<size_t>& thread_counts, int repeats) {
+  const SerialReference ref = RunSerialReference(index, batch);
 
   std::vector<ThroughputPoint> points;
   points.reserve(thread_counts.size());
   for (size_t threads : thread_counts) {
     QueryEngine::Options options;
     options.threads = threads;
-    options.pool_pages = pool_pages;
     QueryEngine engine(&index, options);
 
     ThroughputPoint point;

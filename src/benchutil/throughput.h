@@ -35,17 +35,14 @@ struct SerialReference {
 /// Runs `batch` serially (no engine) and returns results, merged I/O, and
 /// wall time.
 SerialReference RunSerialReference(const FlatIndex& index,
-                                   const std::vector<Query>& batch,
-                                   size_t pool_pages = 0);
+                                   const std::vector<Query>& batch);
 
 /// Queries/sec vs. thread count: executes `batch` through a QueryEngine at
 /// each thread count (`repeats` times, keeping the best wall time) and
-/// validates every run against the serial reference. `pool_pages` bounds
-/// each per-query pool (0 = unbounded).
+/// validates every run against the serial reference.
 std::vector<ThroughputPoint> RunThroughputSweep(
     const FlatIndex& index, const std::vector<Query>& batch,
-    const std::vector<size_t>& thread_counts, int repeats = 3,
-    size_t pool_pages = 0);
+    const std::vector<size_t>& thread_counts, int repeats = 3);
 
 }  // namespace flat
 

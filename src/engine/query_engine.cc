@@ -57,14 +57,11 @@ void SettleFailedResult(const Query& query, QueryResult* result) {
 }  // namespace
 
 QueryEngine::QueryEngine(const FlatIndex* index, Options options)
-    : index_(index), options_(options), pool_(options.threads) {
+    : index_(index),
+      options_(options),
+      pool_(options.threads),
+      workers_(pool_.threads()) {
   options_.threads = pool_.threads();
-  queues_.reserve(pool_.threads());
-  workers_.reserve(pool_.threads());
-  for (size_t i = 0; i < pool_.threads(); ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.push_back(std::make_unique<WorkerState>());
-  }
 }
 
 QueryEngine::~QueryEngine() = default;
@@ -89,42 +86,8 @@ std::vector<QueryResult> QueryEngine::Run(const std::vector<Query>& batch,
 std::vector<QueryResult> QueryEngine::RunMulti(
     const std::vector<IndexedQuery>& batch, BatchStats* stats) {
   const auto start = std::chrono::steady_clock::now();
-  std::vector<QueryResult> results(batch.size());
-
-  // Admission control: shed the batch tail beyond the configured queue
-  // bound before any work is enqueued. Shed queries cost no I/O and come
-  // back immediately as kRejected — a typed outcome the caller can retry,
-  // not an error.
-  size_t admitted = batch.size();
-  if (options_.max_queued_queries > 0 &&
-      batch.size() > options_.max_queued_queries) {
-    admitted = options_.max_queued_queries;
-    for (size_t i = admitted; i < batch.size(); ++i) {
-      results[i].status = QueryStatus::kRejected;
-      results[i].io.RecordQueryShed();
-    }
-  }
-
-  if (admitted > 0) {
-    // Block-partition the admitted prefix: contiguous runs keep neighboring
-    // queries — which workloads tend to generate with spatial locality — on
-    // one worker; stealing rebalances the tail.
-    const size_t threads = pool_.threads();
-    const size_t per_worker = (admitted + threads - 1) / threads;
-    for (size_t w = 0; w < threads; ++w) {
-      std::lock_guard<std::mutex> lock(queues_[w]->mu);
-      queues_[w]->items.clear();
-      const size_t first = std::min(admitted, w * per_worker);
-      const size_t last = std::min(admitted, first + per_worker);
-      for (size_t i = first; i < last; ++i) queues_[w]->items.push_back(i);
-    }
-
-    Job job;
-    job.batch = &batch;
-    job.results = &results;
-    pool_.RunOnAllWorkers([this, &job](size_t w) { ProcessQueue(w, job); });
-  }
-
+  std::vector<QueryResult> results =
+      RunOn(&pool_, options_.max_queued_queries, workers_.data(), batch);
   if (stats != nullptr) {
     *stats = BatchStats{};
     stats->threads = pool_.threads();
@@ -138,44 +101,34 @@ std::vector<QueryResult> QueryEngine::RunMulti(
 
 std::vector<QueryResult> QueryEngine::RunInline(
     const std::vector<IndexedQuery>& batch) {
-  const Options options;
   WorkerState state;
+  return RunOn(nullptr, /*max_queued_queries=*/0, &state, batch);
+}
+
+std::vector<QueryResult> QueryEngine::RunOn(
+    ThreadPool* pool, size_t max_queued_queries, WorkerState* workers,
+    const std::vector<IndexedQuery>& batch) {
   std::vector<QueryResult> results(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ExecuteQuery(options, batch[i], &results[i], &state);
+
+  // Admission control: shed the batch tail beyond the configured queue
+  // bound before any work is dispatched. Shed queries cost no I/O and come
+  // back immediately as kRejected — a typed outcome the caller can retry,
+  // not an error.
+  size_t admitted = batch.size();
+  if (max_queued_queries > 0 && batch.size() > max_queued_queries) {
+    admitted = max_queued_queries;
+    for (size_t i = admitted; i < batch.size(); ++i) {
+      results[i].status = QueryStatus::kRejected;
+      results[i].io.RecordQueryShed();
+    }
   }
+
+  // Grain 1: each worker claims the next query off the shared cursor, so a
+  // few crawl-heavy queries never strand a block of cheap ones behind them.
+  ParallelFor(pool, admitted, /*grain=*/1, [&](size_t worker, size_t index) {
+    ExecuteQuery(batch[index], &results[index], &workers[worker]);
+  });
   return results;
-}
-
-void QueryEngine::ProcessQueue(size_t worker_index, const Job& job) {
-  size_t query_index;
-  while (PopOwn(worker_index, &query_index) ||
-         Steal(worker_index, &query_index)) {
-    ExecuteQuery(options_, (*job.batch)[query_index],
-                 &(*job.results)[query_index], workers_[worker_index].get());
-  }
-}
-
-bool QueryEngine::PopOwn(size_t worker_index, size_t* query_index) {
-  WorkerQueue& queue = *queues_[worker_index];
-  std::lock_guard<std::mutex> lock(queue.mu);
-  if (queue.items.empty()) return false;
-  *query_index = queue.items.front();
-  queue.items.pop_front();
-  return true;
-}
-
-bool QueryEngine::Steal(size_t worker_index, size_t* query_index) {
-  const size_t n = queues_.size();
-  for (size_t offset = 1; offset < n; ++offset) {
-    WorkerQueue& victim = *queues_[(worker_index + offset) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (victim.items.empty()) continue;
-    *query_index = victim.items.back();
-    victim.items.pop_back();
-    return true;
-  }
-  return false;
 }
 
 namespace {
@@ -279,8 +232,8 @@ void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
   }
 }
 
-void QueryEngine::ExecuteQuery(const Options& options, const IndexedQuery& iq,
-                               QueryResult* result, WorkerState* state) {
+void QueryEngine::ExecuteQuery(const IndexedQuery& iq, QueryResult* result,
+                               WorkerState* state) {
   const PageStore* file = iq.index != nullptr ? iq.index->file() : nullptr;
   if (file == nullptr) {
     // No PageStore to read from: without an overlay the query legitimately
@@ -293,8 +246,7 @@ void QueryEngine::ExecuteQuery(const Options& options, const IndexedQuery& iq,
     // rebuilding the page table per query.
     BufferPool* pool = state->pool.get();
     if (pool == nullptr || &pool->store() != file) {
-      state->pool = std::make_unique<BufferPool>(file, &result->io,
-                                                 options.pool_pages);
+      state->pool = std::make_unique<BufferPool>(file, &result->io);
       pool = state->pool.get();
     } else {
       pool->Clear();

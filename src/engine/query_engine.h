@@ -2,9 +2,7 @@
 #define FLAT_ENGINE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -188,27 +186,28 @@ struct BatchStats {
 
 /// Parallel batch query engine.
 ///
-/// A fixed ThreadPool (src/parallel/) executes a batch of queries. The batch
-/// is block-partitioned into per-worker deques; a worker that drains its own
-/// deque steals from the back of its siblings', so skewed batches (a few
-/// crawl-heavy queries among many cheap ones) still balance. Each worker owns
-/// one CrawlScratch reused across all its queries, keeping the crawl hot path
-/// allocation-free.
+/// A fixed ThreadPool (src/parallel/) executes a batch of queries through
+/// ThreadPool's ParallelFor with a grain of one: each worker claims the next
+/// unclaimed query off a shared cursor, so skewed batches (a few crawl-heavy
+/// queries among many cheap ones) still balance. A batch of one query runs
+/// on the calling thread as worker 0 without waking the pool. Each worker
+/// owns one CrawlScratch and one BufferPool reused across all its queries,
+/// keeping the crawl hot path allocation-free.
 ///
 /// The engine runs in one of two shapes:
 ///  - bound to a single FlatIndex (the original API): `Run(vector<Query>)`.
 ///  - index-free (constructed from Options alone): `RunMulti` executes each
 ///    query against its own index — this is the fan-out primitive behind
 ///    ShardedFlatStore's scatter-gather, where one batch mixes sub-queries
-///    for many shards and the work-stealing pool balances across all of
-///    them. (Distinctly named, not an overload, so `Run({...})` braced
-///    calls stay unambiguous.)
+///    for many shards and the pool balances across all of them.
+///    (Distinctly named, not an overload, so `Run({...})` braced calls stay
+///    unambiguous.)
 ///
 /// Each query runs the unmodified serial FlatIndex code path, so per-query
 /// result vectors are bit-identical to serial execution no matter the thread
 /// count. I/O accounting is per query and merged into BatchStats: every
-/// query gets a cold BufferPool over its index's PageStore — exactly the
-/// paper's benchmark methodology — so merged totals equal serial
+/// query gets a cold, unbounded BufferPool over its index's PageStore —
+/// exactly the paper's benchmark methodology — so merged totals equal serial
 /// execution's.
 ///
 /// Thread-safety: construction and destruction must happen on one thread;
@@ -220,8 +219,6 @@ class QueryEngine {
   struct Options {
     /// Worker threads (0 means std::thread::hardware_concurrency()).
     size_t threads = 0;
-    /// Per-query BufferPool capacity (0 = unbounded).
-    size_t pool_pages = 0;
     /// Admission control: when non-zero, at most this many queries of a
     /// batch are admitted; the excess (batch tail, in order) comes back
     /// immediately with status kRejected and no I/O, and is counted in
@@ -258,9 +255,10 @@ class QueryEngine {
 
   /// The inline, one-thread runner: executes a multi-index batch serially
   /// on the calling thread with default Options (cold cache per query, no
-  /// admission control). Stateless, so any number of threads may call it at
-  /// once; results and IoStats are identical to RunMulti on an engine with
-  /// default Options, at any thread count.
+  /// admission control) — RunMulti's body with no pool. Stateless, so any
+  /// number of threads may call it at once; results and IoStats are
+  /// identical to RunMulti on an engine with default Options, at any thread
+  /// count.
   static std::vector<QueryResult> RunInline(
       const std::vector<IndexedQuery>& batch);
 
@@ -268,39 +266,34 @@ class QueryEngine {
   const Options& options() const { return options_; }
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<size_t> items;  // indices into the current batch
-  };
-
-  struct Job {
-    const std::vector<IndexedQuery>* batch = nullptr;
-    std::vector<QueryResult>* results = nullptr;
-  };
-
   /// Per-worker reusable state: the crawl scratch plus one BufferPool
   /// recycled across the worker's queries — Clear() (an O(1) epoch bump)
   /// plus set_stats() gives every query the same cold cache and per-query
   /// accounting a fresh pool would, without re-allocating the pool's page
   /// table each time. The pool is rebuilt only when a multi-index batch
-  /// switches the worker to a different PageStore.
-  struct WorkerState {
+  /// switches the worker to a different PageStore. Cache-line aligned so
+  /// neighboring workers' crawl cursors never share a line.
+  struct alignas(64) WorkerState {
     CrawlScratch scratch;
     std::unique_ptr<BufferPool> pool;
   };
 
-  void ProcessQueue(size_t worker_index, const Job& job);
-  bool PopOwn(size_t worker_index, size_t* query_index);
-  bool Steal(size_t worker_index, size_t* query_index);
-  static void ExecuteQuery(const Options& options, const IndexedQuery& iq,
-                           QueryResult* result, WorkerState* state);
+  /// RunMulti's and RunInline's one body: sheds the batch tail beyond
+  /// `max_queued_queries` (0 = admit all), then runs the admitted prefix
+  /// through ParallelFor on `pool` (null: serially on the calling thread),
+  /// worker w using `workers[w]`.
+  static std::vector<QueryResult> RunOn(ThreadPool* pool,
+                                        size_t max_queued_queries,
+                                        WorkerState* workers,
+                                        const std::vector<IndexedQuery>& batch);
+  static void ExecuteQuery(const IndexedQuery& iq, QueryResult* result,
+                           WorkerState* state);
 
   const FlatIndex* index_;
   Options options_;
 
   ThreadPool pool_;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::unique_ptr<WorkerState>> workers_;  // one per worker
+  std::vector<WorkerState> workers_;  // one per worker
 };
 
 }  // namespace flat

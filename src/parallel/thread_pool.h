@@ -16,10 +16,8 @@ namespace flat {
 ///
 /// The pool exposes one low-level primitive — RunOnAllWorkers, which invokes
 /// a callback once on every worker and blocks the caller until all calls
-/// return — plus ParallelFor built on top of it. Scheduling policy stays with
-/// the client: ParallelFor claims contiguous index blocks off a shared atomic
-/// cursor; the QueryEngine layers its own per-worker deques with stealing on
-/// RunOnAllWorkers.
+/// return — plus ParallelFor built on top of it, which claims contiguous
+/// index blocks off a shared atomic cursor.
 ///
 /// Thread-safety / usage rules:
 ///  - One dispatch at a time: RunOnAllWorkers/ParallelFor must not be called

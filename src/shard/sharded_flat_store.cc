@@ -546,8 +546,8 @@ std::vector<QueryResult> ShardedFlatStore::Snapshot::Execute(
   if (base_ == nullptr) return results;  // default-constructed Snapshot
 
   // Scatter: one flat multi-index sub-batch covering every (query, shard)
-  // pair — plus each query's overlay tail — so the engine's work-stealing
-  // pool balances across queries and shards alike.
+  // pair — plus each query's overlay tail — so the engine's pool balances
+  // across queries and shards alike.
   struct Span {
     size_t first = 0;
     size_t count = 0;
@@ -704,7 +704,7 @@ void ShardedFlatStore::Save(const std::string& dir) const {
 }
 
 ShardedFlatStore ShardedFlatStore::Load(
-    const std::string& dir, size_t num_threads, LoadBackend backend,
+    const std::string& dir, size_t num_threads,
     const DiskPageFile::Options* disk_options) {
   namespace fs = std::filesystem;
   const fs::path root(dir);
@@ -739,21 +739,12 @@ ShardedFlatStore ShardedFlatStore::Load(
   base->indexes.reserve(base->catalog.shards.size());
   for (const ShardCatalogEntry& entry : base->catalog.shards) {
     const fs::path path = root / entry.page_file_name;
-    if (backend == LoadBackend::kDisk) {
-      // Serve the shard straight from the file: DiskPageFile validates the
-      // header against the actual file size and maps it read-only.
-      base->files.push_back(disk_options != nullptr
-                                ? DiskPageFile::Open(path.string(),
-                                                     *disk_options)
-                                : DiskPageFile::Open(path.string()));
-    } else {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        throw std::runtime_error("ShardedFlatStore::Load: cannot open " +
-                                 path.string());
-      }
-      base->files.push_back(LoadPageFile(in));
-    }
+    // Serve the shard straight from the file: DiskPageFile validates the
+    // header against the actual file size and maps it read-only.
+    base->files.push_back(
+        disk_options != nullptr
+            ? DiskPageFile::Open(path.string(), *disk_options)
+            : DiskPageFile::Open(path.string()));
     const PageStore& file = *base->files.back();
     if (file.page_size() != base->catalog.page_size) {
       throw std::runtime_error(

@@ -43,10 +43,11 @@ class OverlayView;
 ///  - **Query.** Every query runs through one executor — scatter, dispatch,
 ///    gather. Range / range-count / seed-scan / sphere queries scatter to
 ///    every shard whose element bounds intersect the query, dispatch as one
-///    multi-index batch (work-stealing across all per-shard sub-queries,
-///    cold cache per sub-query), and gather into a canonically ordered
-///    merge. A single query is a batch of one; a Snapshot runs the same
-///    executor on the engine's inline, one-thread runner.
+///    multi-index batch (the engine's workers claim sub-queries one at a
+///    time across all shards, cold cache per sub-query), and gather into a
+///    canonically ordered merge. A single query is a batch of one; a
+///    Snapshot runs the same executor on the engine's inline, one-thread
+///    runner.
 ///
 /// **Delta overlay (dynamic updates).** The bulkloaded shards are immutable;
 /// Insert/Erase append to an in-memory DeltaLog instead (src/delta/). Every
@@ -263,7 +264,7 @@ class ShardedFlatStore {
   /// query in it sees the same epoch), every query fans out to its
   /// overlapping shards plus — when an overlay is pinned — its overlay
   /// buckets, all sub-queries run as ONE multi-index engine batch (so the
-  /// work-stealing pool balances across queries and shards alike), and
+  /// engine's pool balances across queries and shards alike), and
   /// per-query results are gathered in canonical sorted order.
   /// Supported types: kRange, kRangeCount, kSeedScan, kSphere. kKnn throws
   /// std::invalid_argument — a global k-merge needs distance-annotated
@@ -290,35 +291,25 @@ class ShardedFlatStore {
   /// directory that already holds a later compaction of itself.
   void Save(const std::string& dir) const;
 
-  /// Which storage backend a Load opens each shard's page file with.
-  enum class LoadBackend {
-    /// DiskPageFile (default): pages are served from an mmap'd (fallback:
-    /// pread) read-only view of the shard file — real out-of-core
-    /// execution.
-    kDisk,
-    /// LoadPageFile into in-memory slab arenas (the pre-disk behavior);
-    /// page reads are counters only. Byte- and IoStats-identical to kDisk.
-    kMemory,
-  };
-
-  /// Reopens a store previously written by Save. `num_threads` configures
-  /// the reopened store's query engine (1 = serial, 0 = hardware
-  /// concurrency). The overlay WAL (if present) is replayed, so queries
-  /// behave identically to the saved store's — and identically across
-  /// backends. Shards saved with aggregate sidecars reattach them and turn
+  /// Reopens a store previously written by Save, serving every shard
+  /// through a DiskPageFile: pages come from an mmap'd (fallback: pread)
+  /// read-only view of the shard file — real out-of-core execution.
+  /// `num_threads` configures the reopened store's query engine (1 =
+  /// serial, 0 = hardware concurrency). The overlay WAL (if present) is
+  /// replayed, so queries behave identically to the saved store's. Shards
+  /// saved with aggregate sidecars reattach them and turn
   /// Options::aggregate_counts on, so Compact rebuilds them as the saving
   /// store would. Throws std::runtime_error on missing/corrupt catalog or
   /// page files, and on a stale catalog: one whose generation regressed behind
   /// the directory's "generation.flatgen" sidecar (e.g. a pre-compaction
   /// catalog restored into a post-compaction directory).
   ///
-  /// `disk_options` (kDisk backend only; may be null for the defaults)
-  /// configures every shard's DiskPageFile — access mode, retry policy and
-  /// the fault-injection schedule used by the robustness tests/benches.
+  /// `disk_options` (may be null for the defaults) configures every shard's
+  /// DiskPageFile — access mode, retry policy and the fault-injection
+  /// schedule used by the robustness tests/benches.
   /// Must outlive nothing: the options are copied at Open (though a non-null
   /// Options::fault_schedule must outlive the store).
   static ShardedFlatStore Load(const std::string& dir, size_t num_threads = 1,
-                               LoadBackend backend = LoadBackend::kDisk,
                                const DiskPageFile::Options* disk_options =
                                    nullptr);
 
@@ -330,7 +321,7 @@ class ShardedFlatStore {
 
   /// Direct access to one shard's index and PageStore (bench/test hooks).
   /// A built store's shards are in-memory PageFiles; a loaded store's are
-  /// whatever LoadBackend was chosen. Same lifetime caveat as catalog().
+  /// DiskPageFiles. Same lifetime caveat as catalog().
   const FlatIndex& shard_index(size_t shard) const;
   const PageStore& shard_file(size_t shard) const;
 

@@ -1,14 +1,24 @@
 #include "storage/buffer_pool.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "storage/fault_injection.h"
 
 namespace flat {
+namespace {
 
-BufferPool::BufferPool(const PageStore* store, IoStats* stats,
-                       size_t capacity_pages)
-    : store_(store), stats_(stats), table_(capacity_pages) {
+[[noreturn]] void ThrowPageOutOfRange(PageId id, size_t page_count) {
+  throw std::runtime_error("BufferPool: page " + std::to_string(id) +
+                           " is outside the store's " +
+                           std::to_string(page_count) + " pages");
+}
+
+}  // namespace
+
+BufferPool::BufferPool(const PageStore* store, IoStats* stats)
+    : store_(store), stats_(stats) {
   assert(store_ != nullptr);
   assert(stats_ != nullptr);
 }
@@ -18,6 +28,10 @@ const char* BufferPool::Read(PageId id) {
     ++hits_;
     return store_->Data(id);
   }
+  // Neither category() nor Data() checks bounds, and the page table would
+  // grow to any id: a corrupt page pointer in a loaded file stops here.
+  const size_t page_count = store_->page_count();
+  if (id >= page_count) ThrowPageOutOfRange(id, page_count);
   ++misses_;
   stats_->RecordRead(store_->category(id));
   table_.Insert(id);

@@ -11,29 +11,31 @@
 
 namespace flat {
 
-/// Single-threaded LRU page cache in front of a PageStore.
+/// Single-threaded, unbounded page cache in front of a PageStore.
 ///
 /// A `Read` that misses the cache counts one page read (in the page's
 /// category) against the attached IoStats; hits are free, mirroring the OS
-/// buffer cache of the paper's testbed. `Clear()` empties the cache —
-/// the paper clears OS caches and disk buffers before every query, and the
-/// benchmark harness does the same through this method. Clearing is O(1)
-/// (an epoch bump in the page table), so reusing one pool with a Clear()
-/// per query is exactly as cold as — and much cheaper than — constructing a
-/// fresh pool per query. Concurrent readers each use their own pool (the
-/// QueryEngine keeps one per worker).
+/// buffer cache of the paper's testbed. Nothing is ever evicted: a query
+/// reads each page at most once. `Clear()` empties the cache — the paper
+/// clears OS caches and disk buffers before every query, and the benchmark
+/// harness does the same through this method. Clearing is O(1) (an epoch
+/// bump in the page table), so reusing one pool with a Clear() per query is
+/// exactly as cold as — and much cheaper than — constructing a fresh pool
+/// per query. Concurrent readers each use their own pool (the QueryEngine
+/// keeps one per worker).
 class BufferPool final : public PageCache {
  public:
-  /// `capacity_pages` bounds the number of cached pages (0 means unbounded).
-  BufferPool(const PageStore* store, IoStats* stats,
-             size_t capacity_pages = 0);
+  BufferPool(const PageStore* store, IoStats* stats);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Fetches a page, charging a read on miss. The returned pointer aliases
   /// the PageStore's storage and stays valid for the store's lifetime (see
-  /// PageCache::Read); eviction only affects hit/miss accounting.
+  /// PageCache::Read). A miss on an id at or beyond the store's page count
+  /// (a corrupt pointer in a loaded file) throws std::runtime_error naming
+  /// the page, before any read is charged; the engine reports it as the
+  /// query's kIoError.
   const char* Read(PageId id) override;
 
   /// Drops every cached page (cold cache).
@@ -45,12 +47,11 @@ class BufferPool final : public PageCache {
   /// amortizing the pool across a worker's whole batch share.
   void set_stats(IoStats* stats);
 
-  /// True if the page is currently cached (test hook; does not touch LRU
-  /// order or counters).
+  /// True if the page is currently cached (test hook; does not touch the
+  /// counters).
   bool IsCached(PageId id) const { return table_.Contains(id); }
 
   size_t cached_pages() const { return table_.size(); }
-  size_t capacity_pages() const { return table_.capacity(); }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }

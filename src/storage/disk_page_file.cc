@@ -23,6 +23,9 @@ namespace {
 // this container layout (storage/persistence.h).
 constexpr uint64_t kHeaderBytes = kPageFileMagicSize + 8;
 
+// Longest sleep between two transient-error retries of one page read.
+constexpr uint64_t kRetryBackoffCapMicros = 10000;
+
 [[noreturn]] void Fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("DiskPageFile: " + what + ": " + path);
 }
@@ -118,7 +121,6 @@ std::unique_ptr<DiskPageFile> DiskPageFile::Open(const std::string& path,
   file->fault_schedule_ = options.fault_schedule;
   file->max_read_retries_ = options.max_read_retries;
   file->retry_backoff_micros_ = options.retry_backoff_micros;
-  file->retry_backoff_cap_micros_ = options.retry_backoff_cap_micros;
 
   // A fault schedule forces pread mode: mmap'd reads are page faults, not
   // preads, so scheduled faults would silently never fire.
@@ -207,7 +209,7 @@ void DiskPageFile::ReadPage(PageId id, char* dst) const {
   const auto backoff = [this](uint32_t retries_done) {
     if (retry_backoff_micros_ == 0) return;
     uint64_t micros = uint64_t{retry_backoff_micros_} << retries_done;
-    if (micros > retry_backoff_cap_micros_) micros = retry_backoff_cap_micros_;
+    if (micros > kRetryBackoffCapMicros) micros = kRetryBackoffCapMicros;
     std::this_thread::sleep_for(std::chrono::microseconds(micros));
   };
 

@@ -60,9 +60,8 @@ class DiskPageFile final : public PageStore {
     /// the query dispatch layer converts to a kIoError result).
     uint32_t max_read_retries = 3;
     /// First backoff sleep before a transient-error retry; doubled per
-    /// retry up to the cap. 0 retries immediately.
+    /// retry up to a 10 ms cap. 0 retries immediately.
     uint32_t retry_backoff_micros = 100;
-    uint32_t retry_backoff_cap_micros = 10000;
 
     /// Deterministic fault plan for page reads (tests/benches; see
     /// storage/fault_injection.h). Setting this forces pread mode — mmap'd
@@ -165,7 +164,6 @@ class DiskPageFile final : public PageStore {
   const FaultSchedule* fault_schedule_ = nullptr;
   uint32_t max_read_retries_ = 3;
   uint32_t retry_backoff_micros_ = 100;
-  uint32_t retry_backoff_cap_micros_ = 10000;
   mutable std::atomic<uint64_t> read_retries_{0};
   mutable std::atomic<uint64_t> read_errors_{0};
 };

@@ -114,14 +114,6 @@ const char* FaultInjectingPageStore::Data(PageId id) const {
         }
         read_retries_.fetch_add(1, std::memory_order_relaxed);
         AddThreadReadRetries(1);
-        if (options_.backoff_initial_micros > 0) {
-          uint64_t backoff = uint64_t{options_.backoff_initial_micros}
-                             << error_retries;
-          if (backoff > options_.backoff_cap_micros) {
-            backoff = options_.backoff_cap_micros;
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-        }
         ++error_retries;
         continue;
       }

@@ -85,8 +85,8 @@ void AddThreadReadRetries(uint64_t count);
 /// A PageStore wrapper that injects the faults of a FaultSchedule in front
 /// of any inner store, applying the same recovery policy as DiskPageFile's
 /// pread path: EINTR and short reads continue immediately, transient errors
-/// retry with bounded exponential backoff, and an error that outlives the
-/// retry budget throws std::runtime_error (which the query dispatch layer
+/// retry (without sleeping — deterministic tests shouldn't), and an error
+/// that outlives the retry budget throws std::runtime_error (which the query dispatch layer
 /// converts to a kIoError result). With an empty schedule the wrapper is
 /// transparent: results, IoStats, and pointer stability are bit-identical
 /// to the inner store's. Thread-safe wherever the inner store is.
@@ -95,10 +95,6 @@ class FaultInjectingPageStore final : public PageStore {
   struct Options {
     /// Transient-error retries before the read fails permanently.
     uint32_t max_read_retries = 4;
-    /// First backoff sleep; doubled per retry up to the cap. 0 (default)
-    /// retries immediately — deterministic tests shouldn't sleep.
-    uint32_t backoff_initial_micros = 0;
-    uint32_t backoff_cap_micros = 1000;
   };
 
   /// `inner` and `schedule` must outlive the wrapper; `schedule` may be

@@ -22,10 +22,9 @@ class PageCache {
 
   /// Fetches a page, charging a read on miss. Implementations must return a
   /// pointer that stays valid for the lifetime of the underlying PageStore,
-  /// independent of later Reads or eviction — index code (e.g. the FLAT
-  /// crawl) holds a record pointer across further Read calls. BufferPool
-  /// satisfies this by returning pointers into the immutable PageStore;
-  /// eviction only forgets accounting state.
+  /// independent of later Reads — index code (e.g. the FLAT crawl) holds a
+  /// record pointer across further Read calls. BufferPool satisfies this by
+  /// returning pointers into the immutable PageStore.
   virtual const char* Read(PageId id) = 0;
 
   /// No-op hooks that no library code calls. They stay only because

@@ -212,30 +212,5 @@ TEST(RStarAdversarialTest, AlternatingExtremes) {
   EXPECT_EQ(stats.leaf_entries, entries.size());
 }
 
-// ---------------------------------------------------------------------------
-// Buffer pool under pressure.
-// ---------------------------------------------------------------------------
-
-TEST(BufferPressureTest, TinyPoolStillCorrectJustSlower) {
-  const auto entries = testing::RandomEntries(4000, 410);
-  PageFile file;
-  FlatIndex index = FlatIndex::Build(&file, entries);
-
-  const Aabb query(Vec3(20, 20, 20), Vec3(60, 60, 60));
-  const auto oracle = BruteForce(entries, query);
-
-  IoStats unbounded_stats, tiny_stats;
-  BufferPool unbounded(&file, &unbounded_stats);
-  BufferPool tiny(&file, &tiny_stats, /*capacity_pages=*/3);
-
-  std::vector<uint64_t> a, b;
-  index.RangeQuery(&unbounded, query, &a);
-  index.RangeQuery(&tiny, query, &b);
-  EXPECT_EQ(Sorted(a), oracle);
-  EXPECT_EQ(Sorted(b), oracle);
-  EXPECT_GE(tiny_stats.TotalReads(), unbounded_stats.TotalReads())
-      << "evictions can only add reads, never change results";
-}
-
 }  // namespace
 }  // namespace flat

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -18,11 +20,13 @@
 #include <gtest/gtest.h>
 
 #include "core/flat_index.h"
+#include "core/metadata.h"
 #include "core/query_control.h"
 #include "engine/query_engine.h"
 #include "shard/sharded_flat_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "storage/persistence.h"
 #include "tests/test_util.h"
 
 namespace flat {
@@ -546,8 +550,7 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
     // Clean reload through DiskPageFile with explicit (default) options.
     DiskPageFile::Options disk_options;
     ShardedFlatStore reloaded = ShardedFlatStore::Load(
-        dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk,
-        &disk_options);
+        dir.string(), /*num_threads=*/2, &disk_options);
     EXPECT_EQ(reloaded.RangeQuery(universe), expected);
   }
 
@@ -564,8 +567,7 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
     disk_options.retry_backoff_micros = 0;
     disk_options.fault_schedule = &schedule;
     ShardedFlatStore faulty = ShardedFlatStore::Load(
-        dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk,
-        &disk_options);
+        dir.string(), /*num_threads=*/2, &disk_options);
 
     BatchStats stats;
     const std::vector<QueryResult> results =
@@ -575,6 +577,84 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
     EXPECT_FALSE(results[0].error.empty());
     EXPECT_EQ(stats.queries_failed, 1u);
     EXPECT_GT(stats.io.IoErrors(), 0u);
+  }
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+// A corrupt page pointer in a loaded shard file — a seed-leaf record's
+// object page, or the page bits of one of its neighbor refs, aimed past the
+// end of the file — must come back as the query's kIoError naming the page,
+// with a partial result that is a subset of the clean answer. Neither the
+// category table nor the page mapping may be indexed with it.
+TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
+  ShardedFlatStore::Options options;
+  options.num_shards = 1;
+  const ShardedFlatStore built =
+      ShardedFlatStore::Build(RandomEntries(6000, /*seed=*/68), options);
+  const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
+  const std::vector<uint64_t> clean = built.RangeQuery(universe);
+
+  // The first record of the first seed leaf, and where it sits in the saved
+  // shard file: magic, page size and count, one category byte per page,
+  // then the pages (docs/file_format.md §1.1).
+  const PageStore& file = built.shard_file(0);
+  PageId leaf = 0;
+  while (file.category(leaf) != PageCategory::kSeedLeaf) ++leaf;
+  uint16_t record_offset;
+  std::memcpy(&record_offset, file.Data(leaf) + kSeedLeafHeaderSize,
+              sizeof(record_offset));
+  const MetadataRecordView record(file.Data(leaf) + record_offset);
+  ASSERT_GT(record.neighbor_count(), 0u);
+  const uint64_t record_in_file = kPageFileMagicSize + 8 + file.page_count() +
+                                  uint64_t{leaf} * file.page_size() +
+                                  record_offset;
+
+  struct Patch {
+    const char* what;
+    uint64_t offset;
+    uint32_t value;
+    PageId page;  // the page the patched pointer now names
+  };
+  const PageId far_object = 0x7FFFFFF0;
+  const PageId far_leaf = kMaxSeedLeafPages - 1;
+  const Patch patches[] = {
+      {"object page", record_in_file + 2 * sizeof(PackedAabb), far_object,
+       far_object},
+      {"neighbor ref", record_in_file + kRecordFixedSize,
+       PackNeighborRef({far_leaf, record.NeighborAt(0).slot}), far_leaf},
+  };
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_fault_corrupt_pointer";
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.what);
+    std::filesystem::remove_all(dir);
+    built.Save(dir.string());
+    {
+      std::fstream shard(dir / built.catalog().shards[0].page_file_name,
+                         std::ios::in | std::ios::out | std::ios::binary);
+      shard.seekp(static_cast<std::streamoff>(patch.offset));
+      shard.write(reinterpret_cast<const char*>(&patch.value),
+                  sizeof(patch.value));
+      ASSERT_TRUE(shard.good());
+    }
+
+    const ShardedFlatStore loaded =
+        ShardedFlatStore::Load(dir.string(), /*num_threads=*/2);
+    BatchStats stats;
+    const std::vector<QueryResult> results =
+        loaded.RunBatch({Query::Range(universe)}, &stats);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, QueryStatus::kIoError);
+    EXPECT_NE(results[0].error.find("page " + std::to_string(patch.page)),
+              std::string::npos)
+        << results[0].error;
+    const std::vector<uint64_t> partial = testing::Sorted(results[0].ids);
+    EXPECT_TRUE(std::includes(clean.begin(), clean.end(), partial.begin(),
+                              partial.end()));
+    EXPECT_EQ(stats.queries_failed, 1u);
   }
 
   std::error_code ec;

@@ -143,7 +143,7 @@ TEST_F(QueryEngineTest, KnnAndSphereBatches) {
 
 TEST_F(QueryEngineTest, RandomizedStress) {
   // Fixed-seed stress mix: many skewed queries (some huge, some empty) so
-  // the work-stealing path actually runs.
+  // the workers' dynamic claiming actually balances.
   Rng rng(4242);
   const Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
   std::vector<Query> batch;
@@ -181,6 +181,57 @@ TEST_F(QueryEngineTest, EngineIsReusableAcrossBatches) {
     std::vector<QueryResult> results = engine.Run(batch);
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(results[i].ids, RunSerial(batch[i]).ids);
+    }
+  }
+}
+
+// One engine alternates batches of one sub-query, which ParallelFor runs on
+// the calling thread with worker 0's scratch and pool, and batches of 64 on
+// the pool. The sub-queries span two indexes, so workers also switch stores
+// and rebuild their pools. Every result must equal a serial cold-pool run in
+// ids and per-category IoStats, whichever path and worker ran it.
+TEST_F(QueryEngineTest, InlineAndPooledBatchesShareWorkerStateExactly) {
+  PageFile other_file;
+  const FlatIndex other =
+      FlatIndex::Build(&other_file, RandomEntries(8000, /*seed=*/7));
+  const FlatIndex* const indexes[] = {&index_, &other};
+
+  Rng rng(31);
+  const Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
+  const auto make_query = [&](size_t i) {
+    const Vec3 center = rng.PointIn(universe);
+    switch (i % 3) {
+      case 0:
+        return Query::Range(Aabb::FromCenterHalfExtents(
+            center, Vec3(1, 1, 1) * rng.Uniform(0.5, 12.0)));
+      case 1:
+        return Query::Sphere(center, rng.Uniform(0.5, 10.0));
+      default:
+        return Query::Knn(center, static_cast<size_t>(rng.UniformInt(1, 40)));
+    }
+  };
+
+  QueryEngine engine(QueryEngine::Options{.threads = 4});
+  for (size_t round = 0; round < 8; ++round) {
+    std::vector<IndexedQuery> batch;
+    if (round % 2 == 0) {
+      batch.push_back({indexes[(round / 2) % 2], make_query(round / 2)});
+    } else {
+      for (size_t i = 0; i < 64; ++i) {
+        batch.push_back({indexes[i % 2], make_query(i)});
+      }
+    }
+    BatchStats stats;
+    const std::vector<QueryResult> got = engine.RunMulti(batch, &stats);
+    ASSERT_EQ(got.size(), batch.size());
+    EXPECT_EQ(stats.threads, 4u);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      QueryResult want;
+      BufferPool pool(batch[i].index->file(), &want.io);
+      DispatchQuery(batch[i], &pool, &want);
+      EXPECT_EQ(got[i].ids, want.ids) << "round " << round << " query " << i;
+      EXPECT_EQ(CategoryCounts(got[i].io), CategoryCounts(want.io))
+          << "round " << round << " query " << i;
     }
   }
 }

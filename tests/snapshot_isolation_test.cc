@@ -351,8 +351,7 @@ TEST(SnapshotIsolationTest, MultiWriterSnapshotStability) {
 }
 
 // Save persists the overlay window as a WAL; Load replays it, so a reopened
-// store answers exactly like the saved one — on both storage backends — and
-// keeps the generation.
+// store answers exactly like the saved one and keeps the generation.
 TEST(SnapshotIsolationTest, SaveLoadReplaysOverlayWal) {
   const std::vector<RTreeEntry> entries = RandomEntries(3000, /*seed=*/71);
   ShardedFlatStore store =
@@ -369,12 +368,9 @@ TEST(SnapshotIsolationTest, SaveLoadReplaysOverlayWal) {
   std::filesystem::remove_all(dir);
   store.Save(dir.string());
 
-  for (const auto backend : {ShardedFlatStore::LoadBackend::kMemory,
-                             ShardedFlatStore::LoadBackend::kDisk}) {
-    SCOPED_TRACE(backend == ShardedFlatStore::LoadBackend::kDisk ? "disk"
-                                                                 : "memory");
+  {  // scoped: the mapped shard files are rewritten by the Save below
     ShardedFlatStore loaded =
-        ShardedFlatStore::Load(dir.string(), /*num_threads=*/2, backend);
+        ShardedFlatStore::Load(dir.string(), /*num_threads=*/2);
     EXPECT_EQ(loaded.generation(), store.generation());
     EXPECT_EQ(loaded.overlay_op_count(), store.overlay_op_count());
     for (const Aabb& q : RandomQueries(20, /*seed=*/73)) {

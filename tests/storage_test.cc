@@ -129,35 +129,6 @@ TEST(EpochPageTableTest, ClearIsColdAndReusable) {
   }
 }
 
-// The exact LRU semantics the former list+hash implementation had; the
-// eviction order decides which reads are misses, so IoStats parity depends
-// on it.
-TEST(EpochPageTableTest, BoundedEvictsLeastRecentlyUsed) {
-  EpochPageTable table(/*capacity=*/2);
-  table.Insert(1);
-  table.Insert(2);
-  EXPECT_TRUE(table.Touch(1));   // 1 becomes MRU
-  table.Insert(3);               // evicts 2
-  EXPECT_TRUE(table.Contains(1));
-  EXPECT_FALSE(table.Contains(2));
-  EXPECT_TRUE(table.Contains(3));
-  EXPECT_EQ(table.size(), 2u);
-  table.Insert(2);               // now 1 is LRU (3 was the last insert)
-  EXPECT_FALSE(table.Contains(1));
-  EXPECT_TRUE(table.Contains(3));
-  EXPECT_TRUE(table.Contains(2));
-}
-
-TEST(EpochPageTableTest, BoundedSingleSlotChurn) {
-  EpochPageTable table(/*capacity=*/1);
-  for (PageId id = 0; id < 100; ++id) {
-    table.Insert(id);
-    EXPECT_TRUE(table.Contains(id));
-    if (id > 0) EXPECT_FALSE(table.Contains(id - 1));
-    EXPECT_EQ(table.size(), 1u);
-  }
-}
-
 TEST(IoStatsTest, CountsPerCategory) {
   IoStats stats;
   stats.RecordRead(PageCategory::kObject);
@@ -207,24 +178,6 @@ TEST(BufferPoolTest, ClearColdCacheRecharges) {
   EXPECT_FALSE(pool.IsCached(p));
   pool.Read(p);
   EXPECT_EQ(stats.TotalReads(), 2u);
-}
-
-TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
-  PageFile file;
-  PageId a = file.Allocate(PageCategory::kOther);
-  PageId b = file.Allocate(PageCategory::kOther);
-  PageId c = file.Allocate(PageCategory::kOther);
-  IoStats stats;
-  BufferPool pool(&file, &stats, /*capacity_pages=*/2);
-  pool.Read(a);
-  pool.Read(b);
-  pool.Read(a);  // a is now MRU
-  pool.Read(c);  // evicts b
-  EXPECT_TRUE(pool.IsCached(a));
-  EXPECT_FALSE(pool.IsCached(b));
-  EXPECT_TRUE(pool.IsCached(c));
-  pool.Read(b);  // miss again
-  EXPECT_EQ(stats.TotalReads(), 4u);
 }
 
 TEST(BufferPoolTest, CategoriesChargedCorrectly) {

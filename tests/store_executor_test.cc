@@ -277,8 +277,7 @@ TEST(RunInlineTest, SnapshotMatchesStoreUnderShardFaults) {
   disk_options.fault_schedule = &schedule;
   {
     ShardedFlatStore faulty = ShardedFlatStore::Load(
-        dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk,
-        &disk_options);
+        dir.string(), /*num_threads=*/2, &disk_options);
     const ShardedFlatStore::Snapshot snapshot = faulty.PinSnapshot();
     const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
     const std::vector<QueryResult> batched =

@@ -419,24 +419,18 @@ class TileDirectoryStoreTest : public ::testing::Test {
 TEST_F(TileDirectoryStoreTest, SaveLoadKeepsIdsAndIoStats) {
   const std::vector<Query> batch = StoreQueries(508);
   const std::vector<QueryResult> want = store_.RunBatch(batch);
-  for (const auto backend : {ShardedFlatStore::LoadBackend::kDisk,
-                             ShardedFlatStore::LoadBackend::kMemory}) {
-    SCOPED_TRACE(backend == ShardedFlatStore::LoadBackend::kDisk ? "disk"
-                                                                 : "memory");
-    const ShardedFlatStore loaded =
-        ShardedFlatStore::Load(dir_.string(), 2, backend);
-    for (size_t s = 0; s < loaded.shard_count(); ++s) {
-      EXPECT_EQ(loaded.shard_index(s).descriptor().directory_root,
-                store_.shard_index(s).descriptor().directory_root);
-    }
-    const std::vector<QueryResult> got = loaded.RunBatch(batch);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].ids, want[i].ids) << "query " << i;
-      EXPECT_EQ(got[i].count, want[i].count) << "query " << i;
-      EXPECT_EQ(PerCategory(got[i].io), PerCategory(want[i].io))
-          << "query " << i;
-    }
+  const ShardedFlatStore loaded = ShardedFlatStore::Load(dir_.string(), 2);
+  for (size_t s = 0; s < loaded.shard_count(); ++s) {
+    EXPECT_EQ(loaded.shard_index(s).descriptor().directory_root,
+              store_.shard_index(s).descriptor().directory_root);
+  }
+  const std::vector<QueryResult> got = loaded.RunBatch(batch);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ids, want[i].ids) << "query " << i;
+    EXPECT_EQ(got[i].count, want[i].count) << "query " << i;
+    EXPECT_EQ(PerCategory(got[i].io), PerCategory(want[i].io))
+        << "query " << i;
   }
   for (size_t i = 0; i < batch.size(); i += 3) {
     EXPECT_EQ(want[i].ids, BruteForce(elements_, batch[i].box));
@@ -504,11 +498,8 @@ TEST_F(TileDirectoryStoreTest, HostileCatalogDirectoryRootThrowsAtLoad) {
       std::ofstream out(catalog_path, std::ios::binary | std::ios::trunc);
       SaveShardCatalog(bad, out);
     }
-    for (const auto backend : {ShardedFlatStore::LoadBackend::kDisk,
-                               ShardedFlatStore::LoadBackend::kMemory}) {
-      EXPECT_THROW(ShardedFlatStore::Load(dir_.string(), 1, backend),
-                   std::runtime_error);
-    }
+    EXPECT_THROW(ShardedFlatStore::Load(dir_.string(), 1),
+                 std::runtime_error);
   }
 }
 
