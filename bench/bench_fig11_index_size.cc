@@ -3,82 +3,15 @@
 // Paper: FLAT is slightly larger (the metadata), both grow linearly, and
 // "the size of the total index predominantly depends on the number of
 // elements".
-// --json switches to the compressed-vs-exact index size comparison (part of
-// the BENCH_compressed.json baseline): the quantized interior format packs
-// 252 children per 4 KiB page instead of 73, so the seed tree's internal
-// level count and page count shrink while object and seed-leaf pages stay
-// byte-identical. Exits non-zero if the compressed build is ever larger.
 #include <iostream>
 
 #include "benchutil/experiment.h"
 #include "benchutil/sweep.h"
 #include "benchutil/table.h"
 
-namespace {
-
-int RunCompressedComparison(const flat::BenchFlags& flags) {
-  using namespace flat;
-  const size_t points[] = {flags.Scaled(100000), flags.Scaled(200000),
-                           flags.Scaled(400000)};
-  std::cerr << "# compressed-vs-exact index size\n";
-
-  bool bounded = true;
-  std::cout << "{\n"
-            << "  \"bench\": \"fig11_index_size\",\n"
-            << "  \"workload\": \"index_size_compressed_vs_exact\",\n"
-            << "  \"points\": [\n";
-  for (size_t p = 0; p < 3; ++p) {
-    Dataset dataset = NeuronDatasetAt(points[p], flags.seed());
-    const Contender exact =
-        BuildContender(IndexKind::kFlat, dataset.elements);
-    const Contender compressed =
-        BuildContender(IndexKind::kFlatCompressed, dataset.elements);
-
-    const auto& exact_stats = exact.flat.build_stats();
-    const auto& comp_stats = compressed.flat.build_stats();
-    bounded = bounded && compressed.total_pages() <= exact.total_pages() &&
-              comp_stats.seed_internal_pages <=
-                  exact_stats.seed_internal_pages;
-    const double internal_reduction =
-        comp_stats.seed_internal_pages > 0
-            ? static_cast<double>(exact_stats.seed_internal_pages) /
-                  comp_stats.seed_internal_pages
-            : 0.0;
-
-    std::cout << "    {\"elements\": " << dataset.elements.size() << ",\n"
-              << "     \"exact\": {\"total_pages\": " << exact.total_pages()
-              << ", \"size_bytes\": " << exact.size_bytes()
-              << ", \"seed_internal_pages\": "
-              << exact_stats.seed_internal_pages
-              << ", \"seed_height\": " << exact_stats.seed_height << "},\n"
-              << "     \"compressed\": {\"total_pages\": "
-              << compressed.total_pages()
-              << ", \"size_bytes\": " << compressed.size_bytes()
-              << ", \"seed_internal_pages\": "
-              << comp_stats.seed_internal_pages
-              << ", \"seed_height\": " << comp_stats.seed_height << "},\n"
-              << "     \"seed_internal_page_reduction\": "
-              << internal_reduction << "}" << (p + 1 < 3 ? "," : "") << "\n";
-  }
-  std::cout << "  ],\n"
-            << "  \"compressed_size_bounded\": "
-            << (bounded ? "true" : "false") << "\n"
-            << "}\n";
-
-  if (!bounded) {
-    std::cerr << "ERROR: compressed build produced a larger index than the "
-                 "exact build\n";
-    return 1;
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace flat;
   BenchFlags flags(argc, argv);
-  if (flags.GetInt("json", 0) != 0) return RunCompressedComparison(flags);
 
   SweepOptions options;
   options.volume_fraction = 0.0;

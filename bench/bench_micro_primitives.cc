@@ -51,7 +51,7 @@ BENCHMARK(BM_AabbIntersects);
 //                           full per-object-page cost
 //   NodeGateSoaGateOnly     IntersectsSoa alone, lanes already transposed
 //   SoaTranspose            SoaBoxes::Assign alone
-// The Cover*, Sphere* and Quantized* rows follow the same pattern.
+// The Cover* and Sphere* rows follow the same pattern.
 
 struct NodePageFixture {
   std::vector<char> page;
@@ -227,71 +227,6 @@ void BM_SphereGateSoaGateOnly(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.count);
 }
 BENCHMARK(BM_SphereGateSoaGateOnly);
-
-// --- Quantized-gate primitives ----------------------------------------------
-// A full 4 KiB compressed interior page (252 u16 slots over the same
-// universe), gated on lanes already transposed, with the query quantized
-// once outside the loop: the per-node cost of a seed descent through
-// compressed pages (IntersectsQuantizedSoa) and of the aggregate-pruned
-// count's certification (ContainsQuantizedSoa).
-
-struct QuantizedPageFixture {
-  std::vector<char> page;
-  QuantizedSoa soa;
-  QuantizedQueryBox query;
-  QuantizedCoverBox cover;
-  std::vector<uint8_t> hits;
-
-  QuantizedPageFixture() {
-    Rng rng(43);
-    const Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
-    const uint32_t fanout = QuantizedNodeCapacity(kDefaultPageSize);
-    std::vector<RTreeEntry> children;
-    Aabb node_box;  // the union, as the packers pass it
-    for (uint32_t i = 0; i < fanout; ++i) {
-      children.push_back(RTreeEntry{
-          Aabb::FromCenterHalfExtents(rng.PointIn(universe), Vec3(2, 3, 1)),
-          i});
-      node_box.ExpandToInclude(children.back().box);
-    }
-    page.assign(kDefaultPageSize, 0);
-    CompressedNodeWriter writer(page.data(), kDefaultPageSize);
-    writer.Init(/*level=*/1, node_box);
-    for (const RTreeEntry& child : children) writer.Append(child);
-    const CompressedNodeView view(page.data());
-    soa.Assign(view.slots(), sizeof(QuantizedSlot), view.count());
-    query = QuantizeQuery(node_box, Aabb(Vec3(20, 20, 20), Vec3(60, 60, 60)));
-    cover = QuantizeCoverQuery(node_box, Aabb(Vec3(5, 5, 5), Vec3(95, 95, 95)));
-    hits.resize(soa.padded_count());
-  }
-};
-
-QuantizedPageFixture& QuantizedPage() {
-  static QuantizedPageFixture fixture;
-  return fixture;
-}
-
-void BM_QuantizedGate(benchmark::State& state) {
-  auto& f = QuantizedPage();
-  for (auto _ : state) {
-    IntersectsQuantizedSoa(f.soa, f.query, f.hits.data());
-    benchmark::DoNotOptimize(f.hits.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * f.soa.count());
-}
-BENCHMARK(BM_QuantizedGate);
-
-void BM_QuantizedCoverGate(benchmark::State& state) {
-  auto& f = QuantizedPage();
-  for (auto _ : state) {
-    ContainsQuantizedSoa(f.soa, f.cover, f.hits.data());
-    benchmark::DoNotOptimize(f.hits.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * f.soa.count());
-}
-BENCHMARK(BM_QuantizedCoverGate);
 
 // --- Page lookup primitives -----------------------------------------------
 // Arena PageFile address arithmetic vs. the former one-allocation-per-page

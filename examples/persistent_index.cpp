@@ -84,46 +84,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  {
-    // Session 4: the same lifecycle with compressed seed pages — the
-    // quantized interior format (docs/file_format.md §2.1) packs ~3.45x
-    // more children per page, the per-page format byte marks those pages,
-    // and the disk-backed re-query must return the same results as the
-    // exact index.
-    const std::string compressed_path = path + ".v2";
-    NeuronParams params;
-    params.total_elements = 80000;
-    Dataset dataset = GenerateNeurons(params);
-
-    FlatIndex::Descriptor compressed_descriptor;
-    {
-      PageFile file;
-      FlatIndex::BuildOptions options;
-      options.compressed_seed_pages = true;
-      FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
-      compressed_descriptor = index.descriptor();
-      std::ofstream out(compressed_path, std::ios::binary);
-      SavePageFile(file, out);
-      std::cout << "session 4: compressed-seed build saved to "
-                << compressed_path << " (seed height "
-                << index.build_stats().seed_height << ", "
-                << index.build_stats().seed_internal_pages
-                << " internal pages)\n";
-    }
-
-    auto file = DiskPageFile::Open(compressed_path);
-    FlatIndex index = FlatIndex::Attach(file.get(), compressed_descriptor);
-    IoStats stats;
-    BufferPool pool(file.get(), &stats);
-    const size_t got = index.RangeCount(&pool, probe);
-    std::cout << "session 4: disk-backed compressed index, probe query: "
-              << got << " results, " << stats.TotalReads()
-              << " page reads\n";
-    if (got != expected) {
-      std::cerr << "MISMATCH on the compressed index!\n";
-      return 1;
-    }
-  }
   std::cout << "reload verified: identical results (and identical logical "
                "reads) on both backends, without reindexing\n";
   return 0;

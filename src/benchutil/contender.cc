@@ -20,8 +20,6 @@ const char* IndexKindName(IndexKind kind) {
       return "R*-Tree";
     case IndexKind::kFlat:
       return "FLAT";
-    case IndexKind::kFlatCompressed:
-      return "FLAT (compressed)";
   }
   return "unknown";
 }
@@ -59,13 +57,6 @@ Contender BuildContender(IndexKind kind,
     case IndexKind::kFlat:
       contender.flat = FlatIndex::Build(contender.file.get(), elements);
       break;
-    case IndexKind::kFlatCompressed: {
-      FlatIndex::BuildOptions options;
-      options.compressed_seed_pages = true;
-      contender.flat =
-          FlatIndex::Build(contender.file.get(), elements, options);
-      break;
-    }
   }
   contender.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

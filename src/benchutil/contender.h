@@ -26,9 +26,6 @@ enum class IndexKind {
   kTgs,
   kRStar,
   kFlat,
-  /// FLAT built with BuildOptions::compressed_seed_pages: quantized
-  /// interior seed pages (rtree/node.h), same query results.
-  kFlatCompressed,
 };
 
 const char* IndexKindName(IndexKind kind);
@@ -42,13 +39,13 @@ struct Contender {
   IndexKind kind;
   std::unique_ptr<PageFile> file;
   RTree rtree;          // valid for all R-Tree kinds
-  FlatIndex flat;       // valid for kFlat / kFlatCompressed
+  FlatIndex flat;       // valid for kFlat
   double build_seconds = 0.0;
 
   /// Runs a range query through `pool`, appending result ids.
   void RangeQuery(BufferPool* pool, const Aabb& query,
                   std::vector<uint64_t>* out) const {
-    if (kind == IndexKind::kFlat || kind == IndexKind::kFlatCompressed) {
+    if (kind == IndexKind::kFlat) {
       flat.RangeQuery(pool, query, out);
     } else {
       rtree.RangeQuery(pool, query, out);

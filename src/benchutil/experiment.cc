@@ -41,7 +41,7 @@ std::vector<DensityPoint> RunDensitySweep(const BenchFlags& flags,
         result.pages_in[c] =
             contender.file->PageCountIn(static_cast<PageCategory>(c));
       }
-      if (kind == IndexKind::kFlat || kind == IndexKind::kFlatCompressed) {
+      if (kind == IndexKind::kFlat) {
         result.flat_stats = contender.flat.build_stats();
       } else {
         result.tree_stats = contender.rtree.ComputeStats();

@@ -77,16 +77,16 @@ class CrawlScratch {
   }
 
   /// At least `count` bytes for a batched hit mask (IntersectsBatch,
-  /// IntersectsSoa, SphereGateSoa, IntersectsQuantizedSoa).
+  /// IntersectsSoa, SphereGateSoa).
   uint8_t* Hits(size_t count) {
     if (hits_.size() < count) hits_.resize(count);
     return hits_.data();
   }
 
-  /// Second hit-mask buffer for the containment ("covered") gates of the
+  /// Second hit-mask buffer for the containment ("covered") gate of the
   /// aggregate-pruned descent, which runs alongside the intersection mask
-  /// of the same node (ContainsBatch / ContainsQuantizedSoa) — a separate
-  /// buffer so the two masks coexist.
+  /// of the same node (ContainsBatch) — a separate buffer so the two masks
+  /// coexist.
   uint8_t* CoverHits(size_t count) {
     if (cover_hits_.size() < count) cover_hits_.resize(count);
     return cover_hits_.data();
@@ -97,13 +97,6 @@ class CrawlScratch {
   /// whole fanout with one SoA gate (IntersectsSoa or SphereGateSoa, see
   /// geometry/box_kernels.h).
   SoaBoxes& Soa() { return soa_; }
-
-  /// Quantized-lane counterpart for compressed internal pages: the seed
-  /// descent transposes a node's u16 slots into these lanes and sweeps them
-  /// with the u16 gates (IntersectsQuantizedSoa, ContainsQuantizedSoa). Kept
-  /// separate from Soa() so a descent over mixed-format levels never
-  /// thrashes one buffer.
-  QuantizedSoa& QuantizedLanes() { return quantized_; }
 
   /// Binds the fail-soft control the query loops check at their cancellation
   /// points, and the IoStats the executing query charges reads to (for the
@@ -176,7 +169,6 @@ class CrawlScratch {
   std::vector<uint8_t> hits_;
   std::vector<uint8_t> cover_hits_;
   SoaBoxes soa_;
-  QuantizedSoa quantized_;
   const QueryControl* control_ = nullptr;  // null = uncontrolled (hot path)
   const IoStats* control_io_ = nullptr;
 };

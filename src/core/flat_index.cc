@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "core/tile_directory.h"
@@ -51,77 +51,26 @@ bool AllBoxesAggregatable(const std::vector<RTreeEntry>& elements) {
   return true;
 }
 
-/// One internal seed node, gated against `gate` whichever format the page
-/// carries (the header's format byte dispatches). Exact pages run the
-/// batched double-precision sweep; compressed pages quantize the query once
-/// into the node's grid and sweep the u16 slots through the scratch's
-/// quantized SoA lanes. Quantized hits are a superset of the exact hits
-/// (outward rounding, geometry/box_kernels.h): a spurious child costs one
-/// extra descent and is resolved by the exact gates at the seed-leaf /
-/// object level; a miss is impossible, so results never change.
-class InternalNodeGate {
- public:
-  /// `want_covered` additionally computes a containment mask (Covered):
-  /// exact pages run the flipped-predicate ContainsBatch, compressed pages
-  /// certify slots against the conservatively dequantized cover thresholds
-  /// (QuantizeCoverQuery) — covered can under-trigger near the query faces
-  /// on quantized pages but never over-trigger, so a covered verdict always
-  /// licenses taking the child's stored aggregate instead of descending.
-  InternalNodeGate(const char* data, const Aabb& gate, CrawlScratch* scratch,
-                   bool want_covered = false)
-      : data_(data), node_(data) {
-    const uint16_t n = node_.count();
-    uint8_t* hits;
-    if (node_.format() == NodeFormat::kQuantized) {
-      const CompressedNodeView cnode(data);
-      QuantizedSoa& soa = scratch->QuantizedLanes();
-      soa.Assign(cnode.slots(), sizeof(QuantizedSlot), n);
-      hits = scratch->Hits(soa.padded_count());
-      IntersectsQuantizedSoa(soa, QuantizeQuery(cnode.node_box(), gate),
-                             hits);
-      if (want_covered) {
-        uint8_t* cover = scratch->CoverHits(soa.padded_count());
-        ContainsQuantizedSoa(soa, QuantizeCoverQuery(cnode.node_box(), gate),
-                             cover);
-        cover_ = cover;
-      }
-    } else {
-      hits = scratch->Hits(n);
-      IntersectsBatch(data + kNodeHeaderSize, sizeof(RTreeEntry), n, gate,
-                      hits);
-      if (want_covered) {
-        uint8_t* cover = scratch->CoverHits(n);
-        ContainsBatch(data + kNodeHeaderSize, sizeof(RTreeEntry), n, gate,
-                      cover);
-        cover_ = cover;
-      }
-    }
-    hits_ = hits;
+// A seed-tree internal page that is not an exact node page at the level
+// its parent implies (`want`; kAnyLevel for the root, which must only be
+// above the leaves): a retired or corrupt format byte, or a child pointer
+// aimed back up the tree. Reading on would misread the page or walk a cycle.
+constexpr int kAnyLevel = -1;
+
+[[noreturn]] void ThrowBadSeedPage(PageId page, const NodeView& node,
+                                   int want) {
+  std::string what = "FlatIndex: seed-tree page " + std::to_string(page);
+  if (node.format() != NodeFormat::kExact) {
+    what += " has node format " +
+            std::to_string(static_cast<int>(node.format())) +
+            "; only format 0 (exact) is readable";
+  } else {
+    what += " is at level " + std::to_string(node.level()) + ", expected " +
+            (want == kAnyLevel ? std::string("a level above 0")
+                               : std::to_string(want));
   }
-
-  uint16_t count() const { return node_.count(); }
-  uint8_t level() const { return node_.level(); }
-  bool Hit(uint16_t i) const { return hits_[i] != 0; }
-  bool Covered(uint16_t i) const { return cover_[i] != 0; }
-
-  PageId ChildAt(uint16_t i) const {
-    if (node_.format() == NodeFormat::kQuantized) {
-      uint32_t child;
-      std::memcpy(&child,
-                  data_ + kQuantizedSlotsOffset + i * sizeof(QuantizedSlot) +
-                      offsetof(QuantizedSlot, child),
-                  sizeof(child));
-      return child;
-    }
-    return static_cast<PageId>(node_.IdAt(i));
-  }
-
- private:
-  const char* data_;
-  NodeView node_;
-  const uint8_t* hits_;
-  const uint8_t* cover_ = nullptr;  // set iff want_covered
-};
+  throw std::runtime_error(what);
+}
 
 }  // namespace
 
@@ -309,21 +258,16 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     }
   }
 
-  // Internal levels of the seed tree, exact or compressed per the build
-  // options (the two layouts differ only in these kSeedInternal pages —
-  // object pages and seed leaves above are byte-identical either way).
+  // Internal levels of the seed tree.
   if (leaf_entries.size() == 1) {
     index.seed_root_ = leaf_ids.front();
     index.root_is_leaf_ = true;
     index.seed_height_ = 1;
   } else {
     const size_t pages_before = file->page_count();
-    const NodeFormat seed_format = options.compressed_seed_pages
-                                       ? NodeFormat::kQuantized
-                                       : NodeFormat::kExact;
     RTree upper = BuildUpperLevels(
         file, leaf_entries, /*level=*/1, LevelOrder::kStr,
-        PageCategory::kSeedInternal, pool, seed_format,
+        PageCategory::kSeedInternal, pool,
         agg_builder.has_value() ? &*agg_builder : nullptr);
     index.seed_root_ = upper.root();
     index.root_is_leaf_ = false;
@@ -363,23 +307,27 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
   if (empty() || gate.IsEmpty()) return;
   constexpr bool kWantCovered = !std::is_same_v<Covered, std::nullptr_t>;
 
+  // Each frame carries the level its page must have, one below its
+  // parent's; level 0 is a seed leaf. Levels strictly fall, so no walk can
+  // revisit an ancestor.
   struct Frame {
     PageId page;
-    bool is_leaf;
+    int level;
   };
-  // The batched node gates need the scratch's hit/lane buffers; materialize
-  // a throwaway when the caller brought none (results and I/O identical).
+  // The batched node gates need the scratch's hit buffers; materialize a
+  // throwaway when the caller brought none (results and I/O identical).
   std::optional<CrawlScratch> throwaway;
   CrawlScratch* s = scratch != nullptr ? scratch : &throwaway.emplace();
-  std::vector<Frame> stack = {{seed_root_, root_is_leaf_}};
+  std::vector<Frame> stack = {{seed_root_, root_is_leaf_ ? 0 : kAnyLevel}};
   while (!stack.empty()) {
     // Cancellation point: one pop reads at most one node page before the
     // next check (visitors check again before each object-page read).
     s->CheckControl();
     const Frame frame = stack.back();
     stack.pop_back();
-    if (frame.is_leaf) {
-      SeedLeafView leaf(pool->Read(frame.page));
+    const char* data = pool->Read(frame.page);
+    if (frame.level == 0) {
+      SeedLeafView leaf(data);
       for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
         const MetadataRecordView record = leaf.RecordAt(slot);
         if (record.page_mbr().Intersects(gate) &&
@@ -389,18 +337,31 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
       }
       continue;
     }
-    // Gate the whole fanout in one batched, format-dispatching sweep; push
-    // the hits last to first so they pop first to last.
-    const InternalNodeGate gated(pool->Read(frame.page), gate, s,
-                                 kWantCovered);
-    const bool children_are_leaves = gated.level() == 1;
-    for (int i = gated.count() - 1; i >= 0; --i) {
+    const NodeView node(data);
+    if (node.format() != NodeFormat::kExact || node.level() == 0 ||
+        (frame.level != kAnyLevel && node.level() != frame.level)) {
+      ThrowBadSeedPage(frame.page, node, frame.level);
+    }
+    // Gate the whole fanout in one batched sweep, plus the containment mask
+    // when a covered callback wants it; push the hits last to first so they
+    // pop first to last.
+    const uint16_t n = node.count();
+    const char* boxes = data + kNodeHeaderSize;
+    uint8_t* hits = s->Hits(n);
+    IntersectsBatch(boxes, sizeof(RTreeEntry), n, gate, hits);
+    [[maybe_unused]] uint8_t* cover = nullptr;
+    if constexpr (kWantCovered) {
+      cover = s->CoverHits(n);
+      ContainsBatch(boxes, sizeof(RTreeEntry), n, gate, cover);
+    }
+    for (int i = n - 1; i >= 0; --i) {
       const auto slot = static_cast<uint16_t>(i);
-      if (!gated.Hit(slot)) continue;
+      if (!hits[slot]) continue;
       if constexpr (kWantCovered) {
-        if (gated.Covered(slot) && covered(frame.page, slot)) continue;
+        if (cover[slot] && covered(frame.page, slot)) continue;
       }
-      stack.push_back(Frame{gated.ChildAt(slot), children_are_leaves});
+      stack.push_back(
+          Frame{static_cast<PageId>(node.IdAt(slot)), node.level() - 1});
     }
   }
 }

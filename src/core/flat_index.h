@@ -98,17 +98,6 @@ class FlatIndex {
     /// (verified by tests/parallel_build_test.cc).
     size_t num_threads = 1;
 
-    /// Build the seed tree's internal pages in the compressed format
-    /// (rtree/node.h): child MBRs quantized to 16-bit fixed point relative
-    /// to the node's exact box, ~3.45x the fanout of exact pages, so the
-    /// seed descent reads fewer and shallower internal pages. Query results
-    /// are bit-identical to an exact build — quantization rounds outward,
-    /// spurious descents are resolved by the exact record and element gates
-    /// (tests/compressed_index_test.cc). Off by default: exact pages,
-    /// byte-identical to builds that predate the option. Object pages and
-    /// seed leaves are unaffected either way.
-    bool compressed_seed_pages = false;
-
     /// Compute per-subtree aggregates (element and page counts per child
     /// pointer — rtree/aggregates.h) during the build and attach them to
     /// the returned index, enabling the covered-node pruning fast paths:
@@ -329,7 +318,9 @@ class FlatIndex {
   // walk. A `covered` callback adds the containment mask: each covered
   // child goes to covered(page, slot) first, and true means answered, not
   // descended. Uses `scratch` when given, else a throwaway, and checks its
-  // control once per popped page.
+  // control once per popped page. Throws std::runtime_error naming the page
+  // when an internal page's format byte is not 0 (exact) or its level is
+  // not one below its parent's.
   template <typename Visit, typename Covered = std::nullptr_t>
   void WalkSeedTree(PageCache* pool, const Aabb& gate, CrawlScratch* scratch,
                     const Visit& visit,

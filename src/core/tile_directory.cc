@@ -12,7 +12,7 @@ namespace flat {
 namespace {
 
 /// Byte 3 of every directory page, where node pages keep their NodeFormat
-/// (0 exact, 1 quantized): no node reader can take one for the other.
+/// (0, exact; 1 is retired): no node reader can take one for the other.
 constexpr uint8_t kDirectoryFormat = 2;
 
 /// Page header. `page_count` and `bounds` are meaningful on the root only.

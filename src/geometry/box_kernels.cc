@@ -1,9 +1,9 @@
-// The MBR gate kernels and the u16 quantizer. Every kernel is one plain C++
-// loop. A hand-written AVX2 body sits beside the loop only where it measured
-// at least 1.3x faster than the loop compiled with this file's flags: the
-// strided AoS gates IntersectsBatch / ContainsBatch and the SoaBoxes::Assign
-// transpose (ratios at each body). The SoA, sphere and quantized gates are
-// left to the compiler, which vectorizes them to within that bar.
+// The MBR gate kernels. Every kernel is one plain C++ loop. A hand-written
+// AVX2 body sits beside the loop only where it measured at least 1.3x
+// faster than the loop compiled with this file's flags: the strided AoS
+// gates IntersectsBatch / ContainsBatch and the SoaBoxes::Assign transpose
+// (ratios at each body). The SoA and sphere gates are left to the compiler,
+// which vectorizes them to within that bar.
 //
 // This is the one translation unit built with the kernel flags
 // (CMakeLists.txt): -mavx2 when FLAT_SIMD_AVX2 is on, and always
@@ -14,7 +14,6 @@
 #include "geometry/box_kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -243,209 +242,6 @@ void SphereGateSoa(const SoaBoxes& soa, const Vec3& center, double radius,
                     (loz[i] <= hiz[i]) & (d2 <= r2);
     hits[i] = static_cast<uint8_t>(hit);
   }
-}
-
-namespace {
-
-// Raw (unwidened) cell of `x` on one grid axis: floor((x - origin) * inv)
-// clamped to [0, kQuantMaxCell]. The !(t > 0) form sends NaN (degenerate
-// 0 * inf products) and negatives to cell 0. Weakly monotone in x: sub and
-// mul are correctly rounded and inv >= 0, so the FP result is monotone, and
-// clamp + floor preserve that — the property the conservativeness argument
-// in box_kernels.h rests on.
-inline int RawCell(double origin, double inv, double x) {
-  const double t = (x - origin) * inv;
-  if (!(t > 0.0)) return 0;
-  if (t >= static_cast<double>(kQuantMaxCell)) {
-    return static_cast<int>(kQuantMaxCell);
-  }
-  return static_cast<int>(t);
-}
-
-}  // namespace
-
-QuantGrid MakeQuantGrid(const Aabb& node_box) {
-  QuantGrid grid;
-  grid.never = node_box.IsEmpty();
-  for (int axis = 0; axis < 3; ++axis) {
-    grid.origin[axis] = node_box.lo()[axis];
-    const double extent = node_box.hi()[axis] - node_box.lo()[axis];
-    // Degenerate (zero-width) axes and non-finite extents quantize every
-    // coordinate into cell 0 via inv = 0; with the one-cell widening below,
-    // every range on such an axis becomes [0, 1] and always overlaps —
-    // conservative, never wrong. Denormal extents may overflow inv to +inf,
-    // which RawCell's clamp handles (cell 0 at the origin, top cell above).
-    grid.inv[axis] =
-        extent > 0.0 ? static_cast<double>(kQuantMaxCell) / extent : 0.0;
-  }
-  return grid;
-}
-
-uint16_t QuantizeDown(const QuantGrid& grid, int axis, double x) {
-  const int cell = RawCell(grid.origin[axis], grid.inv[axis], x) - 1;
-  return static_cast<uint16_t>(cell < 0 ? 0 : cell);
-}
-
-uint16_t QuantizeUp(const QuantGrid& grid, int axis, double x) {
-  const int cell = RawCell(grid.origin[axis], grid.inv[axis], x) + 1;
-  return static_cast<uint16_t>(
-      cell > static_cast<int>(kQuantMaxCell) ? kQuantMaxCell : cell);
-}
-
-QuantizedQueryBox QuantizeQuery(const Aabb& node_box, const Aabb& query) {
-  QuantizedQueryBox q;
-  const QuantGrid grid = MakeQuantGrid(node_box);
-  q.never = grid.never || query.IsEmpty();
-  if (q.never) return q;  // lo/hi stay 0: deterministic, unused
-  for (int axis = 0; axis < 3; ++axis) {
-    q.lo[axis] = QuantizeDown(grid, axis, query.lo()[axis]);
-    q.hi[axis] = QuantizeUp(grid, axis, query.hi()[axis]);
-  }
-  return q;
-}
-
-void QuantizedSoa::Assign(const char* slots, size_t stride, size_t count) {
-  count_ = count;
-  padded_ = (count + 15) & ~size_t{15};
-  lanes_.resize(6 * padded_);
-  uint16_t* lanes[6];
-  for (int lane = 0; lane < 6; ++lane) {
-    lanes[lane] = lanes_.data() + lane * padded_;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    uint16_t v[6];  // lo.x lo.y lo.z hi.x hi.y hi.z
-    std::memcpy(v, slots + i * stride, sizeof(v));
-    for (int lane = 0; lane < 6; ++lane) lanes[lane][i] = v[lane];
-  }
-  for (size_t i = count; i < padded_; ++i) {
-    // Inverted sentinel ranges; the kernels zero the padding bytes anyway,
-    // this just keeps the lanes deterministic.
-    lanes[0][i] = lanes[1][i] = lanes[2][i] = 0xFFFF;
-    lanes[3][i] = lanes[4][i] = lanes[5][i] = 0;
-  }
-}
-
-void IntersectsQuantizedSoa(const QuantizedSoa& soa,
-                            const QuantizedQueryBox& query, uint8_t* hits) {
-  const size_t padded = soa.padded_count();
-  if (padded == 0) return;  // empty node: no hit bytes to write (hits may
-                            // be null — memset requires a valid pointer)
-  const uint16_t *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
-  const uint16_t *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
-  const uint16_t qlx = query.lo[0], qly = query.lo[1], qlz = query.lo[2];
-  const uint16_t qhx = query.hi[0], qhy = query.hi[1], qhz = query.hi[2];
-  const size_t n = query.never ? 0 : soa.count();
-  for (size_t i = 0; i < n; ++i) {
-    const int hit = (lox[i] <= qhx) & (hix[i] >= qlx) & (loy[i] <= qhy) &
-                    (hiy[i] >= qly) & (loz[i] <= qhz) & (hiz[i] >= qlz);
-    hits[i] = static_cast<uint8_t>(hit);
-  }
-  // No u16 sentinel misses a query spanning the whole grid, so the padding
-  // (and every slot of a never query) is zeroed instead of gated.
-  std::memset(hits + n, 0, padded - n);
-}
-
-namespace {
-
-// The read-side dequantization corners, formula-identical to
-// CompressedNodeView::ChildBoxAt (rtree/node.h): the outward-widened box
-// those corners span is guaranteed to contain the child's exact MBR, so a
-// cell certified here certifies the exact MBR too. OuterLo is weakly
-// monotone in the cell (integer-by-double multiply and the add are
-// correctly rounded, cell_width >= 0); OuterHi is weakly monotone on the
-// linear region c <= kQuantMaxCell - 3 for the same reason, and the
-// threshold search below treats the node_hi clamp at the top separately
-// rather than assuming monotonicity across that seam.
-inline double OuterLo(double origin, double cell_width, uint32_t c) {
-  return c <= 2 ? origin : origin + static_cast<int>(c - 2) * cell_width;
-}
-
-inline double OuterHi(double origin, double node_hi, double cell_width,
-                      uint32_t c) {
-  return c + 2 >= kQuantMaxCell
-             ? node_hi
-             : origin + static_cast<int>(c + 2) * cell_width;
-}
-
-}  // namespace
-
-QuantizedCoverBox QuantizeCoverQuery(const Aabb& node_box, const Aabb& query) {
-  QuantizedCoverBox cover;
-  cover.never = node_box.IsEmpty() || query.IsEmpty();
-  if (cover.never) return cover;
-  for (int axis = 0; axis < 3; ++axis) {
-    const double origin = node_box.lo()[axis];
-    const double node_hi = node_box.hi()[axis];
-    const double cell =
-        (node_hi - origin) / static_cast<double>(kQuantMaxCell);
-    const double qlo = query.lo()[axis];
-    const double qhi = query.hi()[axis];
-    if (!std::isfinite(cell) || !(cell >= 0.0)) {
-      cover.never = true;  // non-finite node box: nothing is certifiable
-      return cover;
-    }
-
-    // Smallest cell whose dequantized lo corner clears query.lo. OuterLo is
-    // weakly monotone over the whole range, so a binary search finds the
-    // threshold; infeasible (or NaN query corner — every compare false)
-    // means no cell qualifies on this axis.
-    if (!(OuterLo(origin, cell, kQuantMaxCell) >= qlo)) {
-      cover.never = true;
-      return cover;
-    }
-    uint32_t lo = 0, hi = kQuantMaxCell;
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo) / 2;
-      if (OuterLo(origin, cell, mid) >= qlo) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    cover.lo[axis] = static_cast<uint16_t>(lo);
-
-    // Largest cell whose dequantized hi corner stays under query.hi. Search
-    // the linear region [0, kQuantMaxCell - 3] (monotone), then admit the
-    // clamped top cells only if node_hi itself qualifies AND the whole
-    // linear region does — cells between the two regions must not sneak
-    // through uncertified.
-    constexpr uint32_t kLinearTop = kQuantMaxCell - 3;
-    if (!(OuterHi(origin, node_hi, cell, 0) <= qhi)) {
-      cover.never = true;
-      return cover;
-    }
-    lo = 0;
-    hi = kLinearTop;
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo + 1) / 2;
-      if (OuterHi(origin, node_hi, cell, mid) <= qhi) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    cover.hi[axis] = (lo == kLinearTop && node_hi <= qhi)
-                         ? static_cast<uint16_t>(kQuantMaxCell)
-                         : static_cast<uint16_t>(lo);
-  }
-  return cover;
-}
-
-void ContainsQuantizedSoa(const QuantizedSoa& soa,
-                          const QuantizedCoverBox& cover, uint8_t* covered) {
-  const size_t padded = soa.padded_count();
-  if (padded == 0) return;  // empty node: see IntersectsQuantizedSoa
-  const uint16_t *lox = soa.lo(0), *loy = soa.lo(1), *loz = soa.lo(2);
-  const uint16_t *hix = soa.hi(0), *hiy = soa.hi(1), *hiz = soa.hi(2);
-  const uint16_t clx = cover.lo[0], cly = cover.lo[1], clz = cover.lo[2];
-  const uint16_t chx = cover.hi[0], chy = cover.hi[1], chz = cover.hi[2];
-  const size_t n = cover.never ? 0 : soa.count();
-  for (size_t i = 0; i < n; ++i) {
-    const int cov = (lox[i] >= clx) & (hix[i] <= chx) & (loy[i] >= cly) &
-                    (hiy[i] <= chy) & (loz[i] >= clz) & (hiz[i] <= chz);
-    covered[i] = static_cast<uint8_t>(cov);
-  }
-  std::memset(covered + n, 0, padded - n);
 }
 
 }  // namespace flat

@@ -16,8 +16,7 @@ namespace flat {
 /// a constant factor that affects neither trends nor comparisons, since every
 /// index here uses the same slot format. The actual slot sizes and per-page
 /// fanouts are *derived*, not quoted: see the static_asserts in rtree/node.h
-/// next to NodeCapacity / QuantizedNodeCapacity, the one place the numbers
-/// live.
+/// next to NodeCapacity, the one place the numbers live.
 struct RTreeEntry {
   Aabb box;
   uint64_t id = 0;
@@ -27,23 +26,6 @@ static_assert(std::is_trivially_copyable_v<RTreeEntry>,
               "RTreeEntry is serialized to pages by memcpy");
 static_assert(sizeof(RTreeEntry) == sizeof(Aabb) + sizeof(uint64_t),
               "no padding: the slot is an Aabb (6 f64) plus a u64 id");
-
-/// One slot of a *compressed* (quantized) internal node: the child MBR as
-/// six u16 cell indexes on the 65536-cell grid spanned by the node's own
-/// exact box (stored once per page — see rtree/node.h and
-/// docs/file_format.md §2.1), plus the child PageId. Quantization rounds
-/// outward (geometry/box_kernels.h), so the slot's box contains the child's
-/// exact box and integer gates never miss.
-struct QuantizedSlot {
-  uint16_t lo[3] = {0, 0, 0};  ///< lo.x lo.y lo.z cell indexes
-  uint16_t hi[3] = {0, 0, 0};  ///< hi.x hi.y hi.z cell indexes
-  uint32_t child = 0;          ///< child PageId
-};
-
-static_assert(std::is_trivially_copyable_v<QuantizedSlot>,
-              "QuantizedSlot is serialized to pages by memcpy");
-static_assert(sizeof(QuantizedSlot) == 6 * sizeof(uint16_t) + sizeof(uint32_t),
-              "no padding: six u16 cells plus a u32 child PageId");
 
 }  // namespace flat
 

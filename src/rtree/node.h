@@ -5,31 +5,29 @@
 #include <cstdint>
 #include <cstring>
 
-#include "geometry/box_kernels.h"
+#include "geometry/aabb.h"
 #include "rtree/entry.h"
 #include "storage/page.h"
 
 namespace flat {
 
-/// On-page format of a node's slots. kExact stores full RTreeEntry slots
-/// (6 f64 + u64); kQuantized stores the node's exact box once plus compact
-/// QuantizedSlot children — only internal (level > 0) pages may be
-/// quantized, leaves and object pages are always exact so results stay
-/// exact. The tag lives in the header byte that was reserved (zero) in
-/// every file written before the format existed, so old pages parse as
-/// kExact unchanged.
+/// On-page format of a node's slots. kExact, full RTreeEntry slots, is the
+/// only node format. The tag lives in the header byte that was reserved
+/// (zero) in every file written before formats existed, so old pages parse
+/// as kExact unchanged. Byte value 1 is retired (docs/file_format.md §2.1)
+/// and 2 marks tile-directory pages (core/tile_directory.cc); the seed-tree
+/// walk rejects any page whose byte is not 0.
 enum class NodeFormat : uint8_t {
   kExact = 0,
-  kQuantized = 1,
 };
 
 /// On-page node header. Level 0 is a leaf; level k > 0 is k steps above the
-/// leaves. The same layout backs R-Tree nodes, FLAT object pages, and
-/// compressed seed nodes (which differ only in what follows the header).
+/// leaves. The same layout backs R-Tree nodes, FLAT object pages and FLAT
+/// seed-tree internal pages.
 struct NodeHeader {
   uint16_t count = 0;
   uint8_t level = 0;
-  uint8_t format = 0;  ///< NodeFormat; 0 (exact) in all pre-PR-7 files
+  uint8_t format = 0;  ///< NodeFormat: 0 (kExact) on every node page
   uint32_t reserved32 = 0;
 };
 
@@ -41,40 +39,18 @@ inline constexpr uint32_t NodeCapacity(uint32_t page_size) {
   return (page_size - kNodeHeaderSize) / sizeof(RTreeEntry);
 }
 
-/// Compressed-page layout: header, then the node's exact box, then the
-/// quantized child slots.
-inline constexpr size_t kQuantizedNodeBoxOffset = kNodeHeaderSize;
-inline constexpr size_t kQuantizedSlotsOffset =
-    kQuantizedNodeBoxOffset + sizeof(Aabb);
-
-/// Maximum number of QuantizedSlot children on a compressed page.
-inline constexpr uint32_t QuantizedNodeCapacity(uint32_t page_size) {
-  return (page_size - kQuantizedSlotsOffset) / sizeof(QuantizedSlot);
-}
-
-inline constexpr uint32_t NodeCapacityFor(NodeFormat format,
-                                          uint32_t page_size) {
-  return format == NodeFormat::kQuantized ? QuantizedNodeCapacity(page_size)
-                                          : NodeCapacity(page_size);
-}
-
 // The derived sizes and fanouts, asserted in one place (entry.h and the
 // docs refer here instead of quoting numbers that drift): 56-byte exact
-// slots give fanout 73 on the default 4 KiB page; 16-byte quantized slots
-// behind the 48-byte node box give 252 — a 3.45x fanout gain, which is what
-// shortens seed descents. The 512-byte page (9 vs 28) is the small
-// configuration the unit tests use to exercise multi-level trees cheaply.
+// slots give fanout 73 on the default 4 KiB page. The 512-byte page (9
+// slots) is the small configuration the unit tests use to exercise
+// multi-level trees cheaply.
 static_assert(sizeof(Aabb) == 48, "Aabb is serialized as 6 f64");
 static_assert(sizeof(RTreeEntry) == 56 && NodeCapacity(4096) == 73);
-static_assert(sizeof(QuantizedSlot) == 16 && QuantizedNodeCapacity(4096) == 252);
-static_assert(QuantizedNodeCapacity(4096) >= 3 * NodeCapacity(4096),
-              "compression must buy at least 3x fanout on default pages");
-static_assert(NodeCapacity(512) == 9 && QuantizedNodeCapacity(512) == 28);
+static_assert(NodeCapacity(512) == 9);
 
 /// Read-only view over an exact node page obtained from a BufferPool (or,
-/// during construction, directly from a PageFile). The header accessors
-/// (count / level / format) are valid for either format; the entry
-/// accessors require an exact page.
+/// during construction, directly from a PageFile). The entry accessors
+/// require an exact page (format() == kExact).
 class NodeView {
  public:
   explicit NodeView(const char* data) : data_(data) {
@@ -108,62 +84,6 @@ class NodeView {
  private:
   const char* data_;
   NodeHeader header_;
-};
-
-/// Read-only view over a compressed (quantized) internal node page.
-class CompressedNodeView {
- public:
-  explicit CompressedNodeView(const char* data) : data_(data) {
-    std::memcpy(&header_, data_, sizeof(header_));
-    std::memcpy(&node_box_, data_ + kQuantizedNodeBoxOffset,
-                sizeof(node_box_));
-    assert(static_cast<NodeFormat>(header_.format) == NodeFormat::kQuantized);
-  }
-
-  uint16_t count() const { return header_.count; }
-  uint8_t level() const { return header_.level; }
-  const Aabb& node_box() const { return node_box_; }
-
-  /// Base of the packed QuantizedSlot array (for QuantizedSoa::Assign).
-  const char* slots() const { return data_ + kQuantizedSlotsOffset; }
-
-  QuantizedSlot SlotAt(uint16_t i) const {
-    assert(i < header_.count);
-    QuantizedSlot slot;
-    std::memcpy(&slot, slots() + i * sizeof(QuantizedSlot), sizeof(slot));
-    return slot;
-  }
-
-  PageId ChildIdAt(uint16_t i) const { return SlotAt(i).child; }
-
-  /// Conservative dequantization of child `i` for diagnostics and tests: a
-  /// box guaranteed to contain the child's exact MBR (cells widened two
-  /// further outward, boundary cells snapped to the node box). Not used on
-  /// any query path — gates compare cell indexes directly and never
-  /// dequantize.
-  Aabb ChildBoxAt(uint16_t i) const {
-    const QuantizedSlot slot = SlotAt(i);
-    Vec3 lo, hi;
-    double* los[3] = {&lo.x, &lo.y, &lo.z};
-    double* his[3] = {&hi.x, &hi.y, &hi.z};
-    for (int axis = 0; axis < 3; ++axis) {
-      const double origin = node_box_.lo()[axis];
-      const double cell =
-          (node_box_.hi()[axis] - origin) / static_cast<double>(kQuantMaxCell);
-      *los[axis] = slot.lo[axis] <= 2
-                       ? origin
-                       : origin + (slot.lo[axis] - 2) * cell;
-      *his[axis] = slot.hi[axis] + 2 >= static_cast<int>(kQuantMaxCell)
-                       ? node_box_.hi()[axis]
-                       : origin + (slot.hi[axis] + 2) * cell;
-    }
-    return Aabb::FromCorners(lo, hi);
-  }
-
- private:
-  const char* data_;
-  NodeHeader header_;
-  Aabb node_box_;
 };
 
 /// Mutable accessor used by bulkloaders and the dynamic R*-tree.
@@ -226,51 +146,6 @@ class NodeWriter {
  private:
   char* data_;
   uint32_t capacity_;
-};
-
-/// Writer for compressed internal pages: Init fixes the node's exact box
-/// (the quantization grid), then Append quantizes each child MBR outward
-/// into it. Every child box must be contained in the node box — packers
-/// pass the chunk's union — and every child id must be a PageId.
-class CompressedNodeWriter {
- public:
-  CompressedNodeWriter(char* data, uint32_t page_size)
-      : data_(data), capacity_(QuantizedNodeCapacity(page_size)) {}
-
-  void Init(uint8_t level, const Aabb& node_box) {
-    assert(level > 0);  // leaves and object pages stay exact
-    NodeHeader header;
-    header.level = level;
-    header.format = static_cast<uint8_t>(NodeFormat::kQuantized);
-    std::memcpy(data_, &header, sizeof(header));
-    std::memcpy(data_ + kQuantizedNodeBoxOffset, &node_box, sizeof(node_box));
-    grid_ = MakeQuantGrid(node_box);
-  }
-
-  uint32_t capacity() const { return capacity_; }
-
-  void Append(const RTreeEntry& entry) {
-    NodeHeader header;
-    std::memcpy(&header, data_, sizeof(header));
-    assert(header.count < capacity_);
-    assert(entry.id <= 0xFFFFFFFFull);  // child ids are PageIds
-    QuantizedSlot slot;
-    for (int axis = 0; axis < 3; ++axis) {
-      slot.lo[axis] = QuantizeDown(grid_, axis, entry.box.lo()[axis]);
-      slot.hi[axis] = QuantizeUp(grid_, axis, entry.box.hi()[axis]);
-    }
-    slot.child = static_cast<uint32_t>(entry.id);
-    std::memcpy(
-        data_ + kQuantizedSlotsOffset + header.count * sizeof(QuantizedSlot),
-        &slot, sizeof(slot));
-    ++header.count;
-    std::memcpy(data_, &header, sizeof(header));
-  }
-
- private:
-  char* data_;
-  uint32_t capacity_;
-  QuantGrid grid_;
 };
 
 }  // namespace flat

@@ -103,15 +103,8 @@ std::vector<RTreeEntry> PackLevel(PageFile* file,
                                   const std::vector<RTreeEntry>& ordered,
                                   uint8_t level, PageCategory leaf_category,
                                   PageCategory internal_category,
-                                  NodeFormat internal_format,
                                   AggregateBuilder* aggregates) {
-  // Leaves and object pages are always exact; the format applies to the
-  // internal levels only (see pack.h).
-  const bool quantized =
-      level > 0 && internal_format == NodeFormat::kQuantized;
-  const uint32_t capacity =
-      quantized ? QuantizedNodeCapacity(file->page_size())
-                : NodeCapacity(file->page_size());
+  const uint32_t capacity = NodeCapacity(file->page_size());
   const PageCategory category = level == 0 ? leaf_category : internal_category;
 
   std::vector<RTreeEntry> parents;
@@ -123,17 +116,9 @@ std::vector<RTreeEntry> PackLevel(PageFile* file,
     for (size_t i = start; i < end; ++i) {
       bounds.ExpandToInclude(ordered[i].box);
     }
-    if (quantized) {
-      // The chunk's exact union is the page's quantization grid, so every
-      // child is inside it by construction (the writer's contract).
-      CompressedNodeWriter writer(file->MutableData(page), file->page_size());
-      writer.Init(level, bounds);
-      for (size_t i = start; i < end; ++i) writer.Append(ordered[i]);
-    } else {
-      NodeWriter writer(file->MutableData(page), file->page_size());
-      writer.Init(level);
-      for (size_t i = start; i < end; ++i) writer.Append(ordered[i]);
-    }
+    NodeWriter writer(file->MutableData(page), file->page_size());
+    writer.Init(level);
+    for (size_t i = start; i < end; ++i) writer.Append(ordered[i]);
     if (aggregates != nullptr && level > 0) {
       // Roll the children's subtree totals up into this page's sidecar
       // entries and its own total. An undeclared child (only possible when
@@ -163,18 +148,16 @@ std::vector<RTreeEntry> PackLevel(PageFile* file,
 RTree BuildUpperLevels(PageFile* file, std::vector<RTreeEntry> level_entries,
                        uint8_t level, LevelOrder order,
                        PageCategory internal_category, ThreadPool* pool,
-                       NodeFormat internal_format,
                        AggregateBuilder* aggregates) {
   assert(!level_entries.empty());
-  const uint32_t capacity =
-      NodeCapacityFor(internal_format, file->page_size());
+  const uint32_t capacity = NodeCapacity(file->page_size());
   while (level_entries.size() > 1) {
     if (order == LevelOrder::kStr) {
       StrOrder(&level_entries, capacity, pool);
     }
     level_entries =
         PackLevel(file, level_entries, level, PageCategory::kRTreeLeaf,
-                  internal_category, internal_format, aggregates);
+                  internal_category, aggregates);
     ++level;
   }
   return RTree(file, static_cast<PageId>(level_entries.front().id), level);

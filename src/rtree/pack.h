@@ -7,7 +7,6 @@
 
 #include "rtree/aggregates.h"
 #include "rtree/entry.h"
-#include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "storage/page_file.h"
 
@@ -102,14 +101,6 @@ size_t CeilSqrt(size_t value);
 /// pages are tagged `leaf_category`, higher levels `internal_category` (the
 /// FLAT seed tree reuses this machinery with seed categories).
 ///
-/// `internal_format` selects the page layout of levels > 0 (rtree/node.h):
-/// kExact writes classic RTreeEntry pages; kQuantized writes compressed
-/// pages — the chunk's exact union box once, children as outward-rounded
-/// 16-bit MBRs — with ~3.45x the fanout. Level 0 is always exact (results
-/// must be exact), and only readers that dispatch on the header's format
-/// byte (the FLAT seed descent) may consume quantized pages; the plain
-/// RTree query path reads exact pages only.
-///
 /// With an `aggregates` builder, every internal page packed here also
 /// records one sidecar entry per child slot (the child's subtree totals,
 /// looked up from the builder's page totals) and publishes the packed
@@ -122,24 +113,18 @@ std::vector<RTreeEntry> PackLevel(
     PageFile* file, const std::vector<RTreeEntry>& ordered, uint8_t level,
     PageCategory leaf_category = PageCategory::kRTreeLeaf,
     PageCategory internal_category = PageCategory::kRTreeInternal,
-    NodeFormat internal_format = NodeFormat::kExact,
     AggregateBuilder* aggregates = nullptr);
 
 /// Repeatedly packs levels until a single root remains; `level_entries` are
 /// the parents of the already-written level `level - 1`. Returns the finished
 /// tree. `pool` parallelizes the per-level STR re-ordering (page writes stay
 /// serial so PageIds are allocated in a deterministic order).
-/// `internal_format` as in PackLevel; the STR tile size follows the selected
-/// format's capacity, so compressed levels pack ~3.45x more children per
-/// node and the tree gets correspondingly shallower.
 /// `aggregates` (optional) as in PackLevel, threaded through every level.
 RTree BuildUpperLevels(
     PageFile* file, std::vector<RTreeEntry> level_entries, uint8_t level,
     LevelOrder order,
     PageCategory internal_category = PageCategory::kRTreeInternal,
-    ThreadPool* pool = nullptr,
-    NodeFormat internal_format = NodeFormat::kExact,
-    AggregateBuilder* aggregates = nullptr);
+    ThreadPool* pool = nullptr, AggregateBuilder* aggregates = nullptr);
 
 /// Bulkloads from pre-ordered leaf entries: packs leaves in the given order,
 /// then builds upper levels per `order`. The workhorse shared by every

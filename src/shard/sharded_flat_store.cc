@@ -456,9 +456,8 @@ ShardedFlatStore::CompactionStats ShardedFlatStore::Compact() {
 
   // Merged element set = base elements minus overlay-touched ids, plus live
   // overlay entries. Base elements are re-extracted from the shard files'
-  // object pages — the pages are immutable and exact (kObject pages are
-  // never quantized), so this is the authoritative copy, identical for
-  // in-memory and disk-backed shards.
+  // object pages — the pages are immutable and exact, so this is the
+  // authoritative copy, identical for in-memory and disk-backed shards.
   std::vector<RTreeEntry> merged;
   merged.reserve(base->catalog.total_elements +
                  (overlay != nullptr ? overlay->live_count() : 0));

@@ -11,14 +11,15 @@
 namespace flat {
 namespace {
 
-// Version 1: every node page exact. Version 2: some internal seed pages
-// compressed (quantized). Version 3: seed-leaf records store the unstretched
-// tile and the tile-adjacency neighbor relation (core/partitioner.h), which
-// a pre-v3 crawl would miss results on, so the magic locks old readers out.
-// The container layout is the same for all three. Every save writes v3;
-// readers accept all three, since a v1/v2 record stores the stretched
-// partition MBR (which contains the tile) and a superset of the v3
-// pointers, so today's crawl stays exact on them.
+// Version 1: every node page exact. Version 2: some internal seed pages in
+// the retired quantized format, which no reader decodes any more, so v2 is
+// rejected like an unknown version. Version 3: seed-leaf records store the
+// unstretched tile and the tile-adjacency neighbor relation
+// (core/partitioner.h), which a pre-v3 crawl would miss results on, so the
+// magic locks old readers out. The container layout is the same for all
+// three. Every save writes v3; readers accept v1 and v3, since a v1 record
+// stores the stretched partition MBR (which contains the tile) and a
+// superset of the v3 pointers, so today's crawl stays exact on it.
 constexpr char kMagicPrefix[7] = {'F', 'L', 'A', 'T', 'P', 'G', 'F'};
 constexpr char kMagicWritten[kPageFileMagicSize] = {'F', 'L', 'A', 'T',
                                                     'P', 'G', 'F', '3'};
@@ -38,7 +39,7 @@ uint32_t ReadU32(std::istream& in) {
 
 bool IsReadablePageFileMagic(const char* magic) {
   return std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) == 0 &&
-         magic[7] >= '1' && magic[7] <= '3';
+         (magic[7] == '1' || magic[7] == '3');
 }
 
 void SavePageFile(const PageStore& file, std::ostream& out) {

@@ -23,13 +23,14 @@ namespace flat {
 ///
 /// The format is versioned via the magic; readers reject unknown magics and
 /// truncated streams by throwing std::runtime_error. Every save writes
-/// "FLATPGF3". "FLATPGF1" (exact node pages) and "FLATPGF2" (compressed
-/// internal seed pages, rtree/node.h) files from earlier builds share the
-/// container layout and still load: LoadPageFile and DiskPageFile::Open
-/// accept all three (IsReadablePageFileMagic). v3 exists because its
-/// seed-leaf records hold the unstretched tile and a sparser neighbor
-/// relation, which readers that predate it would crawl inexactly. See
-/// docs/file_format.md for the back-compat matrix.
+/// "FLATPGF3". "FLATPGF1" (exact node pages) files from earlier builds share
+/// the container layout and still load: LoadPageFile and DiskPageFile::Open
+/// accept v1 and v3 (IsReadablePageFileMagic). "FLATPGF2" marked files
+/// holding the retired quantized seed pages and is rejected like an unknown
+/// version. v3 exists because its seed-leaf records hold the unstretched
+/// tile and a sparser neighbor relation, which readers that predate it
+/// would crawl inexactly. See docs/file_format.md for the back-compat
+/// matrix.
 ///
 /// Accepts any PageStore (so a DiskPageFile can be re-saved); throws
 /// std::runtime_error if the store's page count exceeds the format's u32
@@ -40,7 +41,7 @@ void SavePageFile(const PageStore& file, std::ostream& out);
 inline constexpr size_t kPageFileMagicSize = 8;
 
 /// True iff the kPageFileMagicSize bytes at `magic` name a page-file
-/// version this build reads ("FLATPGF1", "FLATPGF2" or "FLATPGF3"). The one
+/// version this build reads ("FLATPGF1" or "FLATPGF3"). The one
 /// version check behind LoadPageFile and DiskPageFile::Open.
 bool IsReadablePageFileMagic(const char* magic);
 

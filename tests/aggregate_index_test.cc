@@ -37,7 +37,7 @@ using testing::RandomQueries;
 using testing::Sorted;
 
 // ---------------------------------------------------------------------------
-// Stored counts == brute-force subtree cardinality, on every format.
+// Stored counts == brute-force subtree cardinality, on every data set.
 // ---------------------------------------------------------------------------
 
 // Recomputes one subtree's totals by exhaustive page traversal — the oracle
@@ -65,12 +65,7 @@ void SubtreeOracle(const PageFile& file, const SeedAggregates& agg,
   const NodeView node(file.Data(page));
   const bool children_are_leaves = node.level() == 1;
   for (uint16_t i = 0; i < node.count(); ++i) {
-    PageId child;
-    if (node.format() == NodeFormat::kQuantized) {
-      child = CompressedNodeView(file.Data(page)).ChildIdAt(i);
-    } else {
-      child = static_cast<PageId>(node.IdAt(i));
-    }
+    const auto child = static_cast<PageId>(node.IdAt(i));
     AggEntry want{0, 0};
     ASSERT_NO_FATAL_FAILURE(
         SubtreeOracle(file, agg, child, children_are_leaves, &want));
@@ -85,13 +80,13 @@ void SubtreeOracle(const PageFile& file, const SeedAggregates& agg,
   *out = total;
 }
 
-using CardinalityParam = std::tuple<int, uint32_t, bool>;  // dataset, page, fmt
+using CardinalityParam = std::tuple<int, uint32_t>;  // dataset, page size
 
 class AggregateCardinalityTest
     : public ::testing::TestWithParam<CardinalityParam> {};
 
 TEST_P(AggregateCardinalityTest, StoredCountsMatchBruteForce) {
-  const auto [dataset_kind, page_size, compressed] = GetParam();
+  const auto [dataset_kind, page_size] = GetParam();
   Dataset dataset;
   switch (dataset_kind) {
     case 0: {
@@ -117,7 +112,6 @@ TEST_P(AggregateCardinalityTest, StoredCountsMatchBruteForce) {
   PageFile file(page_size);
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
-  options.compressed_seed_pages = compressed;
   FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
 
   ASSERT_TRUE(index.has_aggregates());
@@ -136,15 +130,15 @@ std::string CardinalityParamName(
   const char* name = std::get<0>(info.param) == 0   ? "Neuron"
                      : std::get<0>(info.param) == 1 ? "Mesh"
                                                     : "Uniform";
+  // "Exact" names the seed-page format, the only one there is.
   return std::string(name) + std::to_string(std::get<1>(info.param)) +
-         (std::get<2>(info.param) ? "Compressed" : "Exact");
+         "Exact";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DatasetPageFormat, AggregateCardinalityTest,
-    ::testing::Combine(::testing::Values(0, 1, 2),          // neuron/mesh/unif
-                       ::testing::Values<uint32_t>(512, 4096),
-                       ::testing::Bool()),                  // exact/compressed
+    ::testing::Combine(::testing::Values(0, 1, 2),  // neuron/mesh/unif
+                       ::testing::Values<uint32_t>(512, 4096)),
     CardinalityParamName);
 
 // ---------------------------------------------------------------------------
@@ -354,20 +348,6 @@ TEST_F(AggregatePruningTest, CrawlRangeQueryIsUntouchedByAggregates) {
       EXPECT_EQ(pruned_io.ReadsIn(static_cast<PageCategory>(c)),
                 plain_io.ReadsIn(static_cast<PageCategory>(c)));
     }
-  }
-}
-
-TEST_F(AggregatePruningTest, CompressedSeedPagesPruneConservatively) {
-  PageFile compressed_file;
-  FlatIndex::BuildOptions options;
-  options.aggregate_counts = true;
-  options.compressed_seed_pages = true;
-  FlatIndex compressed = FlatIndex::Build(&compressed_file, entries_, options);
-  ASSERT_TRUE(compressed.has_aggregates());
-  for (const Aabb& q : MixedQueries()) {
-    IoStats io;
-    BufferPool pool(&compressed_file, &io);
-    EXPECT_EQ(compressed.RangeCount(&pool, q), BruteForce(entries_, q).size());
   }
 }
 

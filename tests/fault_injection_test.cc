@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "core/metadata.h"
 #include "core/query_control.h"
 #include "engine/query_engine.h"
+#include "rtree/node.h"
 #include "shard/sharded_flat_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -655,6 +657,104 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
     EXPECT_TRUE(std::includes(clean.begin(), clean.end(), partial.begin(),
                               partial.end()));
     EXPECT_EQ(stats.queries_failed, 1u);
+  }
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+// A corrupt seed-tree page in a loaded shard file — the root's format byte
+// set to the retired quantized format, or the root's last child pointer
+// aimed back at the root — must come back as the query's kIoError naming
+// the root page, never as a misread or a walk that cycles until its
+// deadline. The seed scan and the aggregated count both walk the seed tree;
+// the count's box meets the patched slot's box without covering it, so the
+// walk descends that slot instead of taking its stored count.
+TEST(ShardedFailSoftTest, CorruptSeedTreePageYieldsIoError) {
+  ShardedFlatStore::Options options;
+  options.num_shards = 1;
+  options.page_size = 512;
+  options.aggregate_counts = true;
+  const ShardedFlatStore built =
+      ShardedFlatStore::Build(RandomEntries(20000, /*seed=*/1701), options);
+  const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
+
+  // The root and its last child slot, and where they sit in the saved shard
+  // file (docs/file_format.md §1.1).
+  const PageStore& file = built.shard_file(0);
+  const FlatIndex::Descriptor& descriptor =
+      built.catalog().shards[0].descriptor;
+  const PageId root = descriptor.seed_root;
+  ASSERT_FALSE(descriptor.root_is_leaf);
+  const NodeView root_node(file.Data(root));
+  ASSERT_GE(root_node.level(), 2);
+  const uint16_t last = root_node.count() - 1;
+  const Aabb slot_box = root_node.BoxAt(last);
+  const uint64_t root_in_file = kPageFileMagicSize + 8 + file.page_count() +
+                                uint64_t{root} * file.page_size();
+
+  // Meets the slot's box but covers only its lower half in x.
+  const Aabb count_box(slot_box.lo(),
+                       Vec3(slot_box.Center().x, slot_box.hi().y,
+                            slot_box.hi().z));
+  ASSERT_TRUE(count_box.Intersects(slot_box));
+  ASSERT_FALSE(count_box.Contains(slot_box));
+  const std::vector<Query> batch = {Query::RangeSeedScan(universe),
+                                    Query::RangeCount(count_box)};
+  const std::vector<QueryResult> clean = built.RunBatch(batch);
+  ASSERT_EQ(clean.size(), batch.size());
+  for (const QueryResult& r : clean) ASSERT_EQ(r.status, QueryStatus::kOk);
+  const std::vector<uint64_t> clean_ids = testing::Sorted(clean[0].ids);
+  ASSERT_EQ(clean_ids.size(), 20000u);
+
+  struct Patch {
+    const char* what;
+    uint64_t offset;
+    uint64_t value;  // written little-endian, `bytes` wide
+    size_t bytes;
+  };
+  const Patch patches[] = {
+      {"format byte", root_in_file + offsetof(NodeHeader, format),
+       /*retired quantized format=*/1, 1},
+      {"child pointer",
+       root_in_file + kNodeHeaderSize + last * sizeof(RTreeEntry) +
+           offsetof(RTreeEntry, id),
+       root, sizeof(uint64_t)},
+  };
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_fault_corrupt_seed_tree";
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.what);
+    std::filesystem::remove_all(dir);
+    built.Save(dir.string());
+    {
+      std::fstream shard(dir / built.catalog().shards[0].page_file_name,
+                         std::ios::in | std::ios::out | std::ios::binary);
+      shard.seekp(static_cast<std::streamoff>(patch.offset));
+      shard.write(reinterpret_cast<const char*>(&patch.value),
+                  static_cast<std::streamsize>(patch.bytes));
+      ASSERT_TRUE(shard.good());
+    }
+
+    const ShardedFlatStore loaded =
+        ShardedFlatStore::Load(dir.string(), /*num_threads=*/2);
+    const QueryControl control =
+        QueryControl::WithTimeout(std::chrono::milliseconds(500));
+    std::vector<Query> controlled = batch;
+    for (Query& q : controlled) q.control = &control;
+    const std::vector<QueryResult> results = loaded.RunBatch(controlled);
+    ASSERT_EQ(results.size(), batch.size());
+    for (const QueryResult& r : results) {
+      EXPECT_EQ(r.status, QueryStatus::kIoError);
+      EXPECT_NE(r.error.find("page " + std::to_string(root) + " "),
+                std::string::npos)
+          << r.error;
+    }
+    const std::vector<uint64_t> partial = testing::Sorted(results[0].ids);
+    EXPECT_TRUE(std::includes(clean_ids.begin(), clean_ids.end(),
+                              partial.begin(), partial.end()));
+    EXPECT_LE(results[1].count, clean[1].count);
   }
 
   std::error_code ec;

@@ -50,6 +50,23 @@ TEST(NodeTest, LevelMarksInternalNodes) {
   EXPECT_EQ(view.level(), 3u);
 }
 
+TEST(NodeTest, ExactPagesUntouchedByFormatByte) {
+  // A page written by NodeWriter reports format 0 (kExact) — the format byte
+  // reuses what was a reserved zero byte, so old pages parse as exact, and
+  // the seed-tree walk accepts no other value.
+  PageFile file;
+  PageId p = file.Allocate(PageCategory::kSeedInternal);
+  NodeWriter writer(file.MutableData(p), file.page_size());
+  writer.Init(/*level=*/1);
+  for (uint64_t i = 0; i < 10; ++i) {
+    writer.Append(RTreeEntry{Aabb::FromPoint(Vec3(i, i, i)), i});
+  }
+  NodeView view(file.Data(p));
+  EXPECT_EQ(view.format(), NodeFormat::kExact);
+  EXPECT_EQ(static_cast<uint8_t>(view.format()), 0u);
+  EXPECT_EQ(view.count(), 10u);
+}
+
 TEST(NodeTest, FullAtCapacity) {
   PageFile file(512);
   PageId p = file.Allocate(PageCategory::kRTreeLeaf);

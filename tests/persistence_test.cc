@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/flat_index.h"
+#include "data/neuron_generator.h"
 #include "rtree/bulkload.h"
 #include "rtree/node.h"
 #include "storage/buffer_pool.h"
@@ -224,6 +225,36 @@ TEST(PersistenceTest, FlatIndexSurvivesSaveLoadAttach) {
   EXPECT_EQ(reopened_stats.TotalReads(), original_stats.TotalReads());
 }
 
+TEST(PersistenceTest, ExactBuildsWriteV3) {
+  // A fresh save writes the v3 magic: its seed leaves carry tile boxes,
+  // which readers that predate v3 must refuse.
+  NeuronParams params;
+  params.total_elements = 30000;
+  params.seed = 17;
+  const Dataset dataset = GenerateNeurons(params);
+  PageFile file;
+  const FlatIndex index = FlatIndex::Build(&file, dataset.elements);
+  std::stringstream stream;
+  SavePageFile(file, stream);
+  const std::string bytes = stream.str();
+  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF3");
+
+  // And it reloads to the same answers.
+  std::istringstream in(bytes);
+  const std::unique_ptr<PageFile> loaded = LoadPageFile(in);
+  const FlatIndex reopened =
+      FlatIndex::Attach(loaded.get(), index.descriptor());
+  IoStats original_stats, reopened_stats;
+  BufferPool original_pool(&file, &original_stats);
+  BufferPool reopened_pool(loaded.get(), &reopened_stats);
+  for (const Aabb& q : testing::RandomQueries(20, 204)) {
+    std::vector<uint64_t> original, again;
+    index.RangeQuery(&original_pool, q, &original);
+    reopened.RangeQuery(&reopened_pool, q, &again);
+    EXPECT_EQ(testing::Sorted(again), testing::Sorted(original));
+  }
+}
+
 TEST(PersistenceTest, RTreeSurvivesSaveLoad) {
   const auto entries = testing::RandomEntries(3000, 313);
   PageFile file;
@@ -260,22 +291,23 @@ TEST(PersistenceTest, DescriptorIsTrivialToStoreExternally) {
 }
 
 // Page files written by earlier versions: 600 boxes at 1 KiB pages, exact
-// seed pages (FLATPGF1) and compressed seed pages (FLATPGF2), whose seed
-// leaves store the stretched partition MBR and Algorithm 1's stretched-MBR
-// neighbor relation, and exact seed pages written before the tile
-// directory existed (FLATPGF3, tile boxes and the tile-adjacency relation,
-// no directory pages). All must still load and answer exactly, seeding
-// through the seed tree.
+// seed pages whose seed leaves store the stretched partition MBR and
+// Algorithm 1's stretched-MBR neighbor relation (FLATPGF1), and exact seed
+// pages written before the tile directory existed (FLATPGF3, tile boxes and
+// the tile-adjacency relation, no directory pages). Both must still load and
+// answer exactly, seeding through the seed tree.
 struct LegacyFile {
   const char* name;
   const char* magic;
 };
 constexpr LegacyFile kLegacyFiles[] = {
     {"flatpgf1_exact.pgf", "FLATPGF1"},
-    {"flatpgf2_compressed.pgf", "FLATPGF2"},
     {"flatpgf3_exact.pgf", "FLATPGF3"},
 };
-// The descriptor all three files were built with (root = last page).
+// The same 600 boxes with the retired compressed seed pages (FLATPGF2): no
+// reader decodes them, so both loaders reject the file at its magic.
+constexpr LegacyFile kRetiredV2File = {"flatpgf2_compressed.pgf", "FLATPGF2"};
+// The descriptor the files were built with (root = last page).
 constexpr FlatIndex::Descriptor kLegacyDescriptor{40, false, 2};
 
 std::string LegacyPath(const LegacyFile& legacy) {
@@ -300,6 +332,8 @@ std::vector<RTreeEntry> StoredElements(const PageStore& store) {
   return elements;
 }
 
+// The name predates the v2 retirement: v1 and v3 files load here, and the
+// v2 file is rejected in UnknownVersionIsRejectedByBothLoaders.
 TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
   for (const LegacyFile& legacy : kLegacyFiles) {
     SCOPED_TRACE(legacy.name);
@@ -345,19 +379,25 @@ TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
 }
 
 TEST(PersistenceTest, UnknownVersionIsRejectedByBothLoaders) {
-  std::string bytes = ReadBytes(LegacyPath(kLegacyFiles[0]));
-  ASSERT_FALSE(bytes.empty());
-  bytes[7] = '4';
-  std::istringstream stream(bytes);
-  EXPECT_THROW(LoadPageFile(stream), std::runtime_error);
+  std::string future = ReadBytes(LegacyPath(kLegacyFiles[0]));
+  ASSERT_FALSE(future.empty());
+  future[7] = '4';
+  const std::string v2 = ReadBytes(LegacyPath(kRetiredV2File));
+  ASSERT_EQ(v2.substr(0, 8), kRetiredV2File.magic);
 
-  const std::string path = ::testing::TempDir() + "flatpgf4.pgf";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
+  for (const std::string& bytes : {future, v2}) {
+    SCOPED_TRACE(bytes.substr(0, 8));
+    std::istringstream stream(bytes);
+    EXPECT_THROW(LoadPageFile(stream), std::runtime_error);
+
+    const std::string path = ::testing::TempDir() + "flatpgf_rejected.pgf";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    EXPECT_THROW(DiskPageFile::Open(path), std::runtime_error);
+    std::remove(path.c_str());
   }
-  EXPECT_THROW(DiskPageFile::Open(path), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

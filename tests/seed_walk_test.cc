@@ -1,12 +1,12 @@
 // Pins what every seed phase and every walk of FLAT's seed tree reads and
 // returns. Seed, RangeQuery, SphereQuery and KnnQuery through the seed
 // phase, RangeCount and RangeQueryViaSeedScan with and without aggregates,
-// and FindAllCandidateRecords run one fixed query set on cold caches over
-// exact and compressed seed pages at 512 B and 4 KiB pages. Their summed
+// and FindAllCandidateRecords run one fixed query set on cold caches at
+// 512 B and 4 KiB pages. Their summed
 // per-category page reads and result sizes must equal the numbers below,
 // recorded before the walks shared one walker (FlatIndex::WalkSeedTree): a
 // change to its descent order, its gating or a stop condition fails here.
-// Only the 512 B exact index (seed height 4) is tall enough for a tile
+// Only the 512 B index (seed height 4) is tall enough for a tile
 // directory; its seed phase locates the start record there instead of
 // walking the tree, so its seed, range, sphere, kNN and plain-count rows
 // count directory reads. Re-record them only for a change that means to
@@ -45,7 +45,6 @@ std::ostream& operator<<(std::ostream& os, const Walk& w) {
 
 struct Pinned {
   uint32_t page_size;
-  bool compressed;
   int seed_height;
   Walk seed;           // results: queries that found a start record
   uint64_t seed_keys;  // sum of the found seeds' RecordRef::Key()
@@ -60,29 +59,19 @@ struct Pinned {
 };
 
 void PrintTo(const Pinned& p, std::ostream* os) {
-  *os << p.page_size << " B " << (p.compressed ? "compressed" : "exact");
+  *os << p.page_size << " B";
 }
 
 // clang-format off
 constexpr Pinned kPinned[] = {
-    {512, false, 4,
+    {512, 4,
      {71, 0, 0, 25}, 4438097961,
      {71, 1168, 2660, 20769}, {40, 272, 142, 246}, {33, 553, 569, 444},
      {71, 1168, 2660, 20769}, {412, 396, 369, 20769},
      {431, 912, 2660, 20769}, {431, 912, 2660, 20769}, 2660},
-    {512, true, 3,
-     {98, 81, 36, 22}, 3866427419,
-     {98, 1188, 2660, 20769}, {50, 268, 142, 246}, {75, 543, 584, 444},
-     {98, 1188, 2660, 20769}, {188, 396, 369, 20769},
-     {190, 912, 2660, 20769}, {190, 912, 2660, 20769}, 2660},
-    {4096, false, 2,
+    {4096, 2,
      {26, 54, 36, 22}, 429130109,
      {26, 117, 407, 20769}, {16, 55, 55, 246}, {12, 66, 123, 444},
-     {26, 117, 407, 20769}, {26, 93, 180, 20769},
-     {26, 93, 407, 20769}, {26, 93, 407, 20769}, 407},
-    {4096, true, 2,
-     {26, 54, 36, 22}, 429130109,
-     {26, 117, 407, 20769}, {16, 56, 55, 246}, {12, 66, 123, 444},
      {26, 117, 407, 20769}, {26, 93, 180, 20769},
      {26, 93, 407, 20769}, {26, 93, 407, 20769}, 407},
 };
@@ -136,7 +125,6 @@ TEST_P(SeedWalkTest, ReadsAndResultsMatchPinnedWalks) {
   const Pinned& want = GetParam();
   PageFile file(want.page_size);
   FlatIndex::BuildOptions options;
-  options.compressed_seed_pages = want.compressed;
   options.aggregate_counts = true;
   const FlatIndex pruned =
       FlatIndex::Build(&file, testing::RandomEntries(20000, 1701), options);
@@ -209,8 +197,8 @@ TEST_P(SeedWalkTest, ReadsAndResultsMatchPinnedWalks) {
 INSTANTIATE_TEST_SUITE_P(
     PageSizesAndFormats, SeedWalkTest, ::testing::ValuesIn(kPinned),
     [](const ::testing::TestParamInfo<Pinned>& info) {
-      return "Pages" + std::to_string(info.param.page_size) +
-             (info.param.compressed ? "Compressed" : "Exact");
+      // "Exact" names the seed-page format, the only one there is.
+      return "Pages" + std::to_string(info.param.page_size) + "Exact";
     });
 
 }  // namespace

@@ -313,18 +313,13 @@ TEST(TileDirectoryDepthTest, OnlyTallEnoughTreesGetADirectory) {
   const std::vector<RTreeEntry> elements = Uniform(20000);
   struct Case {
     uint32_t page_size;
-    bool compressed;
     bool directory;
   };
-  for (const Case c : {Case{512, false, true}, Case{512, true, false},
-                       Case{4096, false, false}, Case{4096, true, false}}) {
-    SCOPED_TRACE(std::to_string(c.page_size) +
-                 (c.compressed ? " B compressed" : " B exact"));
+  for (const Case c : {Case{512, true}, Case{4096, false}}) {
+    SCOPED_TRACE(std::to_string(c.page_size) + " B");
     PageFile file(c.page_size);
-    FlatIndex::BuildOptions options;
-    options.compressed_seed_pages = c.compressed;
     FlatIndex::BuildStats stats;
-    const FlatIndex index = FlatIndex::Build(&file, elements, options, &stats);
+    const FlatIndex index = FlatIndex::Build(&file, elements, &stats);
     EXPECT_EQ(index.has_directory(), c.directory);
     EXPECT_EQ(stats.directory_pages > 0, c.directory);
     EXPECT_EQ(stats.seed_internal_pages,
