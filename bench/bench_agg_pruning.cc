@@ -1,22 +1,27 @@
 // Aggregate pruning (rtree/aggregates.h): page reads for RangeCount with the
 // subtree-count sidecar vs. the exact non-pruned path, on the Fig-12 neuron
-// data set at 512-byte pages (small pages deepen the seed hierarchy, the
+// data set at 1 KiB pages (small pages deepen the seed hierarchy, the
 // regime the paper's page-read accounting cares about).
 //
-// Two workloads, both random location and aspect ratio like Figure 12:
+// Two workloads, both random location and aspect ratio like Figure 12, one
+// on each side of the pruned count's plan rule (a box smaller than four
+// seed leaves' share of the data bounds crawls, a larger one descends):
 //   * "sn": the SN boxes (volume fraction 5e-6) — far below partition size,
-//     so covered-node pruning rarely triggers; the gate here is exactness.
+//     so the pruned count crawls from the tile directory like the plain
+//     one, and no record's tile or page MBR fits inside a box.
 //   * "viewport": large boxes (75% and 90% of the universe volume) — the
-//     covered regime the aggregates exist for, where interior subtrees
-//     contribute stored counts without a single page read below them.
+//     covered regime the aggregates exist for: the count descends the seed
+//     tree, interior subtrees contribute stored counts without a single
+//     page read below them, and so does every boundary record whose stored
+//     tile or page MBR the box contains.
 //
 // --json emits the BENCH_aggregate.json baseline and self-validates
 // (non-zero exit on violation):
 //   * pruned RangeCount equals the non-pruned count on every query of both
 //     workloads, and RangeQueryViaSeedScan returns identical id sequences
 //     (the covered batch-copy path must be bit-identical, not just set-equal);
-//   * the pruned build never reads more pages than the plain build on the
-//     viewport workload, and its total reads there shrink >= 3x;
+//   * the pruned build never reads more pages than the plain build on
+//     either workload, and its total viewport reads shrink >= 3x;
 //   * sharded stores (K=4) agree with the non-pruned store before, during,
 //     and after overlay churn, and again after compaction;
 //   * a store reloaded from disk keeps its sidecars: per-shard aggregates
@@ -170,7 +175,8 @@ int RunGates(const BenchFlags& flags) {
       SeedScanIdsIdentical(plain, plain_file, pruned, pruned_file,
                            sn_queries) &&
       SeedScanIdsIdentical(plain, plain_file, pruned, pruned_file, viewport);
-  const bool reads_bounded = vp_pruned.total_reads <= vp_plain.total_reads;
+  const bool reads_bounded = sn_pruned.total_reads <= sn_plain.total_reads &&
+                             vp_pruned.total_reads <= vp_plain.total_reads;
   const double viewport_reduction =
       vp_pruned.total_reads > 0
           ? static_cast<double>(vp_plain.total_reads) / vp_pruned.total_reads
@@ -294,8 +300,8 @@ int RunGates(const BenchFlags& flags) {
     return 1;
   }
   if (!reads_bounded) {
-    std::cerr << "ERROR: the pruned build read more viewport pages than the "
-                 "plain build\n";
+    std::cerr << "ERROR: the pruned build read more pages than the plain "
+                 "build on the SN or the viewport workload\n";
     return 1;
   }
   if (viewport_reduction < 3.0) {

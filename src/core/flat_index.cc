@@ -51,11 +51,37 @@ bool AllBoxesAggregatable(const std::vector<RTreeEntry>& elements) {
   return true;
 }
 
+// True when every element on `record`'s object page meets `query`: the query
+// contains the record's page MBR, or its stored tile when that tile is not
+// empty (Aabb::Contains holds for every empty box). Exact only on indexes
+// with aggregates attached, whose build certified every element box
+// non-empty and finite (AllBoxesAggregatable): each element's center then
+// lies in its box and in its exact tile, since MakeChunks cuts between
+// centers, and the stored tile is rounded outward around that tile, so a
+// query containing it holds the center. FLATPGF1 files store the stretched
+// partition MBR here, which contains the tile; the rule holds there too.
+bool AllElementsMeet(const Aabb& query, const MetadataRecordView& record) {
+  if (query.Contains(record.page_mbr())) return true;
+  const Aabb tile = record.tile();
+  return !tile.IsEmpty() && query.Contains(tile);
+}
+
+// An aggregated count crawls when its box's volume is below this many seed
+// leaves' share of the data bounds (docs/architecture.md, "Aggregate
+// pruning"): smaller boxes read fewer pages on the crawl, larger ones on
+// the descent.
+constexpr double kCrawlCountLeaves = 4.0;
+
 // A seed-tree internal page that is not an exact node page at the level
 // its parent implies (`want`; kAnyLevel for the root, which must only be
 // above the leaves): a retired or corrupt format byte, or a child pointer
 // aimed back up the tree. Reading on would misread the page or walk a cycle.
 constexpr int kAnyLevel = -1;
+
+bool IsSeedNode(const NodeView& node, int want) {
+  return node.format() == NodeFormat::kExact && node.level() != 0 &&
+         (want == kAnyLevel || node.level() == want);
+}
 
 [[noreturn]] void ThrowBadSeedPage(PageId page, const NodeView& node,
                                    int want) {
@@ -284,8 +310,8 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   stats.write_seconds = SecondsSince(t_write);
 
   if (agg_builder.has_value()) {
-    index.aggregates_ = std::make_shared<const SeedAggregates>(
-        agg_builder->Finish(total_elements));
+    index.AttachAggregates(std::make_shared<const SeedAggregates>(
+        agg_builder->Finish(total_elements)));
   }
 
   index.partition_profiles_.reserve(partitions.size());
@@ -298,6 +324,32 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   index.build_stats_ = stats;
   if (out_stats != nullptr) *out_stats = stats;
   return index;
+}
+
+void FlatIndex::AttachAggregates(
+    std::shared_ptr<const SeedAggregates> aggregates) {
+  aggregates_ = std::move(aggregates);
+  crawl_count_below_ = 0.0;
+  if (aggregates_ == nullptr || !has_directory() || root_is_leaf_ ||
+      seed_root_ >= file_->page_count()) {
+    return;
+  }
+  // Seed-leaf pages from the sidecar, not PageCountIn (one PageFile can
+  // hold several indexes): a leaf's group holds its records' entries, which
+  // count one object page each, and an internal child counts at least two.
+  size_t leaves = 0;
+  aggregates_->ForEachPage(
+      [&leaves](PageId, const std::vector<AggEntry>& slots) {
+        leaves += !slots.empty() && slots.front().pages == 1;
+      });
+  // The data bounds: the root page's child boxes, read uncharged.
+  const NodeView root(file_->Data(seed_root_));
+  if (leaves == 0 || !IsSeedNode(root, kAnyLevel) ||
+      root.count() > NodeCapacity(file_->page_size())) {
+    return;
+  }
+  crawl_count_below_ =
+      kCrawlCountLeaves * root.Bounds().Volume() / static_cast<double>(leaves);
 }
 
 template <typename Visit, typename Covered>
@@ -330,16 +382,18 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
       SeedLeafView leaf(data);
       for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
         const MetadataRecordView record = leaf.RecordAt(slot);
-        if (record.page_mbr().Intersects(gate) &&
-            visit(RecordRef{frame.page, slot}, record, s)) {
-          return;
+        if (!record.page_mbr().Intersects(gate)) continue;
+        if constexpr (kWantCovered) {
+          if (AllElementsMeet(gate, record) && covered(frame.page, slot)) {
+            continue;
+          }
         }
+        if (visit(RecordRef{frame.page, slot}, record, s)) return;
       }
       continue;
     }
     const NodeView node(data);
-    if (node.format() != NodeFormat::kExact || node.level() == 0 ||
-        (frame.level != kAnyLevel && node.level() != frame.level)) {
+    if (!IsSeedNode(node, frame.level)) {
       ThrowBadSeedPage(frame.page, node, frame.level);
     }
     // Gate the whole fanout in one batched sweep, plus the containment mask
@@ -398,11 +452,13 @@ std::optional<RecordRef> FlatIndex::StartRecord(PageCache* pool,
   return LocateTile(pool, *file_, directory_root_, gate);
 }
 
-template <typename ScanPage>
+template <typename ScanPage, typename Covered>
 void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
                            RecordRef start, CrawlGuard guard,
-                           CrawlScratch* scratch, const ScanPage& scan) const {
+                           CrawlScratch* scratch, const ScanPage& scan,
+                           const Covered& covered) const {
   if (empty() || gate_box.IsEmpty() || !start.valid()) return;
+  constexpr bool kWantCovered = !std::is_same_v<Covered, std::nullptr_t>;
 
   // Only materialize the fallback when the caller brought no scratch; a
   // caller-owned scratch keeps this path allocation-free.
@@ -424,7 +480,12 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     // "The object page is only read from disk if m's page MBR intersects
     // with the query."
     if (record.page_mbr().Intersects(gate_box)) {
-      scan(pool->Read(record.object_page()), s);
+      bool answered = false;
+      if constexpr (kWantCovered) {
+        answered = AllElementsMeet(gate_box, record) &&
+                   covered(ref.page, ref.slot);
+      }
+      if (!answered) scan(pool->Read(record.object_page()), s);
     }
 
     // The paper follows M's neighbor pointers iff M's stretched partition
@@ -518,27 +579,24 @@ size_t FlatIndex::RangeCount(PageCache* pool, const Aabb& query,
 
 void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
                                uint64_t* acc, CrawlScratch* scratch) const {
-  if (aggregates_ != nullptr) {
-    // Aggregate-pruned plan: the seed-tree walk visits every candidate
-    // object page exactly once, so it tallies the same count as the crawl.
-    // A child fully covered by the query contributes its stored subtree
-    // count with zero reads below it, and a fully covered record skips its
-    // object page (aggregated builds have no empty element boxes) — only
+  // With aggregates, a covered subtree or a record whose elements all meet
+  // the query adds its stored count instead of being read (aggregated
+  // builds have no empty element boxes). Every tally goes straight into
+  // *acc, so a QueryAbort from a cancellation point leaves the elements
+  // counted so far there — the partial-result contract (see
+  // core/query_control.h).
+  const auto stored = [this, acc](PageId page, uint16_t slot) {
+    const AggEntry* e = aggregates_->Find(page, slot);
+    if (e != nullptr) *acc += e->elements;
+    return e != nullptr;
+  };
+  if (aggregates_ != nullptr && !(query.Volume() < crawl_count_below_)) {
+    // Descent: the seed-tree walk visits every candidate object page
+    // exactly once, so it tallies the same count as the crawl, and only
     // subtrees straddling the query boundary are gated exactly.
-    const SeedAggregates& agg = *aggregates_;
-    const auto stored = [&agg, acc](PageId page, uint16_t slot) {
-      const AggEntry* e = agg.Find(page, slot);
-      if (e != nullptr) *acc += e->elements;
-      return e != nullptr;
-    };
     WalkSeedTree(
         pool, query, scratch,
-        [&](RecordRef ref, const MetadataRecordView& record,
-            CrawlScratch* s) {
-          if (query.Contains(record.page_mbr()) &&
-              stored(ref.page, ref.slot)) {
-            return false;
-          }
+        [&](RecordRef, const MetadataRecordView& record, CrawlScratch* s) {
           s->CheckControl();  // each boundary record reads one object page
           const char* page = pool->Read(record.object_page());
           const uint16_t n = NodeView(page).count();
@@ -555,15 +613,18 @@ void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
       pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
       scratch);
   if (!start.has_value()) return;
-  // The sink bumps the caller's accumulator directly, so a QueryAbort from
-  // a cancellation point leaves the elements counted so far in *acc — the
-  // partial-result contract (see core/query_control.h).
-  CrawlPages(pool, query, *start, CrawlGuard::kPartitionMbr, scratch,
-             SoaScan(
-                 [&query](const SoaBoxes& soa, uint8_t* hits) {
-                   IntersectsSoa(soa, query, hits);
-                 },
-                 [acc](const NodeView&, uint16_t) { ++*acc; }));
+  const auto count_hits = SoaScan(
+      [&query](const SoaBoxes& soa, uint8_t* hits) {
+        IntersectsSoa(soa, query, hits);
+      },
+      [acc](const NodeView&, uint16_t) { ++*acc; });
+  if (aggregates_ != nullptr) {
+    CrawlPages(pool, query, *start, CrawlGuard::kPartitionMbr, scratch,
+               count_hits, stored);
+  } else {
+    CrawlPages(pool, query, *start, CrawlGuard::kPartitionMbr, scratch,
+               count_hits);
+  }
 }
 
 namespace {
@@ -708,13 +769,13 @@ void FlatIndex::RangeQueryViaSeedScan(PageCache* pool, const Aabb& query,
         const char* page = pool->Read(record.object_page());
         NodeView elements(page);
         const uint16_t n = elements.count();
-        if (aggregates_ != nullptr && query.Contains(record.page_mbr())) {
-          // Fully covered record: every element box sits inside the page MBR
-          // and thus inside the query, so skip the per-entry gates and copy
-          // the whole page's ids. Licensed by has_aggregates(): an aggregated
-          // build certified all element boxes non-empty and finite, which is
-          // exactly what the gated path's hit test would re-check. The page
-          // read itself stays (same bytes, same I/O as the gated path).
+        if (aggregates_ != nullptr && AllElementsMeet(query, record)) {
+          // Every element meets the query (the query contains the record's
+          // page MBR or its stored tile), so skip the per-entry gates and
+          // copy the whole page's ids. Licensed by has_aggregates(): an
+          // aggregated build certified all element boxes non-empty and
+          // finite, which the certificate needs. The page read itself stays
+          // (same bytes, same I/O as the gated path).
           reserve_more(n);
           for (uint16_t i = 0; i < n; ++i) out->push_back(elements.IdAt(i));
           return false;

@@ -101,9 +101,10 @@ class FlatIndex {
     /// Compute per-subtree aggregates (element and page counts per child
     /// pointer — rtree/aggregates.h) during the build and attach them to
     /// the returned index, enabling the covered-node pruning fast paths:
-    /// RangeCount answers fully-covered subtrees from the stored counts in
-    /// O(height) page reads, and RangeQueryViaSeedScan batch-copies
-    /// fully-covered object pages without per-element gates. The aggregates
+    /// RangeCount answers fully-covered subtrees, and records whose
+    /// elements all meet the query, from the stored counts without reading
+    /// below them, and RangeQueryViaSeedScan batch-copies such records'
+    /// object pages without per-element gates. The aggregates
     /// live in a sidecar keyed by (page, slot): the PageFile bytes are
     /// identical with or without this option, and pruned query results and
     /// counts are bit-identical to the unpruned paths
@@ -149,12 +150,17 @@ class FlatIndex {
   /// id vector. Without aggregates the crawl tallies the batched gate tests
   /// directly and reads the same pages as RangeQuery, so IoStats match it
   /// exactly. With aggregates attached (BuildOptions::aggregate_counts /
-  /// AttachAggregates) the count descends the seed tree instead: a child
-  /// whose box is fully covered by the query contributes its stored subtree
-  /// count with zero page reads below it, and only boundary subtrees are
-  /// descended and gated exactly — same count, far fewer reads on large
-  /// query boxes, but possibly more on small ones, where overlapping seed
-  /// nodes send the descent down several paths.
+  /// AttachAggregates) a record whose elements all meet the query (the
+  /// query contains its page MBR or its stored tile) adds its stored count
+  /// instead of reading its object page, and the count picks one of two
+  /// plans by the query's volume. Boxes smaller than four seed leaves'
+  /// share of the data bounds crawl as above, from the tile directory;
+  /// larger ones, and every box on an index without a directory, descend
+  /// the seed tree, where a child whose box the query contains adds its
+  /// stored subtree count with zero reads below it and only boundary
+  /// subtrees are descended and gated exactly. Same count on every plan;
+  /// far fewer reads on large boxes, and no descent down several
+  /// overlapping seed nodes on small ones.
   size_t RangeCount(PageCache* pool, const Aabb& query,
                     CrawlScratch* scratch = nullptr) const;
 
@@ -291,10 +297,11 @@ class FlatIndex {
   /// attached index, enabling the covered-node pruning fast paths exactly
   /// as BuildOptions::aggregate_counts does at build time. Shared because
   /// sharded snapshots hand the same immutable index (and sidecar) to many
-  /// workers. Passing nullptr detaches.
-  void AttachAggregates(std::shared_ptr<const SeedAggregates> aggregates) {
-    aggregates_ = std::move(aggregates);
-  }
+  /// workers. Passing nullptr detaches. Also fixes RangeCount's plan rule
+  /// from the sidecar's seed-leaf groups and the root page's bounds (read
+  /// once, uncharged); a root page that fails the seed walk's checks keeps
+  /// every count on the descent, which reports it at query time.
+  void AttachAggregates(std::shared_ptr<const SeedAggregates> aggregates);
 
   /// True when subtree aggregates are attached (pruning paths active).
   bool has_aggregates() const { return aggregates_ != nullptr; }
@@ -315,12 +322,14 @@ class FlatIndex {
   // FindAllCandidateRecords: depth first, children first to last, each
   // internal page gated once against `gate`. Calls visit(ref, record,
   // scratch) for every record whose page MBR meets `gate`; true stops the
-  // walk. A `covered` callback adds the containment mask: each covered
-  // child goes to covered(page, slot) first, and true means answered, not
-  // descended. Uses `scratch` when given, else a throwaway, and checks its
-  // control once per popped page. Throws std::runtime_error naming the page
-  // when an internal page's format byte is not 0 (exact) or its level is
-  // not one below its parent's.
+  // walk. A `covered` callback (aggregated indexes only) adds the
+  // containment mask: each child whose box `gate` contains, and each
+  // record whose elements all meet `gate` (AllElementsMeet in
+  // flat_index.cc), goes to covered(page, slot) first, and true means
+  // answered, not descended or visited. Uses `scratch` when given, else a
+  // throwaway, and checks its control once per popped page. Throws
+  // std::runtime_error naming the page when an internal page's format byte
+  // is not 0 (exact) or its level is not one below its parent's.
   template <typename Visit, typename Covered = std::nullptr_t>
   void WalkSeedTree(PageCache* pool, const Aabb& gate, CrawlScratch* scratch,
                     const Visit& visit,
@@ -343,11 +352,15 @@ class FlatIndex {
 
   // Generalized crawl (Algorithm 2): BFS over neighbor pointers, calling
   // scan(page_data, scratch) for every object page whose page MBR passes the
-  // query gate. Uses `scratch` when given, else a throwaway.
-  template <typename ScanPage>
+  // query gate. A `covered` callback (aggregated indexes only) is asked
+  // first, as in WalkSeedTree, for each such record whose elements all meet
+  // the gate; true means answered, and its object page is not read. Uses
+  // `scratch` when given, else a throwaway.
+  template <typename ScanPage, typename Covered = std::nullptr_t>
   void CrawlPages(PageCache* pool, const Aabb& gate, RecordRef start,
                   CrawlGuard guard, CrawlScratch* scratch,
-                  const ScanPage& scan) const;
+                  const ScanPage& scan,
+                  const Covered& covered = nullptr) const;
 
   const PageStore* file_ = nullptr;
   PageId seed_root_ = kInvalidPageId;
@@ -357,6 +370,10 @@ class FlatIndex {
   BuildStats build_stats_;
   std::vector<PartitionProfile> partition_profiles_;
   std::shared_ptr<const SeedAggregates> aggregates_;  // null = no pruning
+  // An aggregated count crawls when its box's volume is below this, and
+  // descends otherwise; 0 (no aggregates or no directory) always descends.
+  // Set by AttachAggregates.
+  double crawl_count_below_ = 0.0;
 };
 
 }  // namespace flat

@@ -51,7 +51,7 @@ struct Query {
 
   /// Count-only range query: reports only `QueryResult::count`, never
   /// materializing ids. It reads the same pages as Range only when the index
-  /// has no aggregates; with them it runs the aggregate descent
+  /// has no aggregates; with them it runs the planned aggregated count
   /// (FlatIndex::RangeCount) or the store's covered-shard shortcut.
   static Query RangeCount(const Aabb& box) {
     Query q;

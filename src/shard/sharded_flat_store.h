@@ -247,8 +247,9 @@ class ShardedFlatStore {
   /// Number of elements RangeQuery would return, without materializing ids.
   /// Reads the same pages as RangeQuery only without aggregates; with
   /// Options::aggregate_counts it takes the covered-shard shortcut or each
-  /// shard's aggregate descent, fewer reads on large boxes and possibly more
-  /// on small ones (BENCH_aggregate.json).
+  /// shard's planned count (FlatIndex::RangeCount): the crawl on small
+  /// boxes, the aggregate descent on large ones, and stored counts for
+  /// records the box provably covers (BENCH_aggregate.json).
   uint64_t RangeCount(const Aabb& query, IoStats* io = nullptr) const;
 
   /// RangeQuery answered through each shard's seed tree alone (the seed-scan

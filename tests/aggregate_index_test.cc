@@ -4,9 +4,11 @@
 // the sidecar must round-trip deterministically and reject hostile bytes,
 // and the sharded covered-shard shortcut must agree with the oracle across
 // shard/thread counts, overlay churn, compaction and disk round-trips.
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,10 +23,12 @@
 #include "data/neuron_generator.h"
 #include "data/uniform_generator.h"
 #include "engine/query_engine.h"
+#include "geometry/rng.h"
 #include "rtree/aggregates.h"
 #include "rtree/node.h"
 #include "shard/sharded_flat_store.h"
 #include "storage/buffer_pool.h"
+#include "storage/page_cache.h"
 #include "storage/persistence.h"
 #include "tests/test_util.h"
 
@@ -82,32 +86,33 @@ void SubtreeOracle(const PageFile& file, const SeedAggregates& agg,
 
 using CardinalityParam = std::tuple<int, uint32_t>;  // dataset, page size
 
+// 6000 elements of neuron (0), mesh (1) or uniform (2) data.
+Dataset DatasetOfKind(int kind) {
+  switch (kind) {
+    case 0: {
+      NeuronParams params;
+      params.total_elements = 6000;
+      return GenerateNeurons(params);
+    }
+    case 1: {
+      MeshParams params;
+      params.target_triangles = 6000;
+      return GenerateMesh(params);
+    }
+    default: {
+      UniformBoxParams params;
+      params.count = 6000;
+      return GenerateUniformBoxes(params);
+    }
+  }
+}
+
 class AggregateCardinalityTest
     : public ::testing::TestWithParam<CardinalityParam> {};
 
 TEST_P(AggregateCardinalityTest, StoredCountsMatchBruteForce) {
   const auto [dataset_kind, page_size] = GetParam();
-  Dataset dataset;
-  switch (dataset_kind) {
-    case 0: {
-      NeuronParams params;
-      params.total_elements = 6000;
-      dataset = GenerateNeurons(params);
-      break;
-    }
-    case 1: {
-      MeshParams params;
-      params.target_triangles = 6000;
-      dataset = GenerateMesh(params);
-      break;
-    }
-    default: {
-      UniformBoxParams params;
-      params.count = 6000;
-      dataset = GenerateUniformBoxes(params);
-      break;
-    }
-  }
+  const Dataset dataset = DatasetOfKind(dataset_kind);
 
   PageFile file(page_size);
   FlatIndex::BuildOptions options;
@@ -137,6 +142,73 @@ std::string CardinalityParamName(
 
 INSTANTIATE_TEST_SUITE_P(
     DatasetPageFormat, AggregateCardinalityTest,
+    ::testing::Combine(::testing::Values(0, 1, 2),  // neuron/mesh/unif
+                       ::testing::Values<uint32_t>(512, 4096)),
+    CardinalityParamName);
+
+// ---------------------------------------------------------------------------
+// The tile certificate: a count whose box contains a record's stored tile
+// takes the record's stored count and never reads its object page.
+// ---------------------------------------------------------------------------
+
+// A PageCache that remembers every page it served.
+class RecordingCache : public PageCache {
+ public:
+  explicit RecordingCache(const PageStore* file) : file_(file) {}
+
+  const char* Read(PageId id) override {
+    read_.insert(id);
+    return file_->Data(id);
+  }
+
+  bool WasRead(PageId id) const { return read_.count(id) != 0; }
+
+ private:
+  const PageStore* file_;
+  std::set<PageId> read_;
+};
+
+class AggregateTileRuleTest
+    : public ::testing::TestWithParam<CardinalityParam> {};
+
+// Each box is one record's stored tile, and that record's page MBR pokes
+// out of it, so only the tile rule certifies the record. Every element's
+// center lies in its tile, so every element on the page meets the box:
+// the count must equal brute force without reading that page. At 512 B
+// the index has a tile directory and such tile-sized boxes crawl; at 4 KiB
+// it has none and they descend, so both plans are covered.
+TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
+  const auto [dataset_kind, page_size] = GetParam();
+  const Dataset dataset = DatasetOfKind(dataset_kind);
+  PageFile file(page_size);
+  FlatIndex::BuildOptions options;
+  options.aggregate_counts = true;
+  const FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
+  ASSERT_TRUE(index.has_aggregates());
+  EXPECT_EQ(index.has_directory(), page_size == 512);
+
+  size_t checked = 0;
+  for (PageId page = 0; page < file.page_count(); ++page) {
+    if (file.category(page) != PageCategory::kSeedLeaf) continue;
+    const SeedLeafView leaf(file.Data(page));
+    for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
+      const MetadataRecordView record = leaf.RecordAt(slot);
+      const Aabb box = record.tile();
+      if (box.Contains(record.page_mbr())) continue;
+      RecordingCache cache(&file);
+      EXPECT_EQ(index.RangeCount(&cache, box),
+                BruteForce(dataset.elements, box).size())
+          << "page " << page << " slot " << slot;
+      EXPECT_FALSE(cache.WasRead(record.object_page()))
+          << "page " << page << " slot " << slot;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DatasetPageFormat, AggregateTileRuleTest,
     ::testing::Combine(::testing::Values(0, 1, 2),  // neuron/mesh/unif
                        ::testing::Values<uint32_t>(512, 4096)),
     CardinalityParamName);
@@ -379,6 +451,101 @@ TEST(AggregatePartialCountTest, BudgetStopKeepsAccumulatedTally) {
   EXPECT_GT(partial[0].count, 0u);
   EXPECT_LT(partial[0].count, full[0].count);
   EXPECT_TRUE(partial[0].ids.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The count plan: small boxes crawl, large ones descend.
+// ---------------------------------------------------------------------------
+
+// A cube of `volume` centered at `center`.
+Aabb CubeOf(const Vec3& center, double volume) {
+  const double half = std::cbrt(volume) / 2;
+  return Aabb::FromCenterHalfExtents(center, Vec3(half, half, half));
+}
+
+// An aggregated count crawls when its box's volume is below four seed
+// leaves' share of the data bounds (the root page's box), and descends
+// otherwise. The rule's inputs are fixed when the aggregates are attached,
+// so a built store and the same store saved and reloaded must both take
+// the crawl on small boxes: their seed-internal reads are then the plain
+// crawl's (the directory lookup), and the count reads no more than the
+// plain store's. A small count under a read budget stops mid-crawl with a
+// partial tally, and counts on both sides of the rule equal brute force.
+TEST(AggregateCountPlanTest, SmallCountsCrawlOnBuiltAndReloadedStores) {
+  namespace fs = std::filesystem;
+  const auto entries = RandomEntries(20000, 918);
+  ShardedFlatStore::Options options;
+  options.num_shards = 1;
+  options.page_size = 512;
+  ShardedFlatStore plain = ShardedFlatStore::Build(entries, options);
+  options.aggregate_counts = true;
+  const ShardedFlatStore built = ShardedFlatStore::Build(entries, options);
+  ASSERT_TRUE(built.shard_index(0).has_directory());
+
+  // The threshold from the shard file, which holds this one index.
+  const PageStore& file = built.shard_file(0);
+  const NodeView root(file.Data(built.shard_index(0).descriptor().seed_root));
+  const double threshold = 4.0 * root.Bounds().Volume() /
+                           static_cast<double>(
+                               file.PageCountIn(PageCategory::kSeedLeaf));
+
+  Rng rng(919);
+  const Aabb centers(Vec3(10, 10, 10), Vec3(90, 90, 90));
+  std::vector<Aabb> small, large;
+  for (int i = 0; i < 8; ++i) {
+    small.push_back(CubeOf(rng.PointIn(centers), 0.5 * threshold));
+    large.push_back(CubeOf(rng.PointIn(centers), 2.0 * threshold));
+  }
+  const Aabb budgeted = CubeOf(Vec3(50, 50, 50), 0.25 * threshold);
+  const uint64_t exact = BruteForce(entries, budgeted).size();
+  ASSERT_GT(exact, 10u);
+
+  const fs::path dir = fs::temp_directory_path() / "flat_aggregate_plan_test";
+  fs::remove_all(dir);
+  built.Save(dir.string());
+  const ShardedFlatStore loaded =
+      ShardedFlatStore::Load(dir.string(), /*num_threads=*/1);
+  ASSERT_TRUE(loaded.shard_index(0).has_aggregates());
+
+  for (const ShardedFlatStore* store : {&built, &loaded}) {
+    SCOPED_TRACE(store == &built ? "built" : "reloaded");
+    uint64_t large_internal = 0;
+    uint64_t plain_large_internal = 0;
+    for (const bool is_small : {true, false}) {
+      for (const Aabb& box : is_small ? small : large) {
+        IoStats io, plain_io;
+        EXPECT_EQ(store->RangeCount(box, &io),
+                  BruteForce(entries, box).size());
+        EXPECT_EQ(plain.RangeCount(box, &plain_io),
+                  BruteForce(entries, box).size());
+        if (is_small) {
+          EXPECT_EQ(io.ReadsIn(PageCategory::kSeedInternal),
+                    plain_io.ReadsIn(PageCategory::kSeedInternal));
+          EXPECT_LE(io.TotalReads(), plain_io.TotalReads());
+        } else {
+          large_internal += io.ReadsIn(PageCategory::kSeedInternal);
+          plain_large_internal +=
+              plain_io.ReadsIn(PageCategory::kSeedInternal);
+        }
+      }
+    }
+    // Large boxes walk the seed tree's internal pages instead.
+    EXPECT_GT(large_internal, plain_large_internal);
+
+    IoStats full_io;
+    ASSERT_EQ(store->RangeCount(budgeted, &full_io), exact);
+    QueryControl capped;
+    capped.max_page_reads = full_io.TotalReads() / 2;
+    Query query = Query::RangeCount(budgeted);
+    query.control = &capped;
+    const std::vector<QueryResult> partial = store->RunBatch({query});
+    ASSERT_EQ(partial.size(), 1u);
+    EXPECT_EQ(partial[0].status, QueryStatus::kBudgetExceeded);
+    EXPECT_GT(partial[0].count, 0u);
+    EXPECT_LT(partial[0].count, exact);
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 // ---------------------------------------------------------------------------

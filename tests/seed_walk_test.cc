@@ -9,8 +9,11 @@
 // Only the 512 B index (seed height 4) is tall enough for a tile
 // directory; its seed phase locates the start record there instead of
 // walking the tree, so its seed, range, sphere, kNN and plain-count rows
-// count directory reads. Re-record them only for a change that means to
-// move reads.
+// count directory reads. count_agg is the planned aggregated count: on the
+// 512 B index, boxes below the plan rule's volume crawl from the directory
+// and the rest descend; on the 4 KiB index (no directory) every box
+// descends. Both plans skip the object page of a record whose elements all
+// meet the box. Re-record them only for a change that means to move reads.
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -52,7 +55,7 @@ struct Pinned {
   Walk sphere;
   Walk knn;
   Walk count;      // no aggregates: seed + crawl
-  Walk count_agg;  // aggregate descent
+  Walk count_agg;  // aggregates: planned crawl or descent
   Walk scan;
   Walk scan_agg;
   uint64_t candidates;  // summed FindAllCandidateRecords sizes
@@ -67,7 +70,7 @@ constexpr Pinned kPinned[] = {
     {512, 4,
      {71, 0, 0, 25}, 4438097961,
      {71, 1168, 2660, 20769}, {40, 272, 142, 246}, {33, 553, 569, 444},
-     {71, 1168, 2660, 20769}, {412, 396, 369, 20769},
+     {71, 1168, 2660, 20769}, {123, 652, 367, 20769},
      {431, 912, 2660, 20769}, {431, 912, 2660, 20769}, 2660},
     {4096, 2,
      {26, 54, 36, 22}, 429130109,
