@@ -2,20 +2,20 @@
 // range workload (neuron data set) executed through the QueryEngine while
 // the storage layer misbehaves on schedule — EINTR, short reads, injected
 // latency, transient and permanent read errors — plus the per-query control
-// plane (deadlines, cancellation, I/O budgets) and admission control.
+// plane (deadlines, cancellation, I/O budgets) and admission control. Both
+// fault passes replay their schedule under DiskPageFile's pread loop, over
+// the index saved to a file and reopened.
 //
 // Self-validating (the CI bench-smoke contract): every pass runs its gates
 // and the binary exits non-zero on any violation. The gates:
 //   transient  — every query kOk, ids bit-identical to the clean baseline,
-//                batch IoRetries exactly equal to the schedule's fired
-//                transient-fault count.
-//   permanent  — zero crashes; every query either kOk with bit-identical
-//                ids or kIoError with a non-empty error message; at least
-//                one query fails (the schedule targets a page the workload
-//                reads).
-//   disk       — the same transient schedule replayed against a DiskPageFile
-//                reopened from disk in pread mode: bit-identical results,
-//                retry counters matching the schedule.
+//                batch IoRetries and the file's retry counter exactly equal
+//                to the schedule's fired transient-fault count, no read
+//                errors.
+//   permanent  — an inexhaustible error on one mid-file page, two retries
+//                allowed: zero crashes; every query either kOk with
+//                bit-identical ids or kIoError with a non-empty error
+//                message.
 //   controls   — an expired deadline stops every query with
 //                kDeadlineExceeded and at most one page read; a pre-set
 //                cancel token yields kCancelled; a tiny I/O budget yields
@@ -172,13 +172,33 @@ int main(int argc, char** argv) {
     return std::make_pair(pass, results);
   };
 
+  // The fault passes read the index back from a saved file. Each opens it
+  // afresh: a page the file has read stays resident and never faults again.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_fault_recovery_" + std::to_string(::getpid()) + ".pgf"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    SavePageFile(file, out);
+  }
+  const auto open_under = [&path](const FaultSchedule& schedule,
+                                  uint32_t max_read_retries) {
+    DiskPageFile::Options disk_options;
+    disk_options.max_read_retries = max_read_retries;
+    disk_options.retry_backoff_micros = 0;
+    disk_options.fault_schedule = &schedule;
+    return DiskPageFile::Open(path, disk_options);
+  };
+
   // Pass 1: transient faults — recover bit-identically, exact retry count.
   {
     FaultSchedule schedule;
     MakeTransientSchedule(file.page_count(), &schedule);
-    FaultInjectingPageStore store(&file, &schedule);
-    FlatIndex through = FlatIndex::Attach(&store, index.descriptor());
-    auto [pass, results] = run_pass("transient", through, batch,
+    const auto disk =
+        open_under(schedule, DiskPageFile::Options().max_read_retries);
+    FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
+    auto [pass, results] = run_pass("transient", reopened, batch,
                                     engine_options);
     for (size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok()) {
@@ -197,12 +217,18 @@ int main(int argc, char** argv) {
                           " != fired transient faults " +
                           std::to_string(expected_retries));
     }
+    if (disk->read_retries() != expected_retries) {
+      FailGate(&pass, "disk retry counter " +
+                          std::to_string(disk->read_retries()) +
+                          " != fired transient faults " +
+                          std::to_string(expected_retries));
+    }
     if (expected_retries == 0) {
       FailGate(&pass, "no transient fault fired; the schedule missed the "
                       "workload entirely");
     }
-    if (pass.errors != 0) {
-      FailGate(&pass, "unexpected IoErrors in the transient pass");
+    if (pass.errors != 0 || disk->read_errors() != 0) {
+      FailGate(&pass, "unexpected read errors in the transient pass");
     }
     passes.push_back(pass);
   }
@@ -213,11 +239,9 @@ int main(int argc, char** argv) {
     FaultSchedule schedule;
     schedule.FailRead(static_cast<PageId>(file.page_count() / 2),
                       /*times=*/1u << 30);
-    FaultInjectingPageStore::Options store_options;
-    store_options.max_read_retries = 2;
-    FaultInjectingPageStore store(&file, &schedule, store_options);
-    FlatIndex through = FlatIndex::Attach(&store, index.descriptor());
-    auto [pass, results] = run_pass("permanent", through, batch,
+    const auto disk = open_under(schedule, /*max_read_retries=*/2);
+    FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
+    auto [pass, results] = run_pass("permanent", reopened, batch,
                                     engine_options);
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
@@ -234,49 +258,10 @@ int main(int argc, char** argv) {
     }
     passes.push_back(pass);
   }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
 
-  // Pass 3: the same transient schedule through the real disk backend
-  // (pread mode; fault schedules force it), reopened from a saved file.
-  {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("bench_fault_recovery_" + std::to_string(::getpid()) + ".pgf"))
-            .string();
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      SavePageFile(file, out);
-    }
-    FaultSchedule schedule;
-    MakeTransientSchedule(file.page_count(), &schedule);
-    DiskPageFile::Options disk_options;
-    disk_options.retry_backoff_micros = 0;
-    disk_options.fault_schedule = &schedule;
-    auto disk = DiskPageFile::Open(path, disk_options);
-    FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
-    auto [pass, results] = run_pass("disk_transient", reopened, batch,
-                                    engine_options);
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok() || results[i].ids != baseline[i].ids) {
-        FailGate(&pass, "disk query " + std::to_string(i) +
-                            " diverged or failed under transient faults");
-      }
-    }
-    if (disk->read_retries() != FiredTransientRetries(schedule)) {
-      FailGate(&pass, "disk retry counter " +
-                          std::to_string(disk->read_retries()) +
-                          " != fired transient faults " +
-                          std::to_string(FiredTransientRetries(schedule)));
-    }
-    if (disk->read_errors() != 0 || pass.errors != 0) {
-      FailGate(&pass, "unexpected read errors in the disk transient pass");
-    }
-    disk.reset();
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    passes.push_back(pass);
-  }
-
-  // Pass 4: the control plane — deadline, cancellation, budget.
+  // Pass 3: the control plane — deadline, cancellation, budget.
   {
     PassOutcome pass;
     pass.name = "controls";
@@ -338,7 +323,7 @@ int main(int argc, char** argv) {
     passes.push_back(pass);
   }
 
-  // Pass 5: admission control sheds the tail, the head stays exact.
+  // Pass 4: admission control sheds the tail, the head stays exact.
   {
     QueryEngine::Options options = engine_options;
     options.max_queued_queries = batch.size() / 2;

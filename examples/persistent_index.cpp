@@ -1,8 +1,7 @@
 // Persistence workflow: bulkload once, save the simulated disk to a file,
 // reopen it in a fresh session and query — the paper's "reindex rarely,
-// query often" lifecycle (Section IV). The reopened sessions demonstrate
-// both load paths: LoadPageFile (deserialize into RAM) and DiskPageFile
-// (serve pages straight from the file, mmap'd — real out-of-core
+// query often" lifecycle (Section IV). The reopened session serves pages
+// straight from the file through DiskPageFile (mmap'd — real out-of-core
 // execution).
 //
 //   $ ./examples/persistent_index [path]
@@ -50,33 +49,15 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Session 2: reopen into RAM (LoadPageFile) and query; no rebuild.
-    std::ifstream in(path, std::ios::binary);
-    auto file = LoadPageFile(in);
-    FlatIndex index = FlatIndex::Attach(file.get(), descriptor);
-
-    IoStats stats;
-    BufferPool pool(file.get(), &stats);
-    const size_t got = index.RangeCount(&pool, probe);
-    std::cout << "session 2: reopened " << file->page_count()
-              << " pages into RAM, probe query: " << got << " results, "
-              << stats.TotalReads() << " page reads\n";
-    if (got != expected) {
-      std::cerr << "MISMATCH after reload!\n";
-      return 1;
-    }
-  }
-
-  {
-    // Session 3: open the same file disk-backed — pages are served from an
-    // mmap'd read-only view, no deserialization.
+    // Session 2: open the same file disk-backed — pages are served from an
+    // mmap'd read-only view, no deserialization and no rebuild.
     auto file = DiskPageFile::Open(path);
     FlatIndex index = FlatIndex::Attach(file.get(), descriptor);
 
     IoStats stats;
     BufferPool pool(file.get(), &stats);
     const size_t got = index.RangeCount(&pool, probe);
-    std::cout << "session 3: disk-backed ("
+    std::cout << "session 2: disk-backed ("
               << (file->mmap_backed() ? "mmap" : "pread") << "), probe query: "
               << got << " results, " << stats.TotalReads() << " page reads\n";
     if (got != expected || stats.TotalReads() != expected_reads) {
@@ -84,7 +65,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::cout << "reload verified: identical results (and identical logical "
-               "reads) on both backends, without reindexing\n";
+  std::cout << "reload verified: identical results and identical logical "
+               "reads, without reindexing\n";
   return 0;
 }

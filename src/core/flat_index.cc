@@ -74,22 +74,28 @@ constexpr double kCrawlCountLeaves = 4.0;
 
 // A seed-tree internal page that is not an exact node page at the level
 // its parent implies (`want`; kAnyLevel for the root, which must only be
-// above the leaves): a retired or corrupt format byte, or a child pointer
-// aimed back up the tree. Reading on would misread the page or walk a cycle.
+// above the leaves) with at most a page's worth of entries (`capacity`): a
+// retired or corrupt format byte, a child pointer aimed back up the tree,
+// or a count that would gate entries past the page. Reading on would
+// misread the page, walk a cycle or read past the store.
 constexpr int kAnyLevel = -1;
 
-bool IsSeedNode(const NodeView& node, int want) {
+bool IsSeedNode(const NodeView& node, int want, uint32_t capacity) {
   return node.format() == NodeFormat::kExact && node.level() != 0 &&
-         (want == kAnyLevel || node.level() == want);
+         (want == kAnyLevel || node.level() == want) &&
+         node.count() <= capacity;
 }
 
 [[noreturn]] void ThrowBadSeedPage(PageId page, const NodeView& node,
-                                   int want) {
+                                   int want, uint32_t capacity) {
   std::string what = "FlatIndex: seed-tree page " + std::to_string(page);
   if (node.format() != NodeFormat::kExact) {
     what += " has node format " +
             std::to_string(static_cast<int>(node.format())) +
             "; only format 0 (exact) is readable";
+  } else if (node.count() > capacity) {
+    what += " holds " + std::to_string(node.count()) +
+            " entries; a page holds at most " + std::to_string(capacity);
   } else {
     what += " is at level " + std::to_string(node.level()) + ", expected " +
             (want == kAnyLevel ? std::string("a level above 0")
@@ -344,8 +350,8 @@ void FlatIndex::AttachAggregates(
       });
   // The data bounds: the root page's child boxes, read uncharged.
   const NodeView root(file_->Data(seed_root_));
-  if (leaves == 0 || !IsSeedNode(root, kAnyLevel) ||
-      root.count() > NodeCapacity(file_->page_size())) {
+  if (leaves == 0 ||
+      !IsSeedNode(root, kAnyLevel, NodeCapacity(file_->page_size()))) {
     return;
   }
   crawl_count_below_ =
@@ -371,6 +377,7 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
   std::optional<CrawlScratch> throwaway;
   CrawlScratch* s = scratch != nullptr ? scratch : &throwaway.emplace();
   std::vector<Frame> stack = {{seed_root_, root_is_leaf_ ? 0 : kAnyLevel}};
+  const uint32_t capacity = NodeCapacity(file_->page_size());
   while (!stack.empty()) {
     // Cancellation point: one pop reads at most one node page before the
     // next check (visitors check again before each object-page read).
@@ -393,8 +400,8 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
       continue;
     }
     const NodeView node(data);
-    if (!IsSeedNode(node, frame.level)) {
-      ThrowBadSeedPage(frame.page, node, frame.level);
+    if (!IsSeedNode(node, frame.level, capacity)) {
+      ThrowBadSeedPage(frame.page, node, frame.level, capacity);
     }
     // Gate the whole fanout in one batched sweep, plus the containment mask
     // when a covered callback wants it; push the hits last to first so they

@@ -209,10 +209,10 @@ class FlatIndex {
   }
 
   /// Re-attaches an index previously built into `file` — any PageStore
-  /// holding the same bytes: an in-memory PageFile (e.g. after
-  /// LoadPageFile) or a DiskPageFile opened over the serialized form. Build
-  /// statistics and partition profiles are not persisted; queries behave
-  /// identically regardless of backend.
+  /// holding the same bytes: the in-memory PageFile it was built into, or a
+  /// DiskPageFile opened over the saved form. Build statistics and
+  /// partition profiles are not persisted; queries behave identically
+  /// regardless of backend.
   static FlatIndex Attach(const PageStore* file,
                           const Descriptor& descriptor) {
     FlatIndex index;
@@ -329,7 +329,8 @@ class FlatIndex {
   // answered, not descended or visited. Uses `scratch` when given, else a
   // throwaway, and checks its control once per popped page. Throws
   // std::runtime_error naming the page when an internal page's format byte
-  // is not 0 (exact) or its level is not one below its parent's.
+  // is not 0 (exact), its level is not one below its parent's, or its entry
+  // count exceeds NodeCapacity(page_size).
   template <typename Visit, typename Covered = std::nullptr_t>
   void WalkSeedTree(PageCache* pool, const Aabb& gate, CrawlScratch* scratch,
                     const Visit& visit,

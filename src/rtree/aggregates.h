@@ -138,7 +138,7 @@ void SaveSeedAggregates(const SeedAggregates& aggregates, std::ostream& out);
 /// u16 slot range, groups by the remaining stream) before anything is
 /// allocated from it, and bad magic / truncation / out-of-order or
 /// duplicate groups throw std::runtime_error — the same hostile-input
-/// stance as LoadPageFile.
+/// stance as DiskPageFile::Open.
 SeedAggregates LoadSeedAggregates(std::istream& in);
 
 }  // namespace flat

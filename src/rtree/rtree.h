@@ -9,12 +9,13 @@
 #include "rtree/entry.h"
 #include "rtree/node.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_file.h"
+#include "storage/page_store.h"
 
 namespace flat {
 
 /// Handle to a disk-resident R-Tree rooted at `root`. The tree itself lives in
-/// a PageFile; all query-time page accesses go through the caller's
+/// a PageStore (the PageFile it was built into, or a DiskPageFile opened over
+/// the saved bytes); all query-time page accesses go through the caller's
 /// BufferPool, which is where I/O is accounted.
 ///
 /// All bulkloaders (STR, Hilbert/Morton, PR-Tree, TGS) and the dynamic
@@ -27,7 +28,7 @@ class RTree {
   /// Constructs an empty handle (no root; all queries return nothing).
   RTree() = default;
 
-  RTree(const PageFile* file, PageId root, int height)
+  RTree(const PageStore* file, PageId root, int height)
       : file_(file), root_(root), height_(height) {}
 
   bool empty() const { return root_ == kInvalidPageId; }
@@ -37,7 +38,7 @@ class RTree {
 
   PageId root() const { return root_; }
 
-  const PageFile* file() const { return file_; }
+  const PageStore* file() const { return file_; }
 
   /// Appends the ids of all leaf entries whose box intersects `query`.
   void RangeQuery(BufferPool* pool, const Aabb& query,
@@ -82,7 +83,7 @@ class RTree {
   TreeStats ComputeStats() const;
 
  private:
-  const PageFile* file_ = nullptr;
+  const PageStore* file_ = nullptr;
   PageId root_ = kInvalidPageId;
   int height_ = 0;
 };

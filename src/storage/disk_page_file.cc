@@ -19,8 +19,8 @@
 namespace flat {
 namespace {
 
-// Magic + u32 page_size + u32 count; the versions LoadPageFile reads share
-// this container layout (storage/persistence.h).
+// Magic + u32 page_size + u32 count; every version IsReadablePageFileMagic
+// accepts shares this container layout (storage/persistence.h).
 constexpr uint64_t kHeaderBytes = kPageFileMagicSize + 8;
 
 // Longest sleep between two transient-error retries of one page read.

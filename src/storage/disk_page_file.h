@@ -65,8 +65,11 @@ class DiskPageFile final : public PageStore {
     /// Deterministic fault plan for page reads (tests/benches; see
     /// storage/fault_injection.h). Setting this forces pread mode — mmap'd
     /// reads never reach the schedule, so a scheduled fault could silently
-    /// never fire. Must outlive the file. Header and category-table reads
-    /// are not subject to injection (they happen once, at Open).
+    /// never fire. Only the read that makes a page resident asks the
+    /// schedule, once per attempt; a resident page never faults again, so
+    /// each pass over a schedule needs a freshly opened file. Must outlive
+    /// the file. Header and category-table reads are not subject to
+    /// injection (they happen once, at Open).
     const FaultSchedule* fault_schedule = nullptr;
   };
 
@@ -96,13 +99,6 @@ class DiskPageFile final : public PageStore {
 
   size_t PageCountIn(PageCategory category) const override {
     return pages_in_category_[static_cast<size_t>(category)];
-  }
-
-  /// Page payload bytes, excluding the 16-byte header and category table —
-  /// the same figure PageFile::SizeBytes reports, so size accounting is
-  /// backend-independent.
-  uint64_t SizeBytes() const override {
-    return categories_.size() * uint64_t{page_size_};
   }
 
   /// Drops this file's pages from the OS page cache as far as the kernel

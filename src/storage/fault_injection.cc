@@ -1,10 +1,5 @@
 #include "storage/fault_injection.h"
 
-#include <chrono>
-#include <stdexcept>
-#include <string>
-#include <thread>
-
 namespace flat {
 
 void FaultSchedule::Add(const FaultSpec& spec) {
@@ -74,71 +69,5 @@ thread_local uint64_t t_read_retries = 0;
 
 uint64_t ThreadReadRetries() { return t_read_retries; }
 void AddThreadReadRetries(uint64_t count) { t_read_retries += count; }
-
-FaultInjectingPageStore::FaultInjectingPageStore(const PageStore* inner,
-                                                 const FaultSchedule* schedule,
-                                                 Options options)
-    : inner_(inner), schedule_(schedule), options_(options) {}
-
-const char* FaultInjectingPageStore::Data(PageId id) const {
-  if (schedule_ == nullptr) return inner_->Data(id);
-  uint32_t error_retries = 0;
-  for (;;) {
-    const FaultSpec fault = schedule_->Next(id);
-    switch (fault.kind) {
-      case FaultKind::kNone:
-        return inner_->Data(id);
-      case FaultKind::kLatency:
-        if (fault.latency_micros > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(fault.latency_micros));
-        }
-        return inner_->Data(id);
-      case FaultKind::kShortRead:
-        // Partial progress: the real read loop would continue from the
-        // transferred bytes without counting a retry; so do we.
-        continue;
-      case FaultKind::kEintr:
-        // Interrupted syscall: retried immediately, counted as a recovery.
-        read_retries_.fetch_add(1, std::memory_order_relaxed);
-        AddThreadReadRetries(1);
-        continue;
-      case FaultKind::kError: {
-        if (error_retries >= options_.max_read_retries) {
-          read_errors_.fetch_add(1, std::memory_order_relaxed);
-          throw std::runtime_error(
-              "FaultInjectingPageStore: read of page " + std::to_string(id) +
-              " failed after " + std::to_string(error_retries) +
-              " retries (injected errno " +
-              std::to_string(fault.error_number) + ")");
-        }
-        read_retries_.fetch_add(1, std::memory_order_relaxed);
-        AddThreadReadRetries(1);
-        ++error_retries;
-        continue;
-      }
-    }
-  }
-}
-
-PageCategory FaultInjectingPageStore::category(PageId id) const {
-  return inner_->category(id);
-}
-
-uint32_t FaultInjectingPageStore::page_size() const {
-  return inner_->page_size();
-}
-
-size_t FaultInjectingPageStore::page_count() const {
-  return inner_->page_count();
-}
-
-size_t FaultInjectingPageStore::PageCountIn(PageCategory category) const {
-  return inner_->PageCountIn(category);
-}
-
-uint64_t FaultInjectingPageStore::SizeBytes() const {
-  return inner_->SizeBytes();
-}
 
 }  // namespace flat

@@ -2,14 +2,12 @@
 #define FLAT_STORAGE_FAULT_INJECTION_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "storage/page.h"
-#include "storage/page_store.h"
 
 namespace flat {
 
@@ -26,7 +24,7 @@ enum class FaultKind : uint8_t {
 };
 
 /// One scheduled fault: "page `page`'s attempt number `attempt` (1-based,
-/// counted per page across the store's lifetime) behaves as `kind`".
+/// counted per page since the schedule's last Reset) behaves as `kind`".
 struct FaultSpec {
   PageId page = kInvalidPageId;
   uint32_t attempt = 1;
@@ -36,13 +34,16 @@ struct FaultSpec {
   uint32_t short_bytes = 1;      // used by kShortRead (clamped to >= 1).
 };
 
-/// A deterministic, schedule-driven fault plan shared by
-/// FaultInjectingPageStore and DiskPageFile's pread path: the test/bench
-/// author lists exactly which (page, attempt) pairs misbehave and how, so a
-/// run either recovers bit-identically or fails with a typed status — never
-/// "flaky". Thread-safe: per-page attempt counters advance under a mutex
-/// (fault schedules are test machinery, not a hot path). Pages with no
-/// entry never fault and pay one map lookup per read attempt.
+/// A deterministic, schedule-driven fault plan for DiskPageFile's pread loop
+/// (DiskPageFile::Options::fault_schedule): the test/bench author lists
+/// exactly which (page, attempt) pairs misbehave and how, so a run either
+/// recovers bit-identically or fails with a typed status — never "flaky".
+/// The loop asks the schedule once per attempt while it reads a page that
+/// is not yet resident; a page it has read stays resident and never asks
+/// again, so attempt k of a page is the k-th attempt of its reads, not the
+/// k-th Data() call. Thread-safe: per-page attempt counters advance under a
+/// mutex (fault schedules are test machinery, not a hot path). Pages with
+/// no entry never fault and pay one map lookup per read attempt.
 class FaultSchedule {
  public:
   void Add(const FaultSpec& spec);
@@ -73,62 +74,13 @@ class FaultSchedule {
   mutable std::array<uint64_t, 5> fired_{};  // indexed by FaultKind
 };
 
-/// Per-thread running count of transient page-read retries performed by the
-/// storage backends (DiskPageFile's pread recovery and
-/// FaultInjectingPageStore). BufferPool samples this counter around
+/// Per-thread running count of transient page-read retries performed by
+/// DiskPageFile's pread recovery. BufferPool samples this counter around
 /// PageStore::Data() on a cache miss and charges the delta to the querying
 /// IoStats — deterministic per-query retry attribution without threading a
 /// stats pointer through the const PageStore interface.
 uint64_t ThreadReadRetries();
 void AddThreadReadRetries(uint64_t count);
-
-/// A PageStore wrapper that injects the faults of a FaultSchedule in front
-/// of any inner store, applying the same recovery policy as DiskPageFile's
-/// pread path: EINTR and short reads continue immediately, transient errors
-/// retry (without sleeping — deterministic tests shouldn't), and an error
-/// that outlives the retry budget throws std::runtime_error (which the query dispatch layer
-/// converts to a kIoError result). With an empty schedule the wrapper is
-/// transparent: results, IoStats, and pointer stability are bit-identical
-/// to the inner store's. Thread-safe wherever the inner store is.
-class FaultInjectingPageStore final : public PageStore {
- public:
-  struct Options {
-    /// Transient-error retries before the read fails permanently.
-    uint32_t max_read_retries = 4;
-  };
-
-  /// `inner` and `schedule` must outlive the wrapper; `schedule` may be
-  /// null (never faults).
-  FaultInjectingPageStore(const PageStore* inner, const FaultSchedule* schedule)
-      : FaultInjectingPageStore(inner, schedule, Options()) {}
-  FaultInjectingPageStore(const PageStore* inner,
-                          const FaultSchedule* schedule, Options options);
-
-  const char* Data(PageId id) const override;
-  PageCategory category(PageId id) const override;
-  uint32_t page_size() const override;
-  size_t page_count() const override;
-  size_t PageCountIn(PageCategory category) const override;
-  uint64_t SizeBytes() const override;
-
-  /// Transient faults recovered (EINTR + retried errors) and permanent
-  /// failures thrown, across all threads.
-  uint64_t read_retries() const {
-    return read_retries_.load(std::memory_order_relaxed);
-  }
-  uint64_t read_errors() const {
-    return read_errors_.load(std::memory_order_relaxed);
-  }
-
-  const PageStore* inner() const { return inner_; }
-
- private:
-  const PageStore* inner_;
-  const FaultSchedule* schedule_;
-  Options options_;
-  mutable std::atomic<uint64_t> read_retries_{0};
-  mutable std::atomic<uint64_t> read_errors_{0};
-};
 
 }  // namespace flat
 

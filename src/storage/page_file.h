@@ -82,11 +82,6 @@ class PageFile final : public PageStore {
     return pages_in_category_[static_cast<size_t>(category)];
   }
 
-  /// Total simulated on-disk size in bytes.
-  uint64_t SizeBytes() const override {
-    return categories_.size() * uint64_t{page_size_};
-  }
-
   /// Pages per slab arena (test hook for the slab-boundary cases).
   uint32_t pages_per_slab() const { return uint32_t{1} << slab_shift_; }
 

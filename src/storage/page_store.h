@@ -47,10 +47,10 @@ class PageStore {
   /// Number of pages in a given category.
   virtual size_t PageCountIn(PageCategory category) const = 0;
 
-  /// Total on-disk (or simulated on-disk) size in bytes.
-  virtual uint64_t SizeBytes() const {
-    return page_count() * uint64_t{page_size()};
-  }
+  /// Page payload bytes: page_count() x page_size(), excluding a saved
+  /// file's header and category table, so size accounting is
+  /// backend-independent.
+  uint64_t SizeBytes() const { return page_count() * uint64_t{page_size()}; }
 };
 
 }  // namespace flat

@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <memory>
 
-#include "storage/page_file.h"
 #include "storage/page_store.h"
 
 namespace flat {
@@ -21,16 +19,16 @@ namespace flat {
 ///   magic "FLATPGF3" | u32 page_size | u32 page_count |
 ///   u8 category[page_count] | page bytes (page_count * page_size)
 ///
-/// The format is versioned via the magic; readers reject unknown magics and
-/// truncated streams by throwing std::runtime_error. Every save writes
-/// "FLATPGF3". "FLATPGF1" (exact node pages) files from earlier builds share
-/// the container layout and still load: LoadPageFile and DiskPageFile::Open
-/// accept v1 and v3 (IsReadablePageFileMagic). "FLATPGF2" marked files
-/// holding the retired quantized seed pages and is rejected like an unknown
-/// version. v3 exists because its seed-leaf records hold the unstretched
-/// tile and a sparser neighbor relation, which readers that predate it
-/// would crawl inexactly. See docs/file_format.md for the back-compat
-/// matrix.
+/// The format is versioned via the magic. DiskPageFile::Open is the one
+/// reader: it serves a saved file in place and rejects unknown magics,
+/// truncated files and trailing bytes by throwing std::runtime_error. Every
+/// save writes "FLATPGF3". "FLATPGF1" (exact node pages) files from earlier
+/// builds share the container layout and still open
+/// (IsReadablePageFileMagic). "FLATPGF2" marked files holding the retired
+/// quantized seed pages and is rejected like an unknown version. v3 exists
+/// because its seed-leaf records hold the unstretched tile and a sparser
+/// neighbor relation, which readers that predate it would crawl inexactly.
+/// See docs/file_format.md for the back-compat matrix.
 ///
 /// Accepts any PageStore (so a DiskPageFile can be re-saved); throws
 /// std::runtime_error if the store's page count exceeds the format's u32
@@ -41,17 +39,9 @@ void SavePageFile(const PageStore& file, std::ostream& out);
 inline constexpr size_t kPageFileMagicSize = 8;
 
 /// True iff the kPageFileMagicSize bytes at `magic` name a page-file
-/// version this build reads ("FLATPGF1" or "FLATPGF3"). The one
-/// version check behind LoadPageFile and DiskPageFile::Open.
+/// version this build reads ("FLATPGF1" or "FLATPGF3"). DiskPageFile::Open
+/// checks every file with it.
 bool IsReadablePageFileMagic(const char* magic);
-
-/// Reads a PageFile previously written by SavePageFile into memory. The
-/// page_count header field is untrusted: where the stream is seekable it is
-/// bounded against the actual remaining bytes before anything is allocated,
-/// and parsing is incremental either way — the first truncated entry throws
-/// without ever sizing a buffer to the hostile count. To serve the same
-/// bytes from disk without loading them, use DiskPageFile::Open instead.
-std::unique_ptr<PageFile> LoadPageFile(std::istream& in);
 
 }  // namespace flat
 

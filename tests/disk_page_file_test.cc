@@ -6,12 +6,10 @@
 // Open, before any page is served.
 #include "storage/disk_page_file.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +30,8 @@
 
 namespace flat {
 namespace {
+
+using testing::ScopedPageFileOnDisk;
 
 std::vector<uint64_t> CategoryCounts(const IoStats& stats) {
   std::vector<uint64_t> counts(kNumPageCategories);
@@ -70,30 +70,6 @@ std::vector<Aabb> DatasetQueries(const Dataset& dataset, uint64_t seed) {
   queries.push_back(dataset.bounds);
   return queries;
 }
-
-// Writes `file` to a fresh temp path and removes it on scope exit.
-class ScopedPageFileOnDisk {
- public:
-  explicit ScopedPageFileOnDisk(const PageFile& file, const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("disk_page_file_test_" + std::to_string(::getpid()) + "_" + tag +
-              ".pgf"))
-                .string();
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    SavePageFile(file, out);
-    EXPECT_TRUE(out.good());
-  }
-
-  ~ScopedPageFileOnDisk() {
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 class DiskBackendIdentityTest : public ::testing::TestWithParam<std::string> {};
 
@@ -279,13 +255,10 @@ TEST(DiskPageFileTest, CorruptFilesAreRejectedAtOpen) {
   in.close();
   ASSERT_EQ(bytes.size(), 16u + 1u + 256u);
 
-  const auto write_variant = [&](const std::string& tag,
-                                 const std::string& contents) {
-    const std::string path = on_disk.path() + "." + tag;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    return path;
+  const auto open_variant = [](const std::string& tag,
+                               const std::string& contents) {
+    const ScopedPageFileOnDisk variant(contents, "corrupt_" + tag);
+    return DiskPageFile::Open(variant.path());
   };
 
   // Missing file.
@@ -295,43 +268,29 @@ TEST(DiskPageFileTest, CorruptFilesAreRejectedAtOpen) {
   // Bad magic.
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  const std::string bad_magic_path = write_variant("badmagic", bad_magic);
-  EXPECT_THROW(DiskPageFile::Open(bad_magic_path), std::runtime_error);
+  EXPECT_THROW(open_variant("badmagic", bad_magic), std::runtime_error);
 
   // Truncated: header claims one 256-byte page, file ends mid-page.
-  const std::string truncated_path =
-      write_variant("truncated", bytes.substr(0, bytes.size() - 100));
-  EXPECT_THROW(DiskPageFile::Open(truncated_path), std::runtime_error);
+  EXPECT_THROW(open_variant("truncated", bytes.substr(0, bytes.size() - 100)),
+               std::runtime_error);
 
   // Hostile page_count: huge count over a tiny body.
   std::string hostile = bytes;
   const uint32_t huge = 1u << 30;
   std::memcpy(&hostile[12], &huge, sizeof(huge));
-  const std::string hostile_path = write_variant("hostile", hostile);
-  EXPECT_THROW(DiskPageFile::Open(hostile_path), std::runtime_error);
+  EXPECT_THROW(open_variant("hostile", hostile), std::runtime_error);
 
-  // Trailing bytes beyond the declared pages: a disk file (unlike a
-  // container stream) must match its header exactly.
-  const std::string trailing_path =
-      write_variant("trailing", bytes + "JUNK");
-  EXPECT_THROW(DiskPageFile::Open(trailing_path), std::runtime_error);
+  // Trailing bytes beyond the declared pages: a page file must match its
+  // header exactly.
+  EXPECT_THROW(open_variant("trailing", bytes + "JUNK"), std::runtime_error);
 
   // Invalid category byte.
   std::string bad_category = bytes;
   bad_category[16] = static_cast<char>(0xEE);
-  const std::string bad_category_path =
-      write_variant("badcategory", bad_category);
-  EXPECT_THROW(DiskPageFile::Open(bad_category_path), std::runtime_error);
+  EXPECT_THROW(open_variant("badcategory", bad_category), std::runtime_error);
 
   // Shorter than the fixed header.
-  const std::string tiny_path = write_variant("tiny", bytes.substr(0, 7));
-  EXPECT_THROW(DiskPageFile::Open(tiny_path), std::runtime_error);
-
-  for (const char* tag : {"badmagic", "truncated", "hostile", "trailing",
-                          "badcategory", "tiny"}) {
-    std::error_code ec;
-    std::filesystem::remove(on_disk.path() + "." + tag, ec);
-  }
+  EXPECT_THROW(open_variant("tiny", bytes.substr(0, 7)), std::runtime_error);
 
   // The untouched original still opens fine.
   auto disk = DiskPageFile::Open(on_disk.path());
@@ -461,6 +420,79 @@ TEST(DiskPageFileFaultTest, ConcurrentReadersSurviveFailingPage) {
   EXPECT_EQ(failures.load(), 5);
   EXPECT_GT(successes.load(), 0);
   ASSERT_EQ(std::memcmp(disk->Data(id), file.Data(id), 256), 0);
+}
+
+// A BufferPool that also counts every Read of each page, hits included: a
+// hit calls the store's Data() again.
+class ReadCountingPool final : public PageCache {
+ public:
+  ReadCountingPool(const PageStore* store, IoStats* stats)
+      : pool_(store, stats) {}
+
+  const char* Read(PageId id) override {
+    ++reads_[id];
+    return pool_.Read(id);
+  }
+
+  const std::map<PageId, uint32_t>& reads() const { return reads_; }
+
+ private:
+  BufferPool pool_;
+  std::map<PageId, uint32_t> reads_;
+};
+
+// A page the file has read stays resident and never asks the schedule
+// again. Faults scheduled only on the second and later attempts of pages
+// one query reads more than once therefore never fire — not even an error
+// with no retries allowed — and the query answers exactly, with the clean
+// IoStats.
+TEST(DiskPageFileFaultTest, PageAlreadyReadNeverFaultsAgain) {
+  const std::vector<RTreeEntry> entries =
+      testing::RandomEntries(20000, /*seed=*/71);
+  PageFile file;
+  const FlatIndex index = FlatIndex::Build(&file, entries);
+  const Query query =
+      Query::Range(Aabb(Vec3(-10, -10, -10), Vec3(110, 110, 110)));
+
+  QueryResult clean;
+  ReadCountingPool counting(&file, &clean.io);
+  DispatchQuery({&index, query}, &counting, &clean);
+  ASSERT_EQ(clean.status, QueryStatus::kOk);
+  ASSERT_EQ(testing::Sorted(clean.ids),
+            testing::BruteForce(entries, query.box));
+
+  // Attempt 1 of every page is clean; each further read of a page gets a
+  // fault, rotating EINTR, an error and a short read.
+  const FaultKind kinds[] = {FaultKind::kEintr, FaultKind::kError,
+                             FaultKind::kShortRead};
+  FaultSchedule schedule;
+  size_t added = 0;
+  for (const auto& [page, reads] : counting.reads()) {
+    for (uint32_t attempt = 2; attempt <= reads; ++attempt) {
+      schedule.Add({.page = page,
+                    .attempt = attempt,
+                    .kind = kinds[added++ % 3],
+                    .short_bytes = 7});
+    }
+  }
+  ASSERT_GE(schedule.scheduled(), 3u) << "the query must re-read pages";
+
+  ScopedPageFileOnDisk on_disk(file, "no_refault");
+  DiskPageFile::Options options;
+  options.max_read_retries = 0;
+  options.fault_schedule = &schedule;
+  auto disk = DiskPageFile::Open(on_disk.path(), options);
+  const FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
+
+  QueryResult got;
+  BufferPool pool(disk.get(), &got.io);
+  DispatchQuery({&reopened, query}, &pool, &got);
+  EXPECT_EQ(got.status, QueryStatus::kOk) << got.error;
+  EXPECT_EQ(got.ids, clean.ids);
+  EXPECT_EQ(got.io, clean.io);
+  EXPECT_EQ(schedule.faults_fired(), 0u);
+  EXPECT_EQ(disk->read_retries(), 0u);
+  EXPECT_EQ(disk->read_errors(), 0u);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "rtree/node.h"
 #include "shard/sharded_flat_store.h"
 #include "storage/buffer_pool.h"
+#include "storage/disk_page_file.h"
 #include "storage/page_file.h"
 #include "storage/persistence.h"
 #include "tests/test_util.h"
@@ -36,6 +37,7 @@ namespace {
 
 using testing::RandomEntries;
 using testing::RandomQueries;
+using testing::ScopedPageFileOnDisk;
 
 std::vector<uint64_t> CategoryCounts(const IoStats& stats) {
   std::vector<uint64_t> counts(kNumPageCategories);
@@ -96,8 +98,9 @@ TEST(QueryGroupTest, FirstFailureWinsAndCancels) {
   }
 }
 
-// Shared fixture: one FLAT index over a PageFile, queried through a
-// FaultInjectingPageStore wrapper and/or with QueryControls attached.
+// Shared fixture: one FLAT index over a PageFile, queried in memory or,
+// under a fault schedule, through a DiskPageFile over its saved bytes; with
+// or without QueryControls attached.
 class FailSoftTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -113,6 +116,19 @@ class FailSoftTest : public ::testing::Test {
     return r;
   }
 
+  // `on_disk` reopened in pread mode under `schedule`, retrying errors
+  // without backoff sleeps. A page read once stays resident and never
+  // faults again, so every pass over a schedule opens the file afresh.
+  static std::unique_ptr<DiskPageFile> OpenUnderSchedule(
+      const ScopedPageFileOnDisk& on_disk, const FaultSchedule& schedule,
+      uint32_t max_read_retries) {
+    DiskPageFile::Options options;
+    options.max_read_retries = max_read_retries;
+    options.retry_backoff_micros = 0;
+    options.fault_schedule = &schedule;
+    return DiskPageFile::Open(on_disk.path(), options);
+  }
+
   PageFile file_;
   std::vector<RTreeEntry> entries_;
   FlatIndex index_;
@@ -121,26 +137,6 @@ class FailSoftTest : public ::testing::Test {
   const Aabb universe_ = Aabb(Vec3(-10, -10, -10), Vec3(110, 110, 110));
 };
 
-// An empty (or null) schedule makes the wrapper fully transparent: ids and
-// per-category IoStats bit-identical to querying the inner store directly.
-TEST_F(FailSoftTest, EmptyScheduleWrapperIsTransparent) {
-  FaultSchedule empty;
-  FaultInjectingPageStore wrapped(&file_, &empty);
-  FlatIndex through = FlatIndex::Attach(&wrapped, index_.descriptor());
-
-  for (const Aabb& box : RandomQueries(12, /*seed=*/41)) {
-    const QueryResult expected = RunReference(Query::Range(box));
-    QueryResult got;
-    BufferPool pool(&wrapped, &got.io);
-    DispatchQuery({&through, Query::Range(box)}, &pool, &got);
-    EXPECT_EQ(got.status, QueryStatus::kOk);
-    EXPECT_EQ(got.ids, expected.ids);
-    EXPECT_EQ(CategoryCounts(got.io), CategoryCounts(expected.io));
-  }
-  EXPECT_EQ(wrapped.read_retries(), 0u);
-  EXPECT_EQ(wrapped.read_errors(), 0u);
-}
-
 // Transient faults within the retry budget recover to an exact kOk result,
 // and the batch's merged IoRetries equals the schedule's fired count — the
 // buffer pools attribute each retry to the query whose miss burned it.
@@ -148,9 +144,8 @@ TEST_F(FailSoftTest, TransientFaultsRecoverWithExactRetryAccounting) {
   FaultSchedule schedule;
   schedule.Add({.page = 0, .attempt = 1, .kind = FaultKind::kEintr});
   schedule.Add({.page = 1, .attempt = 1, .kind = FaultKind::kEintr});
-  schedule.FailRead(/*page=*/2, /*times=*/2);  // within the budget of 4
-  FaultInjectingPageStore wrapped(&file_, &schedule);
-  FlatIndex through = FlatIndex::Attach(&wrapped, index_.descriptor());
+  schedule.FailRead(/*page=*/2, /*times=*/2);  // within the budget of 3
+  const ScopedPageFileOnDisk on_disk(file_, "transient");
 
   std::vector<Query> batch;
   batch.push_back(Query::Range(universe_));  // touches every page
@@ -161,6 +156,10 @@ TEST_F(FailSoftTest, TransientFaultsRecoverWithExactRetryAccounting) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     schedule.Reset();
+    const std::unique_ptr<DiskPageFile> disk =
+        OpenUnderSchedule(on_disk, schedule, /*max_read_retries=*/3);
+    const FlatIndex through =
+        FlatIndex::Attach(disk.get(), index_.descriptor());
     QueryEngine::Options options;
     options.threads = threads;
     QueryEngine engine(&through, options);
@@ -176,7 +175,7 @@ TEST_F(FailSoftTest, TransientFaultsRecoverWithExactRetryAccounting) {
     EXPECT_EQ(stats.queries_ok, batch.size());
     EXPECT_EQ(stats.queries_failed, 0u);
     // 2 EINTR + 2 recovered errors, fired exactly once each per pass
-    // (attempt counters are per page, not per query).
+    // (attempt counters are per page, and a read page stays resident).
     EXPECT_EQ(merged_retries, 4u);
     EXPECT_EQ(stats.io.IoRetries(), 4u);
     EXPECT_EQ(stats.io.IoErrors(), 0u);
@@ -189,10 +188,10 @@ TEST_F(FailSoftTest, PermanentFaultYieldsTypedIoErrorResult) {
   FaultSchedule schedule;
   // The seed root is read by every range query; fail it forever.
   schedule.FailRead(index_.descriptor().seed_root, /*times=*/1000000);
-  FaultInjectingPageStore::Options wrapper_options;
-  wrapper_options.max_read_retries = 2;
-  FaultInjectingPageStore wrapped(&file_, &schedule, wrapper_options);
-  FlatIndex through = FlatIndex::Attach(&wrapped, index_.descriptor());
+  const ScopedPageFileOnDisk on_disk(file_, "permanent");
+  const std::unique_ptr<DiskPageFile> disk =
+      OpenUnderSchedule(on_disk, schedule, /*max_read_retries=*/2);
+  const FlatIndex through = FlatIndex::Attach(disk.get(), index_.descriptor());
 
   QueryEngine engine(&through, QueryEngine::Options{.threads = 1});
   BatchStats stats;
@@ -206,8 +205,8 @@ TEST_F(FailSoftTest, PermanentFaultYieldsTypedIoErrorResult) {
   EXPECT_EQ(results[0].count, results[0].ids.size());
   EXPECT_EQ(results[0].io.IoErrors(), 1u);
   EXPECT_EQ(stats.queries_failed, 1u);
-  EXPECT_EQ(wrapped.read_errors(), 1u);
-  EXPECT_EQ(wrapped.read_retries(), 2u);  // the budget, then the throw
+  EXPECT_EQ(disk->read_errors(), 1u);
+  EXPECT_EQ(disk->read_retries(), 2u);  // the budget, then the throw
 }
 
 // An already-expired deadline stops the query at its first cancellation
@@ -375,6 +374,7 @@ TEST_F(FailSoftTest, SeededFaultSchedulesAreOracleChecked) {
   std::vector<QueryResult> reference;
   for (const Query& q : batch) reference.push_back(RunReference(q));
 
+  const ScopedPageFileOnDisk on_disk(file_, "seeded");
   std::mt19937_64 rng(12345);
   for (int round = 0; round < 6; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
@@ -393,14 +393,15 @@ TEST_F(FailSoftTest, SeededFaultSchedulesAreOracleChecked) {
       }
       schedule.Add(spec);
     }
-    FaultInjectingPageStore::Options wrapper_options;
-    wrapper_options.max_read_retries = 1;  // permanent faults stay reachable
-    FaultInjectingPageStore wrapped(&file_, &schedule, wrapper_options);
-    FlatIndex through = FlatIndex::Attach(&wrapped, index_.descriptor());
 
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       schedule.Reset();
+      // One retry: permanent faults stay reachable.
+      const std::unique_ptr<DiskPageFile> disk =
+          OpenUnderSchedule(on_disk, schedule, /*max_read_retries=*/1);
+      const FlatIndex through =
+          FlatIndex::Attach(disk.get(), index_.descriptor());
       QueryEngine::Options options;
       options.threads = threads;
       QueryEngine engine(&through, options);
@@ -664,12 +665,13 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
 }
 
 // A corrupt seed-tree page in a loaded shard file — the root's format byte
-// set to the retired quantized format, or the root's last child pointer
-// aimed back at the root — must come back as the query's kIoError naming
-// the root page, never as a misread or a walk that cycles until its
-// deadline. The seed scan and the aggregated count both walk the seed tree;
-// the count's box meets the patched slot's box without covering it, so the
-// walk descends that slot instead of taking its stored count.
+// set to the retired quantized format, the root's last child pointer aimed
+// back at the root, or the root's entry count set past the page's capacity
+// — must come back as the query's kIoError naming the root page, never as a
+// misread, a gate past the page or a walk that cycles until its deadline.
+// The seed scan and the aggregated count both walk the seed tree; the
+// count's box meets the patched slot's box without covering it, so the walk
+// descends that slot instead of taking its stored count.
 TEST(ShardedFailSoftTest, CorruptSeedTreePageYieldsIoError) {
   ShardedFlatStore::Options options;
   options.num_shards = 1;
@@ -720,6 +722,8 @@ TEST(ShardedFailSoftTest, CorruptSeedTreePageYieldsIoError) {
        root_in_file + kNodeHeaderSize + last * sizeof(RTreeEntry) +
            offsetof(RTreeEntry, id),
        root, sizeof(uint64_t)},
+      {"entry count", root_in_file + offsetof(NodeHeader, count), 65535,
+       sizeof(uint16_t)},
   };
 
   const std::filesystem::path dir =

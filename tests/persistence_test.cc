@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
-#include <streambuf>
 #include <string>
 
 #include "core/flat_index.h"
@@ -20,6 +18,8 @@
 
 namespace flat {
 namespace {
+
+using testing::ScopedPageFileOnDisk;
 
 // Hand-crafts a FLATPGF1 byte stream: magic | u32 page_size | u32 page_count
 // | body (caller supplies category table + page data, possibly malformed).
@@ -37,40 +37,30 @@ std::string RawPageFileBytes(uint32_t page_size, uint32_t page_count,
   return bytes;
 }
 
-// A read-only stream with no seek support (tellg reports -1), like a pipe or
-// socket: LoadPageFile cannot learn the stream size up front and must survive
-// a hostile header through incremental parsing alone.
-class UnseekableBuf : public std::streambuf {
- public:
-  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
-    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
-  }
-
- private:
-  std::string bytes_;
-};
-
-std::string ThrownMessage(const std::string& bytes, bool seekable) {
+// Writes `bytes` to a file and returns what DiskPageFile::Open throws on it,
+// minus the ": <path>" every Open error ends with; "" if the file opens.
+std::string OpenError(const std::string& bytes) {
+  const ScopedPageFileOnDisk on_disk(bytes, "raw");
   try {
-    if (seekable) {
-      std::stringstream in(bytes);
-      LoadPageFile(in);
-    } else {
-      UnseekableBuf buf(bytes);
-      std::istream in(&buf);
-      LoadPageFile(in);
-    }
+    DiskPageFile::Open(on_disk.path());
   } catch (const std::runtime_error& e) {
-    return e.what();
+    const std::string what = e.what();
+    const std::string suffix = ": " + on_disk.path();
+    if (!what.ends_with(suffix)) return what;
+    return what.substr(0, what.size() - suffix.size());
   }
   return "";
 }
 
+constexpr const char* kBadMagic =
+    "DiskPageFile: bad magic (not a FLAT page file or unsupported version)";
+constexpr const char* kTruncated =
+    "DiskPageFile: truncated (header page count exceeds file size)";
+
 TEST(PersistenceTest, EmptyPageFileRoundTrip) {
   PageFile file(2048);
-  std::stringstream stream;
-  SavePageFile(file, stream);
-  auto loaded = LoadPageFile(stream);
+  const ScopedPageFileOnDisk on_disk(file, "empty");
+  auto loaded = DiskPageFile::Open(on_disk.path());
   EXPECT_EQ(loaded->page_size(), 2048u);
   EXPECT_EQ(loaded->page_count(), 0u);
 }
@@ -82,9 +72,8 @@ TEST(PersistenceTest, PagesAndCategoriesSurvive) {
   std::memcpy(file.MutableData(a), "alpha", 5);
   std::memcpy(file.MutableData(b), "bravo", 5);
 
-  std::stringstream stream;
-  SavePageFile(file, stream);
-  auto loaded = LoadPageFile(stream);
+  const ScopedPageFileOnDisk on_disk(file, "pages");
+  auto loaded = DiskPageFile::Open(on_disk.path());
 
   ASSERT_EQ(loaded->page_count(), 2u);
   EXPECT_EQ(loaded->category(a), PageCategory::kObject);
@@ -94,109 +83,63 @@ TEST(PersistenceTest, PagesAndCategoriesSurvive) {
 }
 
 TEST(PersistenceTest, RejectsGarbageAndTruncation) {
-  std::stringstream garbage("this is not a page file at all");
-  EXPECT_THROW(LoadPageFile(garbage), std::runtime_error);
+  EXPECT_EQ(OpenError("this is not a page file at all"), kBadMagic);
 
   PageFile file;
   file.Allocate(PageCategory::kObject);
-  std::stringstream stream;
+  std::ostringstream stream;
   SavePageFile(file, stream);
-  std::string bytes = stream.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(LoadPageFile(truncated), std::runtime_error);
+  const std::string bytes = stream.str();
+  EXPECT_EQ(OpenError(bytes.substr(0, bytes.size() / 2)), kTruncated);
 }
 
-// A header claiming 2^30 pages over a near-empty seekable stream must be
-// rejected by the size bound before any per-page allocation happens.
+// A header claiming 2^30 pages over a near-empty file must be rejected by
+// the size bound before any per-page allocation happens.
 TEST(PersistenceTest, HostilePageCountFailsAgainstStreamSize) {
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/512, /*page_count=*/1u << 30, "abc");
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/true),
-            "LoadPageFile: header page count exceeds stream size");
-}
-
-// On an unseekable stream the size bound is unavailable; the incremental
-// category parse must still fail on the first missing byte instead of
-// resizing to the hostile count up front.
-TEST(PersistenceTest, HostilePageCountFailsIncrementallyWhenUnseekable) {
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/512, /*page_count=*/1u << 30,
-                       std::string(1024, '\0'));
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/false),
-            "LoadPageFile: truncated category table");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/512,
+                                       /*page_count=*/1u << 30, "abc")),
+            kTruncated);
 }
 
 TEST(PersistenceTest, TruncatedCategoryTableIsRejected) {
   // 4 pages declared, only 2 category bytes present.
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/512, /*page_count=*/4, std::string(2, 0));
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/false),
-            "LoadPageFile: truncated category table");
-  // The seekable path rejects the same stream via the up-front bound.
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/true),
-            "LoadPageFile: header page count exceeds stream size");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/512, /*page_count=*/4,
+                                       std::string(2, 0))),
+            kTruncated);
 }
 
 TEST(PersistenceTest, TruncatedPageDataIsRejected) {
   // One page declared, category present, but only half the page's bytes.
   std::string body(1, '\0');  // category kRTreeInternal
   body += std::string(256, 'x');
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/512, /*page_count=*/1, body);
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/false),
-            "LoadPageFile: truncated page data");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/512, /*page_count=*/1,
+                                       body)),
+            kTruncated);
 }
 
 TEST(PersistenceTest, InvalidCategoryByteIsRejected) {
   std::string body(1, static_cast<char>(0xEE));  // out-of-range category
   body += std::string(512, '\0');
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/512, /*page_count=*/1, body);
-  EXPECT_EQ(ThrownMessage(bytes, /*seekable=*/true),
-            "LoadPageFile: invalid page category");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/512, /*page_count=*/1,
+                                       body)),
+            "DiskPageFile: invalid page category");
 }
 
 TEST(PersistenceTest, ImplausiblePageSizeIsRejected) {
-  EXPECT_EQ(ThrownMessage(RawPageFileBytes(/*page_size=*/32,
-                                           /*page_count=*/0, ""),
-                          /*seekable=*/true),
-            "LoadPageFile: implausible page size");
-  EXPECT_EQ(ThrownMessage(RawPageFileBytes(/*page_size=*/65u << 20,
-                                           /*page_count=*/0, ""),
-                          /*seekable=*/true),
-            "LoadPageFile: implausible page size");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/32, /*page_count=*/0, "")),
+            "DiskPageFile: implausible page size");
+  EXPECT_EQ(OpenError(RawPageFileBytes(/*page_size=*/65u << 20,
+                                       /*page_count=*/0, "")),
+            "DiskPageFile: implausible page size");
 }
 
-// A zero-page stream is a valid (empty) file on both stream flavors.
+// A header with no pages is a valid (empty) file.
 TEST(PersistenceTest, ZeroPageStreamLoads) {
-  const std::string bytes =
-      RawPageFileBytes(/*page_size=*/4096, /*page_count=*/0, "");
-  {
-    std::stringstream in(bytes);
-    auto loaded = LoadPageFile(in);
-    EXPECT_EQ(loaded->page_count(), 0u);
-    EXPECT_EQ(loaded->page_size(), 4096u);
-  }
-  {
-    UnseekableBuf buf(bytes);
-    std::istream in(&buf);
-    auto loaded = LoadPageFile(in);
-    EXPECT_EQ(loaded->page_count(), 0u);
-  }
-}
-
-// The loader tolerates trailing bytes after the declared pages (a container
-// may append its own footer); the declared prefix must parse as usual.
-TEST(PersistenceTest, TrailingBytesAreIgnored) {
-  PageFile file(128);
-  const PageId id = file.Allocate(PageCategory::kObject);
-  std::memcpy(file.MutableData(id), "tail-safe", 9);
-  std::stringstream stream;
-  SavePageFile(file, stream);
-  stream << "FOOTERFOOTER";
-  auto loaded = LoadPageFile(stream);
-  ASSERT_EQ(loaded->page_count(), 1u);
-  EXPECT_EQ(std::memcmp(loaded->Data(id), "tail-safe", 9), 0);
+  const ScopedPageFileOnDisk on_disk(
+      RawPageFileBytes(/*page_size=*/4096, /*page_count=*/0, ""), "zero");
+  auto loaded = DiskPageFile::Open(on_disk.path());
+  EXPECT_EQ(loaded->page_count(), 0u);
+  EXPECT_EQ(loaded->page_size(), 4096u);
 }
 
 TEST(PersistenceTest, FlatIndexSurvivesSaveLoadAttach) {
@@ -205,9 +148,8 @@ TEST(PersistenceTest, FlatIndexSurvivesSaveLoadAttach) {
   FlatIndex index = FlatIndex::Build(&file, entries);
   const FlatIndex::Descriptor descriptor = index.descriptor();
 
-  std::stringstream stream;
-  SavePageFile(file, stream);
-  auto loaded = LoadPageFile(stream);
+  const ScopedPageFileOnDisk on_disk(file, "flat");
+  auto loaded = DiskPageFile::Open(on_disk.path());
   FlatIndex reopened = FlatIndex::Attach(loaded.get(), descriptor);
 
   IoStats original_stats, reopened_stats;
@@ -234,14 +176,15 @@ TEST(PersistenceTest, ExactBuildsWriteV3) {
   const Dataset dataset = GenerateNeurons(params);
   PageFile file;
   const FlatIndex index = FlatIndex::Build(&file, dataset.elements);
-  std::stringstream stream;
+  std::ostringstream stream;
   SavePageFile(file, stream);
   const std::string bytes = stream.str();
   ASSERT_EQ(bytes.substr(0, 8), "FLATPGF3");
 
-  // And it reloads to the same answers.
-  std::istringstream in(bytes);
-  const std::unique_ptr<PageFile> loaded = LoadPageFile(in);
+  // And it reopens to the same answers.
+  const ScopedPageFileOnDisk on_disk(bytes, "v3");
+  const std::unique_ptr<DiskPageFile> loaded =
+      DiskPageFile::Open(on_disk.path());
   const FlatIndex reopened =
       FlatIndex::Attach(loaded.get(), index.descriptor());
   IoStats original_stats, reopened_stats;
@@ -260,9 +203,8 @@ TEST(PersistenceTest, RTreeSurvivesSaveLoad) {
   PageFile file;
   RTree tree = BulkloadPrTree(&file, entries);
 
-  std::stringstream stream;
-  SavePageFile(file, stream);
-  auto loaded = LoadPageFile(stream);
+  const ScopedPageFileOnDisk on_disk(file, "rtree");
+  auto loaded = DiskPageFile::Open(on_disk.path());
   RTree reopened(loaded.get(), tree.root(), tree.height());
 
   IoStats stats;
@@ -305,7 +247,7 @@ constexpr LegacyFile kLegacyFiles[] = {
     {"flatpgf3_exact.pgf", "FLATPGF3"},
 };
 // The same 600 boxes with the retired compressed seed pages (FLATPGF2): no
-// reader decodes them, so both loaders reject the file at its magic.
+// reader decodes them, so DiskPageFile::Open rejects the file at its magic.
 constexpr LegacyFile kRetiredV2File = {"flatpgf2_compressed.pgf", "FLATPGF2"};
 // The descriptor the files were built with (root = last page).
 constexpr FlatIndex::Descriptor kLegacyDescriptor{40, false, 2};
@@ -332,48 +274,42 @@ std::vector<RTreeEntry> StoredElements(const PageStore& store) {
   return elements;
 }
 
-// The name predates the v2 retirement: v1 and v3 files load here, and the
-// v2 file is rejected in UnknownVersionIsRejectedByBothLoaders.
+// The names predate the v2 retirement and the single reader: v1 and v3
+// files load here, and the v2 file is rejected in
+// UnknownVersionIsRejectedByBothLoaders.
 TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
   for (const LegacyFile& legacy : kLegacyFiles) {
     SCOPED_TRACE(legacy.name);
-    const std::string bytes = ReadBytes(LegacyPath(legacy));
-    ASSERT_EQ(bytes.substr(0, 8), legacy.magic);
-    std::istringstream stream(bytes);
-    const std::unique_ptr<PageFile> loaded = LoadPageFile(stream);
-    const std::unique_ptr<DiskPageFile> disk =
+    ASSERT_EQ(ReadBytes(LegacyPath(legacy)).substr(0, 8), legacy.magic);
+    const std::unique_ptr<DiskPageFile> store =
         DiskPageFile::Open(LegacyPath(legacy));
-    const std::vector<RTreeEntry> elements = StoredElements(*loaded);
+    const std::vector<RTreeEntry> elements = StoredElements(*store);
     ASSERT_EQ(elements.size(), 600u);
 
-    for (const PageStore* store :
-         {static_cast<const PageStore*>(loaded.get()),
-          static_cast<const PageStore*>(disk.get())}) {
-      const FlatIndex index = FlatIndex::Attach(store, kLegacyDescriptor);
-      IoStats stats;
-      BufferPool pool(store, &stats);
-      for (const Aabb& q : testing::RandomQueries(40, 316)) {
-        const std::vector<uint64_t> oracle = testing::BruteForce(elements, q);
-        std::vector<uint64_t> got;
-        index.RangeQuery(&pool, q, &got);
-        EXPECT_EQ(testing::Sorted(got), oracle);
-        EXPECT_EQ(index.RangeCount(&pool, q), oracle.size());
-        // Every legal start, not just the one the seed phase picks.
-        for (const RecordRef& start : index.FindAllCandidateRecords(q)) {
-          got.clear();
-          index.Crawl(&pool, q, start, &got);
-          EXPECT_EQ(testing::Sorted(got), oracle);
-        }
-        const Vec3 center = q.Center();
-        const double radius = 0.5 * q.Extents().x;
-        std::vector<uint64_t> want;
-        for (const RTreeEntry& e : elements) {
-          if (e.box.IntersectsSphere(center, radius)) want.push_back(e.id);
-        }
+    const FlatIndex index = FlatIndex::Attach(store.get(), kLegacyDescriptor);
+    IoStats stats;
+    BufferPool pool(store.get(), &stats);
+    for (const Aabb& q : testing::RandomQueries(40, 316)) {
+      const std::vector<uint64_t> oracle = testing::BruteForce(elements, q);
+      std::vector<uint64_t> got;
+      index.RangeQuery(&pool, q, &got);
+      EXPECT_EQ(testing::Sorted(got), oracle);
+      EXPECT_EQ(index.RangeCount(&pool, q), oracle.size());
+      // Every legal start, not just the one the seed phase picks.
+      for (const RecordRef& start : index.FindAllCandidateRecords(q)) {
         got.clear();
-        index.SphereQuery(&pool, center, radius, &got);
-        EXPECT_EQ(testing::Sorted(got), testing::Sorted(want));
+        index.Crawl(&pool, q, start, &got);
+        EXPECT_EQ(testing::Sorted(got), oracle);
       }
+      const Vec3 center = q.Center();
+      const double radius = 0.5 * q.Extents().x;
+      std::vector<uint64_t> want;
+      for (const RTreeEntry& e : elements) {
+        if (e.box.IntersectsSphere(center, radius)) want.push_back(e.id);
+      }
+      got.clear();
+      index.SphereQuery(&pool, center, radius, &got);
+      EXPECT_EQ(testing::Sorted(got), testing::Sorted(want));
     }
   }
 }
@@ -387,16 +323,7 @@ TEST(PersistenceTest, UnknownVersionIsRejectedByBothLoaders) {
 
   for (const std::string& bytes : {future, v2}) {
     SCOPED_TRACE(bytes.substr(0, 8));
-    std::istringstream stream(bytes);
-    EXPECT_THROW(LoadPageFile(stream), std::runtime_error);
-
-    const std::string path = ::testing::TempDir() + "flatpgf_rejected.pgf";
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << bytes;
-    }
-    EXPECT_THROW(DiskPageFile::Open(path), std::runtime_error);
-    std::remove(path.c_str());
+    EXPECT_EQ(OpenError(bytes), kBadMagic);
   }
 }
 

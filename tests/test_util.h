@@ -1,8 +1,12 @@
 #ifndef FLAT_TESTS_TEST_UTIL_H_
 #define FLAT_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -14,6 +18,8 @@
 #include "gtest/gtest.h"
 #include "rtree/entry.h"
 #include "shard/sharded_flat_store.h"
+#include "storage/page_store.h"
+#include "storage/persistence.h"
 
 namespace flat {
 namespace testing {
@@ -84,6 +90,46 @@ inline std::vector<Aabb> RandomQueries(size_t count, uint64_t seed) {
   }
   return queries;
 }
+
+/// A page file under a fresh temp path, removed on scope exit: a store
+/// written by SavePageFile, or raw `bytes` (a hand-made or damaged image).
+/// The path carries the process id and `tag`, so suites running in parallel
+/// never share a file.
+class ScopedPageFileOnDisk {
+ public:
+  ScopedPageFileOnDisk(const PageStore& file, const std::string& tag)
+      : path_(TempPath(tag)) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    SavePageFile(file, out);
+    EXPECT_TRUE(out.good());
+  }
+
+  ScopedPageFileOnDisk(const std::string& bytes, const std::string& tag)
+      : path_(TempPath(tag)) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    EXPECT_TRUE(out.good());
+  }
+
+  ~ScopedPageFileOnDisk() {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+
+  ScopedPageFileOnDisk(const ScopedPageFileOnDisk&) = delete;
+  ScopedPageFileOnDisk& operator=(const ScopedPageFileOnDisk&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  static std::string TempPath(const std::string& tag) {
+    return (std::filesystem::temp_directory_path() /
+            ("flat_test_" + std::to_string(::getpid()) + "_" + tag + ".pgf"))
+        .string();
+  }
+
+  std::string path_;
+};
 
 /// Brute-force mirror of a dynamic store: the oracle side of the
 /// oracle-differential harness. Updated in lockstep with the store's
