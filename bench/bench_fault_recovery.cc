@@ -12,8 +12,11 @@
 //                batch IoRetries and the file's retry counter exactly equal
 //                to the schedule's fired transient-fault count, no read
 //                errors.
-//   permanent  — an inexhaustible error on one mid-file page, two retries
-//                allowed: zero crashes; every query either kOk with
+//   permanent  — an inexhaustible error on the seed leaf that holds the
+//                start record (FlatIndex::Seed) of the first query with
+//                one, two retries allowed: zero crashes; that query reads
+//                the leaf, so at least one query fails and at least one
+//                read error is counted; every query either kOk with
 //                bit-identical ids or kIoError with a non-empty error
 //                message.
 //   controls   — an expired deadline stops every query with
@@ -35,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -233,12 +237,26 @@ int main(int argc, char** argv) {
     passes.push_back(pass);
   }
 
-  // Pass 2: a permanent fault on one mid-file page — typed kIoError for the
-  // queries that need it, bit-identical results for everyone else.
+  // Pass 2: a permanent fault on a page some query must read — typed
+  // kIoError for the queries that need it, bit-identical results for
+  // everyone else. The page is the seed leaf holding the first query's start
+  // record (the first query that has one): its crawl reads that leaf.
   {
+    PageId failing = kInvalidPageId;
+    {
+      IoStats uncharged;
+      BufferPool probe(&file, &uncharged);
+      for (const Aabb& box : boxes) {
+        if (const std::optional<RecordRef> start = index.Seed(&probe, box)) {
+          failing = start->page;
+          break;
+        }
+      }
+    }
     FaultSchedule schedule;
-    schedule.FailRead(static_cast<PageId>(file.page_count() / 2),
-                      /*times=*/1u << 30);
+    if (failing != kInvalidPageId) {
+      schedule.FailRead(failing, /*times=*/1u << 30);
+    }
     const auto disk = open_under(schedule, /*max_read_retries=*/2);
     FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());
     auto [pass, results] = run_pass("permanent", reopened, batch,
@@ -255,6 +273,12 @@ int main(int argc, char** argv) {
                             " ended " + QueryStatusName(results[i].status) +
                             " without a typed I/O error");
       }
+    }
+    if (pass.failed == 0 || pass.errors == 0) {
+      FailGate(&pass, "no query failed on the failing page " +
+                          std::to_string(failing) + " (failed " +
+                          std::to_string(pass.failed) + ", io_errors " +
+                          std::to_string(pass.errors) + ")");
     }
     passes.push_back(pass);
   }

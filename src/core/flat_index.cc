@@ -183,11 +183,13 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   // are stored on the same leaf page" (Section V-B.2): we therefore re-tile
   // the records with STR at *leaf granularity* (a 3-D blob of ~a dozen
   // records per leaf) instead of reusing the 1-D object-page run order —
-  // this is what keeps the crawl's metadata reads local.
+  // this is what keeps the crawl's metadata reads local. The blobs are
+  // sized as if every pointer crossed leaves (a record alone on a leaf).
   uint64_t total_footprint = 0;
   for (const PartitionInfo& p : partitions) {
-    const size_t footprint = RecordFootprint(p.neighbors.size());
-    if (kSeedLeafHeaderSize + footprint > file->page_size()) {
+    const size_t footprint = RecordFootprint(0, p.neighbors.size());
+    if (kSeedLeafHeaderSize + footprint > file->page_size() ||
+        p.neighbors.size() > UINT16_MAX) {
       throw std::runtime_error(
           "FlatIndex::Build: metadata record exceeds page size; increase the "
           "page size or reduce data-set degeneracy (neighbor fan-out)");
@@ -204,22 +206,47 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   }
   StrOrder(&record_order, est_records_per_leaf, pool);
 
+  // Fill leaves greedily in that order with each record's exact footprint:
+  // a pointer between two records on one leaf is a 2-byte slot, so a record
+  // joining a leaf turns its pointers to the members, and theirs back to it
+  // (the relation is symmetric), into slots.
   std::vector<std::vector<uint32_t>> leaf_members;
-  std::vector<RecordRef> refs(partitions.size());
-  size_t used = kSeedLeafHeaderSize;
+  std::vector<RecordRef> refs(partitions.size());  // page: leaf index
+  std::vector<uint16_t> same_leaf(partitions.size(), 0);
+  const auto footprint = [&](uint32_t pi, size_t same) {
+    return RecordFootprint(same, partitions[pi].neighbors.size() - same);
+  };
+  size_t used = 0;
   for (const RTreeEntry& rec : record_order) {
     const uint32_t pi = static_cast<uint32_t>(rec.id);
-    const size_t footprint = RecordFootprint(partitions[pi].neighbors.size());
-    if (leaf_members.empty() || used + footprint > file->page_size()) {
+    const PageId leaf = static_cast<PageId>(leaf_members.size() - 1);
+    size_t joined = used;
+    uint16_t same = 0;
+    if (!leaf_members.empty()) {
+      for (uint32_t ni : partitions[pi].neighbors) {
+        if (refs[ni].page != leaf) continue;
+        ++same;
+        joined -= footprint(ni, same_leaf[ni]) -
+                  footprint(ni, same_leaf[ni] + 1);
+      }
+      joined += footprint(pi, same);
+    }
+    if (leaf_members.empty() || joined > file->page_size()) {
       leaf_members.emplace_back();
-      used = kSeedLeafHeaderSize;
+      used = kSeedLeafHeaderSize + footprint(pi, 0);
+    } else {
+      used = joined;
+      same_leaf[pi] = same;
+      for (uint32_t ni : partitions[pi].neighbors) {
+        same_leaf[ni] += refs[ni].page == leaf;
+      }
     }
     refs[pi].slot = static_cast<uint16_t>(leaf_members.back().size());
-    refs[pi].page = static_cast<PageId>(leaf_members.size() - 1);  // leaf idx
+    refs[pi].page = static_cast<PageId>(leaf_members.size() - 1);
     leaf_members.back().push_back(pi);
-    used += footprint;
-    stats.metadata_bytes += kRecordFixedSize +
-                            partitions[pi].neighbors.size() * kNeighborRefSize;
+  }
+  for (uint32_t pi = 0; pi < partitions.size(); ++pi) {
+    stats.metadata_bytes += footprint(pi, same_leaf[pi]) - kSlotDirEntrySize;
   }
 
   // Allocate leaves, then rewrite the provisional leaf indexes in refs into
@@ -246,7 +273,14 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   }
 
   // Serialize the leaves with fully-resolved neighbor pointers; leaves are
-  // disjoint pages, so they serialize in parallel.
+  // disjoint pages, so they serialize in parallel. Hints are computed on the
+  // stored (f32, outward-rounded) boxes the crawl reads back.
+  std::vector<Aabb> stored_tiles(partitions.size());
+  std::vector<Aabb> stored_pages(partitions.size());
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    stored_tiles[i] = PackedAabb::FromAabb(partitions[i].tile).ToAabb();
+    stored_pages[i] = PackedAabb::FromAabb(partitions[i].page_mbr).ToAabb();
+  }
   std::vector<RTreeEntry> leaf_entries(leaf_members.size());
   ParallelFor(pool, leaf_members.size(), /*grain=*/0, [&](size_t, size_t l) {
     std::vector<MetadataRecordDraft> drafts;
@@ -258,8 +292,20 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
       draft.page_mbr = p.page_mbr;
       draft.tile = p.tile;
       draft.object_page = object_pages[pi];
-      draft.neighbors.reserve(p.neighbors.size());
-      for (uint32_t ni : p.neighbors) draft.neighbors.push_back(refs[ni]);
+      const size_t cross = p.neighbors.size() - same_leaf[pi];
+      draft.same_leaf.reserve(same_leaf[pi]);
+      draft.cross_leaf.reserve(cross);
+      draft.hints.reserve(cross);
+      const HintGrid grid(stored_tiles[pi]);
+      for (uint32_t ni : p.neighbors) {
+        if (refs[ni].page == leaf_ids[l]) {
+          draft.same_leaf.push_back(refs[ni].slot);
+        } else {
+          draft.cross_leaf.push_back(refs[ni]);
+          draft.hints.push_back(
+              grid.Encode(stored_tiles[ni], stored_pages[ni]));
+        }
+      }
       drafts.push_back(std::move(draft));
       // The record is indexed in the seed tree under its page MBR key
       // (Section V-B.2).
@@ -386,7 +432,7 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
     stack.pop_back();
     const char* data = pool->Read(frame.page);
     if (frame.level == 0) {
-      SeedLeafView leaf(data);
+      const SeedLeafView leaf(data, file_->page_size(), frame.page);
       for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
         const MetadataRecordView record = leaf.RecordAt(slot);
         if (!record.page_mbr().Intersects(gate)) continue;
@@ -481,8 +527,9 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     // pages (the seed leaf + possibly the object page), so a tripped
     // deadline/cancel/budget stops the crawl within one frontier step.
     s->CheckControl();
-    SeedLeafView leaf(pool->Read(ref.page));
-    MetadataRecordView record = leaf.RecordAt(ref.slot);
+    const SeedLeafView leaf(pool->Read(ref.page), file_->page_size(),
+                            ref.page);
+    const MetadataRecordView record = leaf.RecordAt(ref.slot);
 
     // "The object page is only read from disk if m's page MBR intersects
     // with the query."
@@ -503,13 +550,37 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     // query itself (docs/architecture.md, "Why the crawl is exact").
     // kPageMbr reproduces the broken variant of Figures 8/9 for the
     // ablation bench.
-    const Aabb gate = guard == CrawlGuard::kPartitionMbr ? record.tile()
-                                                         : record.page_mbr();
-    if (ref == start || gate.Intersects(gate_box)) {
-      const uint32_t n = record.neighbor_count();
-      for (uint32_t i = 0; i < n; ++i) {
-        const RecordRef neighbor = record.NeighborAt(i);
+    const Aabb tile = record.tile();
+    const bool tile_meets = tile.Intersects(gate_box);
+    const bool expands = guard == CrawlGuard::kPartitionMbr
+                             ? tile_meets
+                             : record.page_mbr().Intersects(gate_box);
+    if (ref == start || expands) {
+      const auto push = [s](RecordRef neighbor) {
         if (s->Insert(neighbor.Key())) s->Push(neighbor);
+      };
+      // Same-leaf neighbors cost no read: push them all.
+      for (uint32_t i = 0; i < record.same_leaf_count(); ++i) {
+        push(RecordRef{ref.page, record.SameLeafSlotAt(i)});
+      }
+      // A cross-leaf pointer's hint holds every point where the neighbor's
+      // tile or page meets this record's tile. Every link the crawl needs
+      // from a record whose tile meets the query meets the query there, so
+      // a pointer whose hint misses the query is skipped
+      // (docs/architecture.md, "Why the crawl is exact"). A start whose
+      // tile misses the query, unhinted (v1/v3) records and the kPageMbr
+      // ablation push every pointer.
+      std::optional<HintGrid> grid;
+      if (guard == CrawlGuard::kPartitionMbr && record.has_hints() &&
+          tile_meets) {
+        grid.emplace(tile);
+      }
+      for (uint32_t i = 0; i < record.cross_leaf_count(); ++i) {
+        if (grid.has_value() &&
+            !grid->Decode(record.HintAt(i)).Intersects(gate_box)) {
+          continue;
+        }
+        push(record.CrossLeafRefAt(i));
       }
     }
   }
@@ -668,7 +739,8 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
         pool, probe,
         [&center](const Aabb& box) { return box.Contains(center); }, scratch);
     if (seed.has_value()) {
-      SeedLeafView leaf(pool->Read(seed->page));
+      const SeedLeafView leaf(pool->Read(seed->page), file_->page_size(),
+                              seed->page);
       const Aabb page_mbr = leaf.RecordAt(seed->slot).page_mbr();
       radius = 0.5 * page_mbr.Extents().Norm() + 1e-12;
     }

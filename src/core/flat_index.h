@@ -353,10 +353,11 @@ class FlatIndex {
 
   // Generalized crawl (Algorithm 2): BFS over neighbor pointers, calling
   // scan(page_data, scratch) for every object page whose page MBR passes the
-  // query gate. A `covered` callback (aggregated indexes only) is asked
-  // first, as in WalkSeedTree, for each such record whose elements all meet
-  // the gate; true means answered, and its object page is not read. Uses
-  // `scratch` when given, else a throwaway.
+  // query gate. A record whose tile meets the gate skips the cross-leaf
+  // pointers whose hints miss it. A `covered` callback (aggregated indexes
+  // only) is asked first, as in WalkSeedTree, for each such record whose
+  // elements all meet the gate; true means answered, and its object page is
+  // not read. Uses `scratch` when given, else a throwaway.
   template <typename ScanPage, typename Covered = std::nullptr_t>
   void CrawlPages(PageCache* pool, const Aabb& gate, RecordRef start,
                   CrawlGuard guard, CrawlScratch* scratch,

@@ -13,13 +13,17 @@ namespace {
 // rejected like an unknown version. Version 3: seed-leaf records store the
 // unstretched tile and the tile-adjacency neighbor relation
 // (core/partitioner.h), which a pre-v3 crawl would miss results on, so the
-// magic locks old readers out. The container layout is the same for all
-// three. Every save writes v3; the reader accepts v1 and v3, since a v1
+// magic locks old readers out. Version 4: seed leaves carry a format byte
+// and hinted records (same-leaf slots, cross-leaf refs with hints,
+// core/metadata.h), which a pre-v4 reader would misparse. The container
+// layout is the same for all four. Every save writes v4; the reader accepts
+// v1, v3 and v4. Each leaf's format byte says how to read its records: a v1
 // record stores the stretched partition MBR (which contains the tile) and
-// a superset of the v3 pointers, so today's crawl stays exact on it.
+// a superset of the v3 pointers, so today's crawl stays exact on v1 and v3
+// leaves, which it crawls without hints.
 constexpr char kMagicPrefix[7] = {'F', 'L', 'A', 'T', 'P', 'G', 'F'};
 constexpr char kMagicWritten[kPageFileMagicSize] = {'F', 'L', 'A', 'T',
-                                                    'P', 'G', 'F', '3'};
+                                                    'P', 'G', 'F', '4'};
 
 void WriteU32(std::ostream& out, uint32_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
@@ -29,7 +33,7 @@ void WriteU32(std::ostream& out, uint32_t value) {
 
 bool IsReadablePageFileMagic(const char* magic) {
   return std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) == 0 &&
-         (magic[7] == '1' || magic[7] == '3');
+         (magic[7] == '1' || magic[7] == '3' || magic[7] == '4');
 }
 
 void SavePageFile(const PageStore& file, std::ostream& out) {

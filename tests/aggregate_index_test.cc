@@ -52,7 +52,7 @@ void SubtreeOracle(const PageFile& file, const SeedAggregates& agg,
                    PageId page, bool is_leaf, AggEntry* out) {
   AggEntry total{0, 1};  // this page
   if (is_leaf) {
-    SeedLeafView leaf(file.Data(page));
+    SeedLeafView leaf(file.Data(page), file.page_size(), page);
     for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
       const NodeView elements(
           file.Data(leaf.RecordAt(slot).object_page()));
@@ -190,7 +190,7 @@ TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
   size_t checked = 0;
   for (PageId page = 0; page < file.page_count(); ++page) {
     if (file.category(page) != PageCategory::kSeedLeaf) continue;
-    const SeedLeafView leaf(file.Data(page));
+    const SeedLeafView leaf(file.Data(page), file.page_size(), page);
     for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
       const MetadataRecordView record = leaf.RecordAt(slot);
       const Aabb box = record.tile();

@@ -587,10 +587,13 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
 }
 
 // A corrupt page pointer in a loaded shard file — a seed-leaf record's
-// object page, or the page bits of one of its neighbor refs, aimed past the
+// object page, or the page bits of its first cross-leaf ref, aimed past the
 // end of the file — must come back as the query's kIoError naming the page,
 // with a partial result that is a subset of the clean answer. Neither the
-// category table nor the page mapping may be indexed with it.
+// category table nor the page mapping may be indexed with it. So must a
+// corrupt record: its neighbor counts grown past the page, or its first
+// same-leaf slot aimed past its leaf's records; the error then names the
+// leaf.
 TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
   ShardedFlatStore::Options options;
   options.num_shards = 1;
@@ -608,8 +611,11 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
   uint16_t record_offset;
   std::memcpy(&record_offset, file.Data(leaf) + kSeedLeafHeaderSize,
               sizeof(record_offset));
-  const MetadataRecordView record(file.Data(leaf) + record_offset);
-  ASSERT_GT(record.neighbor_count(), 0u);
+  const MetadataRecordView record =
+      SeedLeafView(file.Data(leaf), file.page_size(), leaf).RecordAt(0);
+  ASSERT_TRUE(record.has_hints());
+  ASSERT_GT(record.same_leaf_count(), 0u);
+  ASSERT_GT(record.cross_leaf_count(), 0u);
   const uint64_t record_in_file = kPageFileMagicSize + 8 + file.page_count() +
                                   uint64_t{leaf} * file.page_size() +
                                   record_offset;
@@ -618,15 +624,24 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
     const char* what;
     uint64_t offset;
     uint32_t value;
-    PageId page;  // the page the patched pointer now names
+    size_t size;  // bytes of value written
+    PageId page;  // the page the error must name
   };
   const PageId far_object = 0x7FFFFFF0;
   const PageId far_leaf = kMaxSeedLeafPages - 1;
+  const uint64_t first_cross_ref =
+      record_in_file + kRecordFixedSize +
+      record.same_leaf_count() * kSameLeafRefSize;
   const Patch patches[] = {
-      {"object page", record_in_file + 2 * sizeof(PackedAabb), far_object,
+      {"object page", record_in_file + 2 * sizeof(PackedAabb), far_object, 4,
        far_object},
-      {"neighbor ref", record_in_file + kRecordFixedSize,
-       PackNeighborRef({far_leaf, record.NeighborAt(0).slot}), far_leaf},
+      {"neighbor ref", first_cross_ref,
+       PackNeighborRef({far_leaf, record.CrossLeafRefAt(0).slot}), 4,
+       far_leaf},
+      // The u16 same-leaf and cross-leaf counts as one u32.
+      {"neighbor count", record_in_file + kRecordFixedSize - 4, 0x00FFFFFF, 4,
+       leaf},
+      {"same-leaf slot", record_in_file + kRecordFixedSize, 4000, 2, leaf},
   };
 
   const std::filesystem::path dir =
@@ -640,7 +655,7 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
                          std::ios::in | std::ios::out | std::ios::binary);
       shard.seekp(static_cast<std::streamoff>(patch.offset));
       shard.write(reinterpret_cast<const char*>(&patch.value),
-                  sizeof(patch.value));
+                  static_cast<std::streamsize>(patch.size));
       ASSERT_TRUE(shard.good());
     }
 

@@ -167,9 +167,9 @@ TEST(PersistenceTest, FlatIndexSurvivesSaveLoadAttach) {
   EXPECT_EQ(reopened_stats.TotalReads(), original_stats.TotalReads());
 }
 
-TEST(PersistenceTest, ExactBuildsWriteV3) {
-  // A fresh save writes the v3 magic: its seed leaves carry tile boxes,
-  // which readers that predate v3 must refuse.
+TEST(PersistenceTest, ExactBuildsWriteV4) {
+  // A fresh save writes the v4 magic: its seed leaves carry hinted records,
+  // which readers that predate v4 must refuse.
   NeuronParams params;
   params.total_elements = 30000;
   params.seed = 17;
@@ -179,10 +179,10 @@ TEST(PersistenceTest, ExactBuildsWriteV3) {
   std::ostringstream stream;
   SavePageFile(file, stream);
   const std::string bytes = stream.str();
-  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF3");
+  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF4");
 
   // And it reopens to the same answers.
-  const ScopedPageFileOnDisk on_disk(bytes, "v3");
+  const ScopedPageFileOnDisk on_disk(bytes, "v4");
   const std::unique_ptr<DiskPageFile> loaded =
       DiskPageFile::Open(on_disk.path());
   const FlatIndex reopened =
@@ -317,7 +317,7 @@ TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
 TEST(PersistenceTest, UnknownVersionIsRejectedByBothLoaders) {
   std::string future = ReadBytes(LegacyPath(kLegacyFiles[0]));
   ASSERT_FALSE(future.empty());
-  future[7] = '4';
+  future[7] = '5';
   const std::string v2 = ReadBytes(LegacyPath(kRetiredV2File));
   ASSERT_EQ(v2.substr(0, 8), kRetiredV2File.magic);
 

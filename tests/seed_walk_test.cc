@@ -4,8 +4,9 @@
 // and FindAllCandidateRecords run one fixed query set on cold caches at
 // 512 B and 4 KiB pages. Their summed
 // per-category page reads and result sizes must equal the numbers below,
-// recorded before the walks shared one walker (FlatIndex::WalkSeedTree): a
-// change to its descent order, its gating or a stop condition fails here.
+// recorded on hinted (v4) seed leaves: a change to the walk's descent
+// order, its gating or a stop condition, to the crawl's neighbor pushes or
+// to the leaf packing fails here.
 // Only the 512 B index (seed height 4) is tall enough for a tile
 // directory; its seed phase locates the start record there instead of
 // walking the tree, so its seed, range, sphere, kNN and plain-count rows
@@ -68,15 +69,15 @@ void PrintTo(const Pinned& p, std::ostream* os) {
 // clang-format off
 constexpr Pinned kPinned[] = {
     {512, 4,
-     {71, 0, 0, 25}, 4438097961,
-     {71, 1168, 2660, 20769}, {40, 272, 142, 246}, {33, 553, 569, 444},
-     {71, 1168, 2660, 20769}, {123, 652, 367, 20769},
-     {431, 912, 2660, 20769}, {431, 912, 2660, 20769}, 2660},
+     {71, 0, 0, 25}, 4527751206,
+     {71, 975, 2660, 20769}, {40, 122, 142, 246}, {33, 377, 569, 444},
+     {71, 975, 2660, 20769}, {142, 366, 367, 20769},
+     {486, 1037, 2660, 20769}, {486, 1037, 2660, 20769}, 2660},
     {4096, 2,
-     {26, 54, 36, 22}, 429130109,
-     {26, 117, 407, 20769}, {16, 55, 55, 246}, {12, 66, 123, 444},
-     {26, 117, 407, 20769}, {26, 93, 180, 20769},
-     {26, 93, 407, 20769}, {26, 93, 407, 20769}, 407},
+     {26, 53, 36, 22}, 428867949,
+     {26, 80, 407, 20769}, {16, 35, 55, 246}, {12, 49, 123, 444},
+     {26, 80, 407, 20769}, {26, 86, 180, 20769},
+     {26, 86, 407, 20769}, {26, 86, 407, 20769}, 407},
 };
 // clang-format on
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/neuron_generator.h"
 #include "rtree/node.h"
 #include "storage/buffer_pool.h"
+#include "storage/disk_page_file.h"
 #include "tests/test_util.h"
 
 namespace flat {
@@ -226,12 +228,13 @@ TEST_P(TileAdjacencyTest, RelationMatchesDefinitionAndIsWellFormed) {
   EXPECT_LE(TotalNeighborPointers(partitions), stretched_pointers);
 }
 
-TEST_P(TileAdjacencyTest, CrawlFromEveryStartMatchesBruteForce) {
-  const std::vector<RTreeEntry> elements = data().make();
-  PageFile file(page_size());
-  FlatIndex index = FlatIndex::Build(&file, elements);
+// Crawls every box and sphere query from every legal start (every record
+// whose page MBR meets the query's box) and checks each against brute force.
+void ExpectEveryStartMatchesBruteForce(const FlatIndex& index,
+                                       const std::vector<RTreeEntry>& elements,
+                                       const char* name) {
   IoStats stats;
-  BufferPool pool(&file, &stats);
+  BufferPool pool(index.file(), &stats);
 
   for (const Aabb& q : BoxQueries(elements, 307)) {
     const std::vector<uint64_t> oracle = BruteForce(elements, q);
@@ -240,7 +243,7 @@ TEST_P(TileAdjacencyTest, CrawlFromEveryStartMatchesBruteForce) {
       std::vector<uint64_t> got;
       index.Crawl(&pool, q, start, &got);
       ASSERT_EQ(Sorted(got), oracle)
-          << data().name << " box crawl from leaf " << start.page << " slot "
+          << name << " box crawl from leaf " << start.page << " slot "
           << start.slot;
     }
   }
@@ -252,10 +255,33 @@ TEST_P(TileAdjacencyTest, CrawlFromEveryStartMatchesBruteForce) {
       std::vector<uint64_t> got;
       index.CrawlSphere(&pool, s.center, s.radius, start, &got);
       ASSERT_EQ(Sorted(got), oracle)
-          << data().name << " sphere crawl from leaf " << start.page
-          << " slot " << start.slot;
+          << name << " sphere crawl from leaf " << start.page << " slot "
+          << start.slot;
     }
   }
+}
+
+TEST_P(TileAdjacencyTest, CrawlFromEveryStartMatchesBruteForce) {
+  const std::vector<RTreeEntry> elements = data().make();
+  PageFile file(page_size());
+  const FlatIndex index = FlatIndex::Build(&file, elements);
+  ExpectEveryStartMatchesBruteForce(index, elements, data().name);
+}
+
+// The same on the index saved as FLATPGF4 and reopened from disk: the
+// hinted records the crawl reads back from the file keep it exact.
+TEST_P(TileAdjacencyTest, CrawlFromEveryStartOnReopenedFileMatchesBruteForce) {
+  const std::vector<RTreeEntry> elements = data().make();
+  PageFile file(page_size());
+  const FlatIndex built = FlatIndex::Build(&file, elements);
+  const testing::ScopedPageFileOnDisk on_disk(
+      file, std::string("tile_adjacency_") + data().name + "_" +
+                std::to_string(page_size()));
+  const std::unique_ptr<DiskPageFile> loaded =
+      DiskPageFile::Open(on_disk.path());
+  ASSERT_EQ(loaded->page_size(), page_size());
+  const FlatIndex index = FlatIndex::Attach(loaded.get(), built.descriptor());
+  ExpectEveryStartMatchesBruteForce(index, elements, data().name);
 }
 
 std::string ParamName(const ::testing::TestParamInfo<Param>& info) {

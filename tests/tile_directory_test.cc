@@ -118,7 +118,7 @@ std::vector<std::pair<RecordRef, Aabb>> StoredTiles(const PageFile& file) {
   std::vector<std::pair<RecordRef, Aabb>> tiles;
   for (PageId id = 0; id < file.page_count(); ++id) {
     if (file.category(id) != PageCategory::kSeedLeaf) continue;
-    const SeedLeafView leaf(file.Data(id));
+    const SeedLeafView leaf(file.Data(id), file.page_size(), id);
     for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
       tiles.emplace_back(RecordRef{id, slot}, leaf.RecordAt(slot).tile());
     }
@@ -127,7 +127,9 @@ std::vector<std::pair<RecordRef, Aabb>> StoredTiles(const PageFile& file) {
 }
 
 Aabb StoredTileOf(const PageFile& file, RecordRef ref) {
-  return SeedLeafView(file.Data(ref.page)).RecordAt(ref.slot).tile();
+  return SeedLeafView(file.Data(ref.page), file.page_size(), ref.page)
+      .RecordAt(ref.slot)
+      .tile();
 }
 
 TEST_P(TileDirectoryTest, EveryPointOfEveryStoredTileLocatesAHoldingTile) {
