@@ -58,8 +58,7 @@ bool AllBoxesAggregatable(const std::vector<RTreeEntry>& elements) {
 // non-empty and finite (AllBoxesAggregatable): each element's center then
 // lies in its box and in its exact tile, since MakeChunks cuts between
 // centers, and the stored tile is rounded outward around that tile, so a
-// query containing it holds the center. FLATPGF1 files store the stretched
-// partition MBR here, which contains the tile; the rule holds there too.
+// query containing it holds the center.
 bool AllElementsMeet(const Aabb& query, const MetadataRecordView& record) {
   if (query.Contains(record.page_mbr())) return true;
   const Aabb tile = record.tile();
@@ -336,13 +335,14 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     }
   }
 
-  // Internal levels of the seed tree.
+  // Internal levels of the seed tree, then the tile directory, which every
+  // query seeds through.
+  const size_t pages_before = file->page_count();
   if (leaf_entries.size() == 1) {
     index.seed_root_ = leaf_ids.front();
     index.root_is_leaf_ = true;
     index.seed_height_ = 1;
   } else {
-    const size_t pages_before = file->page_count();
     RTree upper = BuildUpperLevels(
         file, leaf_entries, /*level=*/1, LevelOrder::kStr,
         PageCategory::kSeedInternal, pool,
@@ -350,14 +350,11 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     index.seed_root_ = upper.root();
     index.root_is_leaf_ = false;
     index.seed_height_ = upper.height();
-    // The tile directory replaces the seed walk only where its lookup reads
-    // no more pages than the tree has internal levels.
-    const size_t tree_pages = file->page_count() - pages_before;
-    index.directory_root_ = WriteTileDirectory(file, partitions, refs,
-                                               index.seed_height_ - 1);
-    stats.seed_internal_pages = file->page_count() - pages_before;
-    stats.directory_pages = stats.seed_internal_pages - tree_pages;
   }
+  const size_t tree_pages = file->page_count() - pages_before;
+  index.directory_root_ = WriteTileDirectory(file, partitions, refs);
+  stats.seed_internal_pages = file->page_count() - pages_before;
+  stats.directory_pages = stats.seed_internal_pages - tree_pages;
   stats.seed_height = index.seed_height_;
   stats.write_seconds = SecondsSince(t_write);
 
@@ -378,11 +375,29 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   return index;
 }
 
+FlatIndex FlatIndex::Attach(const PageStore* file,
+                            const Descriptor& descriptor) {
+  if (descriptor.seed_root != kInvalidPageId &&
+      descriptor.directory_root == kInvalidPageId) {
+    throw std::runtime_error(
+        "FlatIndex::Attach: the descriptor has a seed root but no tile "
+        "directory root; it was saved before every index had a directory, "
+        "so rebuild the index");
+  }
+  FlatIndex index;
+  index.file_ = file;
+  index.seed_root_ = descriptor.seed_root;
+  index.root_is_leaf_ = descriptor.root_is_leaf;
+  index.seed_height_ = descriptor.seed_height;
+  index.directory_root_ = descriptor.directory_root;
+  return index;
+}
+
 void FlatIndex::AttachAggregates(
     std::shared_ptr<const SeedAggregates> aggregates) {
   aggregates_ = std::move(aggregates);
   crawl_count_below_ = 0.0;
-  if (aggregates_ == nullptr || !has_directory() || root_is_leaf_ ||
+  if (aggregates_ == nullptr || root_is_leaf_ ||
       seed_root_ >= file_->page_count()) {
     return;
   }
@@ -441,7 +456,7 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
             continue;
           }
         }
-        if (visit(RecordRef{frame.page, slot}, record, s)) return;
+        visit(RecordRef{frame.page, slot}, record, s);
       }
       continue;
     }
@@ -471,38 +486,6 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
           Frame{static_cast<PageId>(node.IdAt(slot)), node.level() - 1});
     }
   }
-}
-
-template <typename Accept>
-std::optional<RecordRef> FlatIndex::SeedWhere(PageCache* pool,
-                                              const Aabb& gate,
-                                              const Accept& accept,
-                                              CrawlScratch* scratch) const {
-  std::optional<RecordRef> seed;
-  WalkSeedTree(pool, gate, scratch,
-               [&](RecordRef ref, const MetadataRecordView& record,
-                   CrawlScratch* s) {
-                 s->CheckControl();  // the probe reads one object page
-                 const NodeView elements(pool->Read(record.object_page()));
-                 for (uint16_t i = 0; i < elements.count(); ++i) {
-                   if (accept(elements.BoxAt(i))) {
-                     seed = ref;
-                     return true;
-                   }
-                 }
-                 return false;
-               });
-  return seed;
-}
-
-template <typename Accept>
-std::optional<RecordRef> FlatIndex::StartRecord(PageCache* pool,
-                                                const Aabb& gate,
-                                                const Accept& accept,
-                                                CrawlScratch* scratch) const {
-  if (!has_directory()) return SeedWhere(pool, gate, accept, scratch);
-  if (scratch != nullptr) scratch->CheckControl();
-  return LocateTile(pool, *file_, directory_root_, gate);
 }
 
 template <typename ScanPage, typename Covered>
@@ -545,11 +528,11 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     // The paper follows M's neighbor pointers iff M's stretched partition
     // MBR intersects the query. The tile suffices: the tiles meeting the
     // query are linked tile to tile and reach every hit's record. The start
-    // record always expands: a seed-tree start's page meets the query, so
-    // it links to a tile that does, and a directory start's tile meets the
-    // query itself (docs/architecture.md, "Why the crawl is exact").
-    // kPageMbr reproduces the broken variant of Figures 8/9 for the
-    // ablation bench.
+    // record always expands: the directory's start has a tile that meets
+    // the query, and any other valid start has a page that does, so it
+    // links to a tile that does (docs/architecture.md, "Why the crawl is
+    // exact"). kPageMbr reproduces the broken variant of Figures 8/9 for
+    // the ablation bench.
     const Aabb tile = record.tile();
     const bool tile_meets = tile.Intersects(gate_box);
     const bool expands = guard == CrawlGuard::kPartitionMbr
@@ -568,13 +551,9 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
       // from a record whose tile meets the query meets the query there, so
       // a pointer whose hint misses the query is skipped
       // (docs/architecture.md, "Why the crawl is exact"). A start whose
-      // tile misses the query, unhinted (v1/v3) records and the kPageMbr
-      // ablation push every pointer.
+      // tile misses the query and the kPageMbr ablation push every pointer.
       std::optional<HintGrid> grid;
-      if (guard == CrawlGuard::kPartitionMbr && record.has_hints() &&
-          tile_meets) {
-        grid.emplace(tile);
-      }
+      if (guard == CrawlGuard::kPartitionMbr && tile_meets) grid.emplace(tile);
       for (uint32_t i = 0; i < record.cross_leaf_count(); ++i) {
         if (grid.has_value() &&
             !grid->Decode(record.HintAt(i)).Intersects(gate_box)) {
@@ -609,11 +588,11 @@ auto SoaScan(GateFn gate, SinkFn sink) {
 
 }  // namespace
 
-std::optional<RecordRef> FlatIndex::Seed(PageCache* pool,
-                                         const Aabb& query) const {
-  return StartRecord(
-      pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
-      nullptr);
+std::optional<RecordRef> FlatIndex::Seed(PageCache* pool, const Aabb& query,
+                                         CrawlScratch* scratch) const {
+  if (empty() || query.IsEmpty()) return std::nullopt;
+  if (scratch != nullptr) scratch->CheckControl();
+  return LocateTile(pool, *file_, directory_root_, query);
 }
 
 void FlatIndex::Crawl(PageCache* pool, const Aabb& query, RecordRef start,
@@ -633,19 +612,11 @@ void FlatIndex::Crawl(PageCache* pool, const Aabb& query, RecordRef start,
 }
 
 void FlatIndex::RangeQuery(PageCache* pool, const Aabb& query,
-                           std::vector<uint64_t>* out, CrawlScratch* scratch,
-                           CrawlGuard guard) const {
-  // The page-MBR ablation crawls without the tile gate, so only a start
-  // whose page meets the query is valid for it: the seed tree's.
-  const auto intersects = [&query](const Aabb& box) {
-    return box.Intersects(query);
-  };
-  std::optional<RecordRef> start =
-      guard == CrawlGuard::kPageMbr
-          ? SeedWhere(pool, query, intersects, scratch)
-          : StartRecord(pool, query, intersects, scratch);
+                           std::vector<uint64_t>* out,
+                           CrawlScratch* scratch) const {
+  const std::optional<RecordRef> start = Seed(pool, query, scratch);
   if (!start.has_value()) return;
-  Crawl(pool, query, *start, out, guard, scratch);
+  Crawl(pool, query, *start, out, CrawlGuard::kPartitionMbr, scratch);
 }
 
 size_t FlatIndex::RangeCount(PageCache* pool, const Aabb& query,
@@ -682,14 +653,11 @@ void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
           IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n,
                           query, hits);
           for (uint16_t i = 0; i < n; ++i) *acc += hits[i];
-          return false;
         },
         stored);
     return;
   }
-  std::optional<RecordRef> start = StartRecord(
-      pool, query, [&query](const Aabb& box) { return box.Intersects(query); },
-      scratch);
+  const std::optional<RecordRef> start = Seed(pool, query, scratch);
   if (!start.has_value()) return;
   const auto count_hits = SoaScan(
       [&query](const SoaBoxes& soa, uint8_t* hits) {
@@ -728,21 +696,23 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
   std::vector<uint64_t> result;
   if (empty() || k == 0) return result;
 
-  // Initial radius guess: the page MBR of the record the seed phase finds
-  // for `center` (with a directory, the record whose tile holds it; else
-  // one whose page holds an element containing it); fall back to a coarse
-  // default when there is none.
-  double radius = 0.0;
-  {
-    const Aabb probe = Aabb::FromPoint(center);
-    std::optional<RecordRef> seed = StartRecord(
-        pool, probe,
-        [&center](const Aabb& box) { return box.Contains(center); }, scratch);
-    if (seed.has_value()) {
-      const SeedLeafView leaf(pool->Read(seed->page), file_->page_size(),
-                              seed->page);
-      const Aabb page_mbr = leaf.RecordAt(seed->slot).page_mbr();
-      radius = 0.5 * page_mbr.Extents().Norm() + 1e-12;
+  // Initial radius guess: half the page-MBR diagonal of the record whose
+  // tile holds `center`, when its object page holds an element containing
+  // the center; else a coarse default. On sparse data the tile holding the
+  // center may belong to a page far wider than the center's neighborhood.
+  double radius = 1.0;
+  if (const std::optional<RecordRef> seed =
+          Seed(pool, Aabb::FromPoint(center), scratch)) {
+    const MetadataRecordView record =
+        SeedLeafView(pool->Read(seed->page), file_->page_size(), seed->page)
+            .RecordAt(seed->slot);
+    const Aabb page_mbr = record.page_mbr();
+    const NodeView elements(pool->Read(record.object_page()));
+    for (uint16_t i = 0; i < elements.count(); ++i) {
+      if (elements.BoxAt(i).Contains(center)) {
+        radius = 0.5 * page_mbr.Extents().Norm() + 1e-12;
+        break;
+      }
     }
   }
 
@@ -753,7 +723,6 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
   // distance <= r, hence all true top-k were inside the ball: ranking the
   // candidates is exact.
   for (int attempt = 0; attempt < 64; ++attempt) {
-    if (radius <= 0.0) radius = 1.0;
     const double radius2 = radius * radius;
     const Aabb gate =
         Aabb::FromCenterHalfExtents(center, Vec3(radius, radius, radius));
@@ -767,8 +736,7 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
       distances.push_back(d2);
       return true;
     };
-    std::optional<RecordRef> start = StartRecord(pool, gate, accept, scratch);
-    distances.clear();  // seed-tree probes also ran the predicate
+    const std::optional<RecordRef> start = Seed(pool, gate, scratch);
     if (start.has_value()) {
       CrawlPages(pool, gate, *start, CrawlGuard::kPartitionMbr, scratch,
                  PredicateScan(accept, &ids));
@@ -799,10 +767,7 @@ void FlatIndex::SphereQuery(PageCache* pool, const Vec3& center,
   if (radius < 0.0) return;
   const Aabb gate = Aabb::FromCenterHalfExtents(
       center, Vec3(radius, radius, radius));
-  const auto accept = [&center, radius](const Aabb& box) {
-    return box.IntersectsSphere(center, radius);
-  };
-  std::optional<RecordRef> start = StartRecord(pool, gate, accept, scratch);
+  const std::optional<RecordRef> start = Seed(pool, gate, scratch);
   if (!start.has_value()) return;
   CrawlSphere(pool, center, radius, *start, out, scratch);
 }
@@ -857,7 +822,7 @@ void FlatIndex::RangeQueryViaSeedScan(PageCache* pool, const Aabb& query,
           // (same bytes, same I/O as the gated path).
           reserve_more(n);
           for (uint16_t i = 0; i < n; ++i) out->push_back(elements.IdAt(i));
-          return false;
+          return;
         }
         uint8_t* hits = s->Hits(n);
         IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n, query,
@@ -868,7 +833,6 @@ void FlatIndex::RangeQueryViaSeedScan(PageCache* pool, const Aabb& query,
         for (uint16_t i = 0; i < n; ++i) {
           if (hits[i]) out->push_back(elements.IdAt(i));
         }
-        return false;
       });
 }
 
@@ -880,10 +844,7 @@ std::vector<RecordRef> FlatIndex::FindAllCandidateRecords(
   BufferPool pool(file_, &uncharged);
   WalkSeedTree(&pool, query, nullptr,
                [&result](RecordRef ref, const MetadataRecordView&,
-                         CrawlScratch*) {
-                 result.push_back(ref);
-                 return false;
-               });
+                         CrawlScratch*) { result.push_back(ref); });
   return result;
 }
 

@@ -32,11 +32,10 @@ namespace flat {
 ///
 /// Build bulkloads (the data sets "change only slowly, if at all"; no updates
 /// by design — Section I). Queries run the seed phase (find one record to
-/// start from: by point location in the tile directory when the index has
-/// one, else through the seed R-tree) followed by the crawl phase (BFS over
-/// neighbor pointers, Algorithm 2); their I/O is charged to the BufferPool's
-/// IoStats under the kSeedInternal / kSeedLeaf / kObject categories,
-/// reproducing the paper's Figure 14/18 breakdowns.
+/// start from, by point location in the tile directory) followed by the
+/// crawl phase (BFS over neighbor pointers, Algorithm 2); their I/O is
+/// charged to the BufferPool's IoStats under the kSeedInternal / kSeedLeaf
+/// / kObject categories, reproducing the paper's Figure 14/18 breakdowns.
 ///
 /// Thread-safety: a built (or attached) FlatIndex is immutable, and every
 /// query entry point is const and touches no shared mutable state — queries
@@ -47,11 +46,11 @@ namespace flat {
 ///
 /// Fail-soft execution: when the caller's CrawlScratch has a QueryControl
 /// bound (CrawlScratch::BindControl — the QueryEngine dispatch layer does
-/// this), the seed descent and the crawl BFS check it once per frontier pop
-/// and per object-page probe, throwing QueryAbort with the typed status when
-/// a deadline/cancel/budget trips. With no control bound the checks are one
-/// predictable branch each and results are bit-identical to builds that
-/// predate them. The storage backend may also throw std::runtime_error on
+/// this), the seed phase checks it before its lookup, and the crawl BFS and
+/// the seed-tree walks once per frontier pop and per object-page probe,
+/// throwing QueryAbort with the typed status when a deadline/cancel/budget
+/// trips. With no control bound the checks are one predictable branch each
+/// and results are bit-identical to builds that predate them. The storage backend may also throw std::runtime_error on
 /// unrecoverable I/O failure; the dispatch layer converts either into
 /// QueryResult::status (core/query_control.h, engine/query_engine.h).
 class FlatIndex {
@@ -68,7 +67,7 @@ class FlatIndex {
     size_t object_pages = 0;
     size_t seed_leaf_pages = 0;
     size_t seed_internal_pages = 0;  ///< includes directory_pages
-    size_t directory_pages = 0;      ///< tile directory (0: none written)
+    size_t directory_pages = 0;      ///< tile directory (core/tile_directory.h)
     uint64_t neighbor_pointers = 0;
     uint64_t metadata_bytes = 0;  ///< serialized record bytes (excl. padding).
     int seed_height = 0;          ///< seed tree levels incl. leaf level.
@@ -85,7 +84,8 @@ class FlatIndex {
   /// the paper's stretched partition MBR contains; either keeps the crawl
   /// exact, while the page MBR alone does not (Figures 8/9). kPageMbr
   /// exists only for the `bench_ablation_crawl_guard` experiment
-  /// demonstrating that failure.
+  /// demonstrating that failure; it needs a start whose page MBR meets the
+  /// query (see Crawl).
   enum class CrawlGuard { kPartitionMbr, kPageMbr };
 
   /// Options for the build pipeline.
@@ -143,8 +143,8 @@ class FlatIndex {
   /// per thread — to make the crawl hot path allocation-free. nullptr uses a
   /// throwaway scratch; results and I/O are identical either way.
   void RangeQuery(PageCache* pool, const Aabb& query,
-                  std::vector<uint64_t>* out, CrawlScratch* scratch = nullptr,
-                  CrawlGuard guard = CrawlGuard::kPartitionMbr) const;
+                  std::vector<uint64_t>* out,
+                  CrawlScratch* scratch = nullptr) const;
 
   /// Number of elements RangeQuery would return, without materializing the
   /// id vector. Without aggregates the crawl tallies the batched gate tests
@@ -155,8 +155,8 @@ class FlatIndex {
   /// instead of reading its object page, and the count picks one of two
   /// plans by the query's volume. Boxes smaller than four seed leaves'
   /// share of the data bounds crawl as above, from the tile directory;
-  /// larger ones, and every box on an index without a directory, descend
-  /// the seed tree, where a child whose box the query contains adds its
+  /// larger ones, and every box on a single-leaf index, descend the seed
+  /// tree, where a child whose box the query contains adds its
   /// stored subtree count with zero reads below it and only boundary
   /// subtrees are descended and gated exactly. Same count on every plan;
   /// far fewer reads on large boxes, and no descent down several
@@ -183,10 +183,12 @@ class FlatIndex {
 
   /// The ids of (at least) the `k` elements whose MBRs are closest to
   /// `center`, nearest first. Implemented as iterative-deepening sphere
-  /// crawls: start from the radius of the seed partition and double until k
-  /// elements are inside — every probe is a cheap seed+crawl, so the cost
-  /// stays proportional to the neighborhood size, in the spirit of the
-  /// paper's incremental structural-neighborhood use case.
+  /// crawls: start from half the page-MBR diagonal of the record whose tile
+  /// holds `center` when its object page holds an element containing
+  /// `center` (else from 1.0), and double until k elements are inside —
+  /// every probe is a cheap seed+crawl, so the cost stays proportional to
+  /// the neighborhood size, in the spirit of the paper's incremental
+  /// structural-neighborhood use case.
   std::vector<uint64_t> KnnQuery(PageCache* pool, const Vec3& center, size_t k,
                                  CrawlScratch* scratch = nullptr) const;
 
@@ -197,8 +199,8 @@ class FlatIndex {
     PageId seed_root = kInvalidPageId;
     bool root_is_leaf = false;
     int seed_height = 0;
-    /// Root of the tile directory (core/tile_directory.h), or
-    /// kInvalidPageId: the index then seeds through the seed tree.
+    /// Root of the tile directory (core/tile_directory.h); every non-empty
+    /// index has one.
     PageId directory_root = kInvalidPageId;
   };
 
@@ -212,38 +214,29 @@ class FlatIndex {
   /// holding the same bytes: the in-memory PageFile it was built into, or a
   /// DiskPageFile opened over the saved form. Build statistics and
   /// partition profiles are not persisted; queries behave identically
-  /// regardless of backend.
-  static FlatIndex Attach(const PageStore* file,
-                          const Descriptor& descriptor) {
-    FlatIndex index;
-    index.file_ = file;
-    index.seed_root_ = descriptor.seed_root;
-    index.root_is_leaf_ = descriptor.root_is_leaf;
-    index.seed_height_ = descriptor.seed_height;
-    index.directory_root_ = descriptor.directory_root;
-    return index;
-  }
+  /// regardless of backend. Throws std::runtime_error for a non-empty
+  /// descriptor without a directory root (one saved before every index had
+  /// a tile directory).
+  static FlatIndex Attach(const PageStore* file, const Descriptor& descriptor);
 
-  /// Seed phase only: the record RangeQuery crawls from.
-  ///
-  /// With a tile directory (has_directory()), the record whose stored tile
-  /// holds the center of `query`'s overlap with the index bounds (the union
-  /// of the stored tiles), found by point location, or nullopt exactly when
-  /// that overlap is empty. The record's tile meets the query, but its
-  /// object page need not hold a hit, and a query with no hits inside the
-  /// bounds still gets a record. Reads the directory pages (kSeedInternal)
-  /// and no seed leaf or object page.
-  ///
-  /// Without one (small seed trees, files and catalogs that predate the
-  /// directory), the first record in seed-walk order whose object page holds
-  /// an element intersecting `query` (Section V-B.1), or nullopt when there
-  /// is none.
-  std::optional<RecordRef> Seed(PageCache* pool, const Aabb& query) const;
+  /// Seed phase only: the record RangeQuery crawls from. The record whose
+  /// stored tile holds the center of `query`'s overlap with the index bounds
+  /// (the union of the stored tiles), found by point location in the tile
+  /// directory, or nullopt exactly when that overlap is empty. The record's
+  /// tile meets the query, but its object page need not hold a hit, and a
+  /// query with no hits inside the bounds still gets a record. Reads the
+  /// directory pages (kSeedInternal, at most three) and no seed leaf or
+  /// object page; an empty `query` reads nothing. Checks the control of
+  /// `scratch`, when given, before its first read.
+  std::optional<RecordRef> Seed(PageCache* pool, const Aabb& query,
+                                CrawlScratch* scratch = nullptr) const;
 
   /// Crawl phase only (Algorithm 2), starting BFS at `start`. Exposed so
   /// tests can verify seed-choice independence: every record whose page MBR
   /// intersects the query, and the record Seed returns, is a valid start
-  /// and yields the same result set.
+  /// and yields the same result set. The kPageMbr ablation guard needs a
+  /// start whose page MBR meets the query, such as the first record
+  /// FindAllCandidateRecords returns.
   void Crawl(PageCache* pool, const Aabb& query, RecordRef start,
              std::vector<uint64_t>* out,
              CrawlGuard guard = CrawlGuard::kPartitionMbr,
@@ -257,8 +250,8 @@ class FlatIndex {
                    CrawlScratch* scratch = nullptr) const;
 
   /// All record addresses whose page MBR intersects `query`, in seed-walk
-  /// order; test hook for the seed-independence property (walks through an
-  /// uncharged pool).
+  /// order; test hook for the seed-independence property and the start of
+  /// the kPageMbr ablation crawl (walks through an uncharged pool).
   std::vector<RecordRef> FindAllCandidateRecords(const Aabb& query) const;
 
   /// Ablation baseline ("why crawl?"): answers the range query by a plain
@@ -284,11 +277,6 @@ class FlatIndex {
   /// Height of the seed tree (levels including the metadata leaf level).
   int seed_height() const { return seed_height_; }
 
-  /// True when the index seeds by point location in a tile directory.
-  /// Build writes one when its lookup reads no more pages than the seed
-  /// tree has internal levels (seed_height() - 1).
-  bool has_directory() const { return directory_root_ != kInvalidPageId; }
-
   /// The PageStore this index reads from (nullptr before Build/Attach).
   /// Query engines use it to construct per-worker page caches.
   const PageStore* file() const { return file_; }
@@ -299,8 +287,9 @@ class FlatIndex {
   /// sharded snapshots hand the same immutable index (and sidecar) to many
   /// workers. Passing nullptr detaches. Also fixes RangeCount's plan rule
   /// from the sidecar's seed-leaf groups and the root page's bounds (read
-  /// once, uncharged); a root page that fails the seed walk's checks keeps
-  /// every count on the descent, which reports it at query time.
+  /// once, uncharged); a single-leaf index, or a root page that fails the
+  /// seed walk's checks, keeps every count on the descent, which reports a
+  /// bad root at query time.
   void AttachAggregates(std::shared_ptr<const SeedAggregates> aggregates);
 
   /// True when subtree aggregates are attached (pruning paths active).
@@ -317,12 +306,11 @@ class FlatIndex {
   // page (append ids, count, ...). Templates keep the hot loops free of
   // std::function indirection; all instantiations live in flat_index.cc.
 
-  // The one walk of the seed tree (Section V-B.1), behind SeedWhere,
-  // RangeCount with aggregates, RangeQueryViaSeedScan and
-  // FindAllCandidateRecords: depth first, children first to last, each
-  // internal page gated once against `gate`. Calls visit(ref, record,
-  // scratch) for every record whose page MBR meets `gate`; true stops the
-  // walk. A `covered` callback (aggregated indexes only) adds the
+  // The one walk of the seed tree, behind RangeCount's descent,
+  // RangeQueryViaSeedScan and FindAllCandidateRecords: depth first,
+  // children first to last, each internal page gated once against `gate`.
+  // Calls visit(ref, record, scratch) for every record whose page MBR meets
+  // `gate`. A `covered` callback (aggregated indexes only) adds the
   // containment mask: each child whose box `gate` contains, and each
   // record whose elements all meet `gate` (AllElementsMeet in
   // flat_index.cc), goes to covered(page, slot) first, and true means
@@ -335,21 +323,6 @@ class FlatIndex {
   void WalkSeedTree(PageCache* pool, const Aabb& gate, CrawlScratch* scratch,
                     const Visit& visit,
                     const Covered& covered = nullptr) const;
-
-  // Generalized seed phase of the seed tree: the first record, in walk
-  // order, whose object page holds an accepted element, pruning by `gate`
-  // (the query's bounding box).
-  template <typename Accept>
-  std::optional<RecordRef> SeedWhere(PageCache* pool, const Aabb& gate,
-                                     const Accept& accept,
-                                     CrawlScratch* scratch = nullptr) const;
-
-  // The crawl's start for `gate`: the directory's point location when the
-  // index has a directory (see Seed), else SeedWhere with `accept`.
-  template <typename Accept>
-  std::optional<RecordRef> StartRecord(PageCache* pool, const Aabb& gate,
-                                       const Accept& accept,
-                                       CrawlScratch* scratch) const;
 
   // Generalized crawl (Algorithm 2): BFS over neighbor pointers, calling
   // scan(page_data, scratch) for every object page whose page MBR passes the
@@ -368,12 +341,12 @@ class FlatIndex {
   PageId seed_root_ = kInvalidPageId;
   bool root_is_leaf_ = false;  // single seed-leaf tree, no internal nodes
   int seed_height_ = 0;
-  PageId directory_root_ = kInvalidPageId;  // kInvalidPageId: seed the tree
+  PageId directory_root_ = kInvalidPageId;
   BuildStats build_stats_;
   std::vector<PartitionProfile> partition_profiles_;
   std::shared_ptr<const SeedAggregates> aggregates_;  // null = no pruning
   // An aggregated count crawls when its box's volume is below this, and
-  // descends otherwise; 0 (no aggregates or no directory) always descends.
+  // descends otherwise; 0 (no aggregates or a single leaf) always descends.
   // Set by AttachAggregates.
   double crawl_count_below_ = 0.0;
 };

@@ -54,12 +54,12 @@ SeedLeafView::SeedLeafView(const char* data, uint32_t page_size, PageId page)
     : data_(data), page_size_(page_size), page_(page) {
   std::memcpy(&count_, data, sizeof(count_));
   const uint8_t format = static_cast<uint8_t>(data[3]);
-  if (format != static_cast<uint8_t>(LeafFormat::kUnhinted) &&
-      format != static_cast<uint8_t>(LeafFormat::kHinted)) {
+  if (format != kSeedLeafFormat) {
     ThrowBadSeedLeaf(page, "has record format " + std::to_string(format) +
-                               "; only formats 0 and 4 are readable");
+                               "; only format " +
+                               std::to_string(kSeedLeafFormat) +
+                               " is readable");
   }
-  format_ = static_cast<LeafFormat>(format);
 }
 
 MetadataRecordView SeedLeafView::RecordAt(uint16_t slot) const {
@@ -78,7 +78,7 @@ MetadataRecordView SeedLeafView::RecordAt(uint16_t slot) const {
                                 " at byte " + std::to_string(offset) +
                                 ", outside its record area");
   }
-  const MetadataRecordView record(data_ + offset, format_);
+  const MetadataRecordView record(data_ + offset);
   if (offset + record.size() > page_size_) {
     ThrowBadSeedLeaf(page_, "record " + std::to_string(slot) +
                                 " ends at byte " +
@@ -94,7 +94,7 @@ void WriteSeedLeaf(char* data, uint32_t page_size,
   assert(records.size() < kMaxRecordsPerLeaf);
   const uint16_t count = static_cast<uint16_t>(records.size());
   std::memcpy(data, &count, sizeof(count));
-  data[3] = static_cast<char>(LeafFormat::kHinted);
+  data[3] = static_cast<char>(kSeedLeafFormat);
 
   size_t offset = kSeedLeafHeaderSize + records.size() * kSlotDirEntrySize;
   for (size_t slot = 0; slot < records.size(); ++slot) {

@@ -133,40 +133,31 @@ inline constexpr size_t kSameLeafRefSize = 2;
 /// Per-record slot-directory cost in the leaf header.
 inline constexpr size_t kSlotDirEntrySize = 2;
 
-/// Leaf header: u16 record count, a zero byte, the u8 LeafFormat and zero
-/// padding to 8 bytes.
+/// Leaf header: u16 record count, a zero byte, the format byte
+/// kSeedLeafFormat and zero padding to 8 bytes.
 inline constexpr size_t kSeedLeafHeaderSize = 8;
 
-/// Record format of a seed leaf, in header byte 3 as on node pages. Leaves
-/// written before v4 hold zero there.
-enum class LeafFormat : uint8_t {
-  kUnhinted = 0,  ///< FLATPGF1/3: u32 count, packed refs, no hints
-  kHinted = 4,    ///< FLATPGF4: same-leaf slots, cross-leaf refs + hints
-};
+/// Record format of every seed leaf (hinted records: same-leaf slots,
+/// cross-leaf refs with hints), in header byte 3 as on node pages. Leaves
+/// of FLATPGF1/3 files held 0 there; no reader decodes them any more.
+inline constexpr uint8_t kSeedLeafFormat = 4;
 
-/// Bytes a v4 record with `same` same-leaf slots and `cross` cross-leaf
+/// Bytes a record with `same` same-leaf slots and `cross` cross-leaf
 /// refs occupies on a seed leaf, including its slot-directory entry.
 inline constexpr size_t RecordFootprint(size_t same, size_t cross) {
   return kSlotDirEntrySize + kRecordFixedSize + same * kSameLeafRefSize +
          cross * kNeighborRefSize + HintBytes(cross);
 }
 
-/// Read-only view of one serialized metadata record. Hinted (v4) records
-/// list same-leaf neighbors as slots and cross-leaf neighbors as refs with
-/// hints; an unhinted (v1/v3) record lists every neighbor as a cross-leaf
-/// ref with no hint.
+/// Read-only view of one serialized metadata record: same-leaf neighbors
+/// as slots, cross-leaf neighbors as refs with hints.
 class MetadataRecordView {
  public:
-  MetadataRecordView(const char* data, LeafFormat format)
-      : data_(data), format_(format) {
-    if (format == LeafFormat::kHinted) {
-      uint16_t counts[2];
-      std::memcpy(counts, data_ + kCountsOffset, sizeof(counts));
-      same_ = counts[0];
-      cross_ = counts[1];
-    } else {
-      std::memcpy(&cross_, data_ + kCountsOffset, sizeof(cross_));
-    }
+  explicit MetadataRecordView(const char* data) : data_(data) {
+    uint16_t counts[2];
+    std::memcpy(counts, data_ + kCountsOffset, sizeof(counts));
+    same_ = counts[0];
+    cross_ = counts[1];
   }
 
   Aabb page_mbr() const {
@@ -176,9 +167,7 @@ class MetadataRecordView {
   }
 
   /// The box that gates neighbor expansion in the crawl: the partition's
-  /// unstretched tile. FLATPGF1/2 files store the stretched partition MBR
-  /// here instead, which contains the tile, so the crawl stays exact on
-  /// them (docs/file_format.md §3).
+  /// unstretched tile (docs/file_format.md §3).
   Aabb tile() const {
     PackedAabb p;
     std::memcpy(&p, data_ + sizeof(PackedAabb), sizeof(p));
@@ -191,14 +180,11 @@ class MetadataRecordView {
     return v;
   }
 
-  bool has_hints() const { return format_ == LeafFormat::kHinted; }
-
   uint32_t same_leaf_count() const { return same_; }
   uint32_t cross_leaf_count() const { return cross_; }
 
   /// Bytes from the record's start to its end (refs and hints included).
   uint64_t size() const {
-    if (!has_hints()) return kRecordFixedSize + cross_ * kNeighborRefSize;
     return RecordFootprint(same_, cross_) - kSlotDirEntrySize;
   }
 
@@ -216,7 +202,7 @@ class MetadataRecordView {
     return UnpackNeighborRef(packed);
   }
 
-  /// Hint i (HintGrid), of cross-leaf ref i; hinted records only. Hints 2j
+  /// Hint i (HintGrid), of cross-leaf ref i. Hints 2j
   /// and 2j + 1 share bytes 3j..3j+2, low bits first.
   uint16_t HintAt(uint32_t i) const {
     const auto* b = reinterpret_cast<const unsigned char*>(
@@ -233,7 +219,6 @@ class MetadataRecordView {
   }
 
   const char* data_;
-  LeafFormat format_;
   uint32_t same_ = 0;
   uint32_t cross_ = 0;
 };
@@ -241,7 +226,7 @@ class MetadataRecordView {
 /// Read-only view of a seed-tree leaf page: a slot directory over variable-
 /// size metadata records. `page` and `page_size` are for the checks: the
 /// constructor throws std::runtime_error naming the page when its format
-/// byte is not a LeafFormat, and so does RecordAt for a record that does
+/// byte is not kSeedLeafFormat, and so does RecordAt for a record that does
 /// not lie on the page.
 class SeedLeafView {
  public:
@@ -260,7 +245,6 @@ class SeedLeafView {
   uint32_t page_size_;
   PageId page_;
   uint16_t count_ = 0;
-  LeafFormat format_ = LeafFormat::kUnhinted;
 };
 
 /// In-memory form of a record while the seed index is being built.
@@ -273,7 +257,7 @@ struct MetadataRecordDraft {
   std::vector<uint16_t> hints;        ///< one per cross_leaf ref
 };
 
-/// Serializes `records` into one hinted (v4) seed-leaf page image (`data`,
+/// Serializes `records` into one seed-leaf page image (`data`,
 /// `page_size` bytes). The caller guarantees the records fit (see
 /// RecordFootprint).
 void WriteSeedLeaf(char* data, uint32_t page_size,

@@ -7,12 +7,14 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace flat {
 namespace {
 
 /// Byte 3 of every directory page, where node pages keep their NodeFormat
-/// (0, exact; 1 is retired): no node reader can take one for the other.
+/// (0, exact; 1 is retired) and seed leaves their record format (4): no
+/// reader of one can take it for another.
 constexpr uint8_t kDirectoryFormat = 2;
 
 /// Page header. `page_count` and `bounds` are meaningful on the root only.
@@ -69,8 +71,7 @@ DirectoryHeader HeaderOf(const char* page) {
 
 PageId WriteTileDirectory(PageFile* file,
                           const std::vector<PartitionInfo>& partitions,
-                          const std::vector<RecordRef>& refs, int max_depth) {
-  if (max_depth < 2) return kInvalidPageId;
+                          const std::vector<RecordRef>& refs) {
   // The slab group, then a run group per slab, then a page group per run
   // (from index `first_page_group` on). A slab's or run's value is first
   // the index of its child group, then that group's slot position.
@@ -102,7 +103,6 @@ PageId WriteTileDirectory(PageFile* file,
     }
     page_groups.back().push_back({tile.lo[2], PackNeighborRef(refs[i])});
   }
-  if (groups.size() == 1) return kInvalidPageId;
   // Run values become indexes into `groups`, where the page groups follow.
   const size_t first_page_group = groups.size();
   for (size_t g = 1; g < first_page_group; ++g) {
@@ -113,25 +113,28 @@ PageId WriteTileDirectory(PageFile* file,
   groups.insert(groups.end(), std::make_move_iterator(page_groups.begin()),
                 std::make_move_iterator(page_groups.end()));
 
-  // Slot positions: a group never straddles a page, and the page groups
-  // start on a fresh page.
+  // Slot positions: groups in order, each on the page where the previous
+  // one ends unless it would straddle that page's end.
   const uint64_t per_page = SlotsPerPage(file->page_size());
   std::vector<uint64_t> at(groups.size());
   uint64_t pos = 0;
-  uint64_t upper_pages = 0;
   for (size_t g = 0; g < groups.size(); ++g) {
     const uint64_t size = groups[g].size() + 1;
-    if (size > per_page) return kInvalidPageId;
-    if (g == first_page_group) {
-      upper_pages = (pos + per_page - 1) / per_page;
-      pos = upper_pages * per_page;
+    if (size > per_page) {
+      throw std::runtime_error(
+          "FlatIndex::Build: a tile-directory group of " +
+          std::to_string(size) + " slots outgrows a page of " +
+          std::to_string(per_page) +
+          "; use a larger page size or shard the data set");
     }
     if (pos % per_page + size > per_page) pos += per_page - pos % per_page;
     at[g] = pos;
     pos += size;
   }
-  if ((upper_pages == 1 ? 2 : 3) > max_depth || pos > UINT32_MAX) {
-    return kInvalidPageId;
+  if (pos > UINT32_MAX) {
+    throw std::runtime_error(
+        "FlatIndex::Build: the tile directory outgrows its u32 slot "
+        "positions; shard the data set");
   }
   for (size_t g = 0; g < first_page_group; ++g) {
     for (Slot& slot : groups[g]) {

@@ -15,8 +15,7 @@
 namespace flat {
 
 /// The tile directory: point location over FLAT's STR tiles, the seed phase
-/// of indexes tall enough to carry one (docs/architecture.md, "Seed by
-/// point location").
+/// of every index (docs/architecture.md, "Seed by point location").
 ///
 /// StrPartition cuts space into x-slabs, each slab into y-runs and each run
 /// into z-pages, with no gaps. So the record whose tile holds a point is
@@ -31,19 +30,22 @@ namespace flat {
 /// Layout (docs/file_format.md §3.1): consecutive kSeedInternal pages, the
 /// root first. Each page holds a 32-byte header and fixed-size slots of
 /// (f32 key, u32 value). A group is a header slot (its value = n) and n
-/// sorted slots; a group never straddles a page. The slab group opens the
-/// root page and the run groups follow it; the page groups start on a fresh
-/// page. A slab's or run's value is the slot position of its child group,
-/// a page's is its packed RecordRef. A lookup therefore reads the root, at
-/// most one more page of run groups, and one page of page groups.
+/// sorted slots. The slab group opens the root page, and the run groups and
+/// then the page groups follow it in order, packed; a group that would
+/// straddle a page starts the next one. A slab's or run's value is the slot
+/// position of its child group, a page's is its packed RecordRef. A lookup
+/// therefore reads at most three pages (the root, the page of a run group
+/// and the page of a page group), and a one-page directory one.
 
 /// Writes the directory for `partitions` (StrPartition's order) whose
-/// records live at `refs`, appending its pages to `file`. Returns the root
-/// page, or kInvalidPageId — writing nothing — when a lookup would read
-/// more than `max_depth` pages (at least two: the root and a page group).
+/// records live at `refs`, appending its pages to `file`, and returns the
+/// root page. Partitions whose tiles are all empty give a one-page directory
+/// with empty bounds, where every lookup finds nothing. Throws
+/// std::runtime_error, writing nothing, when one group holds more slots than
+/// a page.
 PageId WriteTileDirectory(PageFile* file,
                           const std::vector<PartitionInfo>& partitions,
-                          const std::vector<RecordRef>& refs, int max_depth);
+                          const std::vector<RecordRef>& refs);
 
 /// The record whose stored tile holds the center of `query`'s overlap with
 /// the directory's bounds (the union of the stored tiles), or nullopt

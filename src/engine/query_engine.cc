@@ -159,7 +159,7 @@ void DispatchQueryImpl(const IndexedQuery& iq, PageCache* cache,
       switch (query.type) {
         case Query::Type::kRange:
         case Query::Type::kRangeCount:  // overlayed: masking needs the ids
-          index->RangeQuery(cache, query.box, ids, scratch, query.guard);
+          index->RangeQuery(cache, query.box, ids, scratch);
           break;
         case Query::Type::kSeedScan:
           index->RangeQueryViaSeedScan(cache, query.box, ids, scratch);

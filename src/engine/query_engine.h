@@ -32,20 +32,16 @@ struct Query {
   Vec3 center;             // kKnn / kSphere
   double radius = 0.0;     // kSphere
   size_t k = 0;            // kKnn
-  FlatIndex::CrawlGuard guard = FlatIndex::CrawlGuard::kPartitionMbr;
   /// Optional fail-soft controls (deadline, cancel token, I/O budget; see
   /// core/query_control.h). Must outlive the batch. Null (default) runs the
   /// query to completion with zero overhead on the hot path — results and
   /// IoStats stay bit-identical to an uncontrolled run.
   const QueryControl* control = nullptr;
 
-  static Query Range(
-      const Aabb& box,
-      FlatIndex::CrawlGuard guard = FlatIndex::CrawlGuard::kPartitionMbr) {
+  static Query Range(const Aabb& box) {
     Query q;
     q.type = Type::kRange;
     q.box = box;
-    q.guard = guard;
     return q;
   }
 

@@ -9,9 +9,9 @@
 namespace flat {
 namespace {
 
-constexpr char kMagicV1[8] = {'F', 'L', 'A', 'T', 'S', 'H', 'C', '1'};
-constexpr char kMagicV2[8] = {'F', 'L', 'A', 'T', 'S', 'H', 'C', '2'};
-constexpr char kMagicV3[8] = {'F', 'L', 'A', 'T', 'S', 'H', 'C', '3'};
+// FLATSHC1 predates the generation and FLATSHC2 the tile-directory root;
+// neither is readable.
+constexpr char kMagic[8] = {'F', 'L', 'A', 'T', 'S', 'H', 'C', '3'};
 
 // Shards are serialized PageFiles (u32 PageIds), so a catalog counting more
 // shards than pages could even exist is corrupt, not merely large.
@@ -60,7 +60,7 @@ void SaveShardCatalog(const ShardCatalog& catalog, std::ostream& out) {
           "SaveShardCatalog: shard file name length out of range");
     }
   }
-  out.write(kMagicV3, sizeof(kMagicV3));
+  out.write(kMagic, sizeof(kMagic));
   WritePod(out, catalog.generation);
   WritePod(out, catalog.page_size);
   WritePod(out, catalog.total_elements);
@@ -84,18 +84,13 @@ void SaveShardCatalog(const ShardCatalog& catalog, std::ostream& out) {
 ShardCatalog LoadShardCatalog(std::istream& in) {
   char magic[8];
   in.read(magic, sizeof(magic));
-  const bool is_v3 = in && std::memcmp(magic, kMagicV3, sizeof(kMagicV3)) == 0;
-  const bool is_v2 = in && std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0;
-  const bool is_v1 = in && std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0;
-  if (!is_v1 && !is_v2 && !is_v3) {
+  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error(
         "LoadShardCatalog: bad magic (not a FLAT shard catalog or "
         "unsupported version)");
   }
   ShardCatalog catalog;
-  // V2 inserts the generation right after the magic; a V1 catalog predates
-  // generations and loads as generation 0.
-  catalog.generation = is_v1 ? 0 : ReadPod<uint64_t>(in);
+  catalog.generation = ReadPod<uint64_t>(in);
   catalog.page_size = ReadPod<uint32_t>(in);
   if (catalog.page_size < 64 || catalog.page_size > (64u << 20)) {
     throw std::runtime_error("LoadShardCatalog: implausible page size");
@@ -130,8 +125,7 @@ ShardCatalog LoadShardCatalog(std::istream& in) {
     shard.descriptor.seed_root = ReadPod<PageId>(in);
     shard.descriptor.root_is_leaf = ReadPod<uint8_t>(in) != 0;
     shard.descriptor.seed_height = ReadPod<int32_t>(in);
-    // V3 adds the tile directory root; older shards seed through the tree.
-    if (is_v3) shard.descriptor.directory_root = ReadPod<PageId>(in);
+    shard.descriptor.directory_root = ReadPod<PageId>(in);
     shard.bounds = ReadAabb(in);
     shard.tile = ReadAabb(in);
     shard.element_count = ReadPod<uint64_t>(in);

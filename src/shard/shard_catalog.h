@@ -19,7 +19,7 @@ struct ShardCatalogEntry {
   /// directory (e.g. "shard-0003.pgf"). Never an absolute path, so a store
   /// directory can be moved or copied wholesale.
   std::string page_file_name;
-  /// Seed-tree handle inside the shard's PageFile.
+  /// Seed-tree and tile-directory handle inside the shard's PageFile.
   FlatIndex::Descriptor descriptor;
   /// MBR of the shard's elements (union of element MBRs). The routing gate:
   /// a query can only match elements of this shard if it intersects bounds.
@@ -42,8 +42,7 @@ struct ShardCatalog {
   /// Monotone store generation: 1 after the initial bulkload, +1 per
   /// compaction. A catalog whose generation regressed relative to the store
   /// directory it is written into (tracked by the `generation.flatgen`
-  /// sidecar) is stale — saving or loading it is rejected. Legacy FLATSHC1
-  /// catalogs load as generation 0.
+  /// sidecar) is stale — saving or loading it is rejected.
   uint64_t generation = 0;
   /// Sum of element_count over the shards.
   uint64_t total_elements = 0;
@@ -57,11 +56,10 @@ struct ShardCatalog {
 /// stream failure.
 void SaveShardCatalog(const ShardCatalog& catalog, std::ostream& out);
 
-/// Reads a catalog previously written by SaveShardCatalog. Accepts the
-/// current "FLATSHC3" layout, the pre-directory "FLATSHC2" layout (shards
-/// load without a tile directory) and the pre-generation "FLATSHC1" layout
-/// (loaded as generation 0, too). Rejects unknown magics, truncated streams
-/// and implausible field values by throwing std::runtime_error.
+/// Reads a catalog previously written by SaveShardCatalog: the "FLATSHC3"
+/// layout only. Rejects other magics (the pre-generation "FLATSHC1" and
+/// the pre-directory "FLATSHC2" too), truncated streams and implausible
+/// field values by throwing std::runtime_error.
 ShardCatalog LoadShardCatalog(std::istream& in);
 
 }  // namespace flat

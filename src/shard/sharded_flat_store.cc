@@ -771,7 +771,15 @@ ShardedFlatStore ShardedFlatStore::Load(
             path.string());
       }
     }
+    // Every non-empty shard seeds through its tile directory; a catalog
+    // entry without one was saved before every index had one.
     const PageId directory_root = entry.descriptor.directory_root;
+    if (seed_root != kInvalidPageId && directory_root == kInvalidPageId) {
+      throw std::runtime_error(
+          "ShardedFlatStore::Load: catalog entry has no tile directory root "
+          "(saved before every index had one); rebuild the store: " +
+          path.string());
+    }
     if (directory_root != kInvalidPageId) {
       if (directory_root >= file.page_count()) {
         throw std::runtime_error(
@@ -824,19 +832,17 @@ ShardedFlatStore ShardedFlatStore::Load(
       [](const FlatIndex& index) { return index.has_aggregates(); });
   store.state_->base = std::move(base);
 
-  // Replay the overlay WAL (absent in directories saved before the overlay
-  // existed): the reloaded log starts at floor 0 with exactly the window
-  // the save pinned.
+  // Replay the overlay WAL, which every Save writes: the reloaded log
+  // starts at floor 0 with exactly the window the save pinned. Without it
+  // that window is lost, so a directory missing it does not load.
   const fs::path wal_path = root / kOverlayWalFileName;
-  if (fs::exists(wal_path)) {
-    std::ifstream wal_in(wal_path, std::ios::binary);
-    if (!wal_in) {
-      throw std::runtime_error("ShardedFlatStore::Load: cannot open WAL " +
-                               wal_path.string());
-    }
-    for (const DeltaOp& op : LoadDeltaOps(wal_in)) {
-      store.state_->log.Append(op);
-    }
+  std::ifstream wal_in(wal_path, std::ios::binary);
+  if (!wal_in) {
+    throw std::runtime_error("ShardedFlatStore::Load: cannot open WAL " +
+                             wal_path.string());
+  }
+  for (const DeltaOp& op : LoadDeltaOps(wal_in)) {
+    store.state_->log.Append(op);
   }
 
   store.AttachEngine(num_threads);

@@ -213,7 +213,7 @@ class ShardedFlatStore {
   uint64_t epoch() const;
 
   /// Generation of the current base: 1 after Build, +1 per Compact, 0 for a
-  /// default-constructed store (or a legacy FLATSHC1 catalog).
+  /// default-constructed store.
   uint64_t generation() const;
 
   /// Ops in the current overlay window (epoch() minus the base's floor) —
@@ -296,13 +296,14 @@ class ShardedFlatStore {
   /// through a DiskPageFile: pages come from an mmap'd (fallback: pread)
   /// read-only view of the shard file — real out-of-core execution.
   /// `num_threads` configures the reopened store's query engine (1 =
-  /// serial, 0 = hardware concurrency). The overlay WAL (if present) is
-  /// replayed, so queries behave identically to the saved store's. Shards
-  /// saved with aggregate sidecars reattach them and turn
-  /// Options::aggregate_counts on, so Compact rebuilds them as the saving
-  /// store would. Throws std::runtime_error on missing/corrupt catalog or
-  /// page files, and on a stale catalog: one whose generation regressed behind
-  /// the directory's "generation.flatgen" sidecar (e.g. a pre-compaction
+  /// serial, 0 = hardware concurrency). The overlay WAL is replayed, so
+  /// queries behave identically to the saved store's. Shards saved with
+  /// aggregate sidecars reattach them and turn Options::aggregate_counts
+  /// on, so Compact rebuilds them as the saving store would. Throws
+  /// std::runtime_error on a missing or corrupt catalog, page file or WAL,
+  /// on a catalog entry of a non-empty shard without a tile-directory root,
+  /// and on a stale catalog: one whose generation regressed behind the
+  /// directory's "generation.flatgen" sidecar (e.g. a pre-compaction
   /// catalog restored into a post-compaction directory).
   ///
   /// `disk_options` (may be null for the defaults) configures every shard's

@@ -19,8 +19,7 @@
 namespace flat {
 namespace {
 
-// Magic + u32 page_size + u32 count; every version IsReadablePageFileMagic
-// accepts shares this container layout (storage/persistence.h).
+// Magic + u32 page_size + u32 count (storage/persistence.h).
 constexpr uint64_t kHeaderBytes = kPageFileMagicSize + 8;
 
 // Longest sleep between two transient-error retries of one page read.

@@ -16,9 +16,8 @@ namespace flat {
 class FaultSchedule;
 
 /// A real persistent PageStore: serves `Data(id)` straight from a page file
-/// written by SavePageFile (any version IsReadablePageFileMagic accepts:
-/// `FLATPGF1`, `FLATPGF3` or `FLATPGF4`), opened read-only for query
-/// execution.
+/// written by SavePageFile (`FLATPGF4`, the version IsReadablePageFileMagic
+/// accepts), opened read-only for query execution.
 ///
 /// This is the backend that makes the paper's central claim measurable:
 /// crawl queries are 97.8–98.8 % I/O-bound (Section VII-E.2), which an

@@ -171,12 +171,16 @@ class RecordingCache : public PageCache {
 class AggregateTileRuleTest
     : public ::testing::TestWithParam<CardinalityParam> {};
 
-// Each box is one record's stored tile, and that record's page MBR pokes
-// out of it, so only the tile rule certifies the record. Every element's
-// center lies in its tile, so every element on the page meets the box:
-// the count must equal brute force without reading that page. At 512 B
-// the index has a tile directory and such tile-sized boxes crawl; at 4 KiB
-// it has none and they descend, so both plans are covered.
+// A record whose page MBR pokes out of its stored tile: only the tile rule
+// certifies it. Every element's center lies in its tile, so every element
+// on the page meets a box containing the tile, and the count must equal
+// brute force without reading that page. Two boxes per record cover both
+// plans. The tile itself is below the plan threshold and crawls from the
+// directory. The tile grown outward on every face but one the page pokes
+// out of, by ten times the data extents, is above any threshold (four
+// times the data bounds' volume at most) and descends: the walk must read
+// the seed root, and it reaches the record through its leaf, whose box
+// pokes out of the grown box too.
 TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
   const auto [dataset_kind, page_size] = GetParam();
   const Dataset dataset = DatasetOfKind(dataset_kind);
@@ -185,7 +189,12 @@ TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
   options.aggregate_counts = true;
   const FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
   ASSERT_TRUE(index.has_aggregates());
-  EXPECT_EQ(index.has_directory(), page_size == 512);
+  const PageId seed_root = index.descriptor().seed_root;
+  const PageId directory_root = index.descriptor().directory_root;
+  ASSERT_FALSE(index.descriptor().root_is_leaf);
+  Aabb bounds;
+  for (const RTreeEntry& e : dataset.elements) bounds.ExpandToInclude(e.box);
+  const Vec3 far = bounds.Extents() * 10.0;
 
   size_t checked = 0;
   for (PageId page = 0; page < file.page_count(); ++page) {
@@ -193,14 +202,39 @@ TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
     const SeedLeafView leaf(file.Data(page), file.page_size(), page);
     for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
       const MetadataRecordView record = leaf.RecordAt(slot);
-      const Aabb box = record.tile();
-      if (box.Contains(record.page_mbr())) continue;
-      RecordingCache cache(&file);
-      EXPECT_EQ(index.RangeCount(&cache, box),
-                BruteForce(dataset.elements, box).size())
-          << "page " << page << " slot " << slot;
-      EXPECT_FALSE(cache.WasRead(record.object_page()))
-          << "page " << page << " slot " << slot;
+      const Aabb tile = record.tile();
+      const Aabb page_mbr = record.page_mbr();
+      if (tile.Contains(page_mbr)) continue;
+      Vec3 lo = tile.lo() - far;
+      Vec3 hi = tile.hi() + far;
+      for (int axis = 0; axis < 3; ++axis) {
+        if (page_mbr.lo()[axis] < tile.lo()[axis]) {
+          lo.At(axis) = tile.lo()[axis];
+          break;
+        }
+        if (page_mbr.hi()[axis] > tile.hi()[axis]) {
+          hi.At(axis) = tile.hi()[axis];
+          break;
+        }
+      }
+      for (const bool descends : {false, true}) {
+        SCOPED_TRACE(descends ? "grown" : "tile");
+        const Aabb box = descends ? Aabb(lo, hi) : tile;
+        RecordingCache cache(&file);
+        EXPECT_EQ(index.RangeCount(&cache, box),
+                  BruteForce(dataset.elements, box).size())
+            << "page " << page << " slot " << slot;
+        EXPECT_FALSE(cache.WasRead(record.object_page()))
+            << "page " << page << " slot " << slot;
+        if (!descends) {
+          EXPECT_TRUE(cache.WasRead(directory_root));
+          EXPECT_FALSE(cache.WasRead(seed_root));
+        } else {
+          EXPECT_TRUE(cache.WasRead(seed_root));
+          EXPECT_FALSE(cache.WasRead(directory_root));
+          EXPECT_TRUE(cache.WasRead(page));
+        }
+      }
       ++checked;
     }
   }
@@ -480,7 +514,8 @@ TEST(AggregateCountPlanTest, SmallCountsCrawlOnBuiltAndReloadedStores) {
   ShardedFlatStore plain = ShardedFlatStore::Build(entries, options);
   options.aggregate_counts = true;
   const ShardedFlatStore built = ShardedFlatStore::Build(entries, options);
-  ASSERT_TRUE(built.shard_index(0).has_directory());
+  ASSERT_NE(built.shard_index(0).descriptor().directory_root,
+            kInvalidPageId);
 
   // The threshold from the shard file, which holds this one index.
   const PageStore& file = built.shard_file(0);

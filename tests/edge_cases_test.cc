@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/flat_index.h"
 #include "rtree/bulkload.h"
@@ -152,21 +154,36 @@ TEST(HardLimitTest, OversizedMetadataRecordThrows) {
   EXPECT_THROW(FlatIndex::Build(&file, entries), std::runtime_error);
 }
 
+// An empty box reads no page: not the tile directory's root, on a short
+// index or a tall one, and not on the aggregated count's plans either.
 TEST(HardLimitTest, EmptyQueriesAreFreeEverywhere) {
-  const auto entries = testing::RandomEntries(1000, 407);
-  PageFile flat_file, rtree_file;
-  FlatIndex flat = FlatIndex::Build(&flat_file, entries);
-  RTree rtree = BulkloadStr(&rtree_file, entries);
+  for (const auto& [count, page_size] :
+       {std::pair<size_t, uint32_t>{1000, 4096}, {20000, 512}}) {
+    SCOPED_TRACE(std::to_string(count) + " elements, " +
+                 std::to_string(page_size) + " B");
+    const auto entries = testing::RandomEntries(count, 407);
+    PageFile flat_file(page_size), rtree_file(page_size);
+    FlatIndex::BuildOptions options;
+    options.aggregate_counts = true;
+    const FlatIndex aggregated = FlatIndex::Build(&flat_file, entries, options);
+    ASSERT_TRUE(aggregated.has_aggregates());
+    const FlatIndex flat =
+        FlatIndex::Attach(&flat_file, aggregated.descriptor());
+    RTree rtree = BulkloadStr(&rtree_file, entries);
 
-  IoStats flat_stats, rtree_stats;
-  BufferPool flat_pool(&flat_file, &flat_stats);
-  BufferPool rtree_pool(&rtree_file, &rtree_stats);
-  std::vector<uint64_t> got;
-  flat.RangeQuery(&flat_pool, Aabb(), &got);
-  rtree.RangeQuery(&rtree_pool, Aabb(), &got);
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(flat_stats.TotalReads(), 0u);
-  EXPECT_EQ(rtree_stats.TotalReads(), 0u);
+    IoStats flat_stats, rtree_stats;
+    BufferPool flat_pool(&flat_file, &flat_stats);
+    BufferPool rtree_pool(&rtree_file, &rtree_stats);
+    std::vector<uint64_t> got;
+    EXPECT_FALSE(flat.Seed(&flat_pool, Aabb()).has_value());
+    flat.RangeQuery(&flat_pool, Aabb(), &got);
+    rtree.RangeQuery(&rtree_pool, Aabb(), &got);
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(flat.RangeCount(&flat_pool, Aabb()), 0u);
+    EXPECT_EQ(aggregated.RangeCount(&flat_pool, Aabb()), 0u);
+    EXPECT_EQ(flat_stats.TotalReads(), 0u);
+    EXPECT_EQ(rtree_stats.TotalReads(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -186,8 +186,8 @@ TEST_F(FailSoftTest, TransientFaultsRecoverWithExactRetryAccounting) {
 // outcome with the exception text attached, never an escaped exception.
 TEST_F(FailSoftTest, PermanentFaultYieldsTypedIoErrorResult) {
   FaultSchedule schedule;
-  // The seed root is read by every range query; fail it forever.
-  schedule.FailRead(index_.descriptor().seed_root, /*times=*/1000000);
+  // The directory root is read by every range query; fail it forever.
+  schedule.FailRead(index_.descriptor().directory_root, /*times=*/1000000);
   const ScopedPageFileOnDisk on_disk(file_, "permanent");
   const std::unique_ptr<DiskPageFile> disk =
       OpenUnderSchedule(on_disk, schedule, /*max_read_retries=*/2);
@@ -613,7 +613,7 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
               sizeof(record_offset));
   const MetadataRecordView record =
       SeedLeafView(file.Data(leaf), file.page_size(), leaf).RecordAt(0);
-  ASSERT_TRUE(record.has_hints());
+  ASSERT_EQ(static_cast<uint8_t>(file.Data(leaf)[3]), kSeedLeafFormat);
   ASSERT_GT(record.same_leaf_count(), 0u);
   ASSERT_GT(record.cross_leaf_count(), 0u);
   const uint64_t record_in_file = kPageFileMagicSize + 8 + file.page_count() +

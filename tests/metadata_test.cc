@@ -39,7 +39,6 @@ SeedLeafView ViewOf(const PageFile& file, PageId page) {
 void ExpectRecordMatches(const MetadataRecordView& record,
                          const MetadataRecordDraft& draft) {
   EXPECT_EQ(record.object_page(), draft.object_page);
-  EXPECT_TRUE(record.has_hints());
   ASSERT_EQ(record.same_leaf_count(), draft.same_leaf.size());
   for (uint32_t i = 0; i < record.same_leaf_count(); ++i) {
     EXPECT_EQ(record.SameLeafSlotAt(i), draft.same_leaf[i]);
@@ -102,6 +101,7 @@ TEST(SeedLeafTest, WriteReadRoundTripSingleRecord) {
       MakeDraft(5.0, 99, {}, {{3, 4}, {7, 8}}, {0x123, 0xabc})};
   WriteSeedLeaf(file.MutableData(page), file.page_size(), drafts);
 
+  EXPECT_EQ(static_cast<uint8_t>(file.Data(page)[3]), kSeedLeafFormat);
   const SeedLeafView view = ViewOf(file, page);
   ASSERT_EQ(view.count(), 1u);
   MetadataRecordView record = view.RecordAt(0);
@@ -253,7 +253,9 @@ TEST(SeedLeafTest, CorruptRecordsThrowNamingThePage) {
 
   data[3] = 7;
   expect_throw("unknown leaf format");
-  data[3] = static_cast<char>(LeafFormat::kHinted);
+  data[3] = 0;
+  expect_throw("unhinted leaf format of FLATPGF1/3 files");
+  data[3] = static_cast<char>(kSeedLeafFormat);
   EXPECT_NO_THROW((void)ViewOf(file, page).RecordAt(1));
 }
 

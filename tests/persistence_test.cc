@@ -11,7 +11,6 @@
 #include "core/flat_index.h"
 #include "data/neuron_generator.h"
 #include "rtree/bulkload.h"
-#include "rtree/node.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_page_file.h"
 #include "tests/test_util.h"
@@ -21,11 +20,11 @@ namespace {
 
 using testing::ScopedPageFileOnDisk;
 
-// Hand-crafts a FLATPGF1 byte stream: magic | u32 page_size | u32 page_count
+// Hand-crafts a FLATPGF4 byte stream: magic | u32 page_size | u32 page_count
 // | body (caller supplies category table + page data, possibly malformed).
 std::string RawPageFileBytes(uint32_t page_size, uint32_t page_count,
                              const std::string& body) {
-  std::string bytes = "FLATPGF1";
+  std::string bytes = "FLATPGF4";
   const auto put_u32 = [&bytes](uint32_t value) {
     char buf[sizeof(value)];
     std::memcpy(buf, &value, sizeof(value));
@@ -223,7 +222,8 @@ TEST(PersistenceTest, DescriptorIsTrivialToStoreExternally) {
   PageFile file;
   FlatIndex index = FlatIndex::Build(&file, entries);
   FlatIndex::Descriptor d = index.descriptor();
-  FlatIndex::Descriptor copy{d.seed_root, d.root_is_leaf, d.seed_height};
+  FlatIndex::Descriptor copy{d.seed_root, d.root_is_leaf, d.seed_height,
+                             d.directory_root};
   FlatIndex reopened = FlatIndex::Attach(&file, copy);
   IoStats stats;
   BufferPool pool(&file, &stats);
@@ -236,8 +236,9 @@ TEST(PersistenceTest, DescriptorIsTrivialToStoreExternally) {
 // seed pages whose seed leaves store the stretched partition MBR and
 // Algorithm 1's stretched-MBR neighbor relation (FLATPGF1), and exact seed
 // pages written before the tile directory existed (FLATPGF3, tile boxes and
-// the tile-adjacency relation, no directory pages). Both must still load and
-// answer exactly, seeding through the seed tree.
+// the tile-adjacency relation, no directory pages). Their leaves hold
+// unhinted records and their index has no directory, which no query path
+// reads any more, so DiskPageFile::Open rejects both at the magic.
 struct LegacyFile {
   const char* name;
   const char* magic;
@@ -246,11 +247,9 @@ constexpr LegacyFile kLegacyFiles[] = {
     {"flatpgf1_exact.pgf", "FLATPGF1"},
     {"flatpgf3_exact.pgf", "FLATPGF3"},
 };
-// The same 600 boxes with the retired compressed seed pages (FLATPGF2): no
-// reader decodes them, so DiskPageFile::Open rejects the file at its magic.
+// The same 600 boxes with the retired compressed seed pages (FLATPGF2),
+// rejected at its magic too.
 constexpr LegacyFile kRetiredV2File = {"flatpgf2_compressed.pgf", "FLATPGF2"};
-// The descriptor the files were built with (root = last page).
-constexpr FlatIndex::Descriptor kLegacyDescriptor{40, false, 2};
 
 std::string LegacyPath(const LegacyFile& legacy) {
   return std::string(FLAT_TEST_DATA_DIR) + "/" + legacy.name;
@@ -261,56 +260,16 @@ std::string ReadBytes(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-// The oracle's element set: every entry on the file's object pages.
-std::vector<RTreeEntry> StoredElements(const PageStore& store) {
-  std::vector<RTreeEntry> elements;
-  for (PageId id = 0; id < store.page_count(); ++id) {
-    if (store.category(id) != PageCategory::kObject) continue;
-    const NodeView page(store.Data(id));
-    for (uint16_t i = 0; i < page.count(); ++i) {
-      elements.push_back(page.EntryAt(i));
-    }
-  }
-  return elements;
-}
-
-// The names predate the v2 retirement and the single reader: v1 and v3
-// files load here, and the v2 file is rejected in
-// UnknownVersionIsRejectedByBothLoaders.
-TEST(PersistenceTest, LegacyV1AndV2FilesLoadAndAnswerExactly) {
+// Each legacy file is rejected as it is, and would open with the current
+// magic: the magic alone keeps its unhinted leaves from being read.
+TEST(PersistenceTest, LegacyV1AndV3FilesAreRejected) {
   for (const LegacyFile& legacy : kLegacyFiles) {
     SCOPED_TRACE(legacy.name);
-    ASSERT_EQ(ReadBytes(LegacyPath(legacy)).substr(0, 8), legacy.magic);
-    const std::unique_ptr<DiskPageFile> store =
-        DiskPageFile::Open(LegacyPath(legacy));
-    const std::vector<RTreeEntry> elements = StoredElements(*store);
-    ASSERT_EQ(elements.size(), 600u);
-
-    const FlatIndex index = FlatIndex::Attach(store.get(), kLegacyDescriptor);
-    IoStats stats;
-    BufferPool pool(store.get(), &stats);
-    for (const Aabb& q : testing::RandomQueries(40, 316)) {
-      const std::vector<uint64_t> oracle = testing::BruteForce(elements, q);
-      std::vector<uint64_t> got;
-      index.RangeQuery(&pool, q, &got);
-      EXPECT_EQ(testing::Sorted(got), oracle);
-      EXPECT_EQ(index.RangeCount(&pool, q), oracle.size());
-      // Every legal start, not just the one the seed phase picks.
-      for (const RecordRef& start : index.FindAllCandidateRecords(q)) {
-        got.clear();
-        index.Crawl(&pool, q, start, &got);
-        EXPECT_EQ(testing::Sorted(got), oracle);
-      }
-      const Vec3 center = q.Center();
-      const double radius = 0.5 * q.Extents().x;
-      std::vector<uint64_t> want;
-      for (const RTreeEntry& e : elements) {
-        if (e.box.IntersectsSphere(center, radius)) want.push_back(e.id);
-      }
-      got.clear();
-      index.SphereQuery(&pool, center, radius, &got);
-      EXPECT_EQ(testing::Sorted(got), testing::Sorted(want));
-    }
+    std::string bytes = ReadBytes(LegacyPath(legacy));
+    ASSERT_EQ(bytes.substr(0, 8), legacy.magic);
+    EXPECT_EQ(OpenError(bytes), kBadMagic);
+    bytes[7] = '4';
+    EXPECT_EQ(OpenError(bytes), "");
   }
 }
 

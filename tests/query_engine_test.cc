@@ -95,21 +95,6 @@ TEST_F(QueryEngineTest, RangeBatchMatchesSerialAcrossThreadCounts) {
   }
 }
 
-TEST_F(QueryEngineTest, BothCrawlGuardModes) {
-  for (FlatIndex::CrawlGuard guard :
-       {FlatIndex::CrawlGuard::kPartitionMbr,
-        FlatIndex::CrawlGuard::kPageMbr}) {
-    std::vector<Query> batch;
-    for (const Aabb& box : RandomQueries(48, /*seed=*/11)) {
-      batch.push_back(Query::Range(box, guard));
-    }
-    for (size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(threads);
-      ExpectMatchesSerial(batch, threads);
-    }
-  }
-}
-
 TEST_F(QueryEngineTest, RangeResultsAreCorrectNotJustConsistent) {
   std::vector<Aabb> boxes = RandomQueries(32, /*seed=*/17);
   std::vector<Query> batch;

@@ -1,20 +1,19 @@
-// Pins what every seed phase and every walk of FLAT's seed tree reads and
-// returns. Seed, RangeQuery, SphereQuery and KnnQuery through the seed
+// Pins what the seed phase and every walk of FLAT's seed tree read and
+// return. Seed, RangeQuery, SphereQuery and KnnQuery through the seed
 // phase, RangeCount and RangeQueryViaSeedScan with and without aggregates,
 // and FindAllCandidateRecords run one fixed query set on cold caches at
 // 512 B and 4 KiB pages. Their summed
 // per-category page reads and result sizes must equal the numbers below,
-// recorded on hinted (v4) seed leaves: a change to the walk's descent
-// order, its gating or a stop condition, to the crawl's neighbor pushes or
-// to the leaf packing fails here.
-// Only the 512 B index (seed height 4) is tall enough for a tile
-// directory; its seed phase locates the start record there instead of
-// walking the tree, so its seed, range, sphere, kNN and plain-count rows
-// count directory reads. count_agg is the planned aggregated count: on the
-// 512 B index, boxes below the plan rule's volume crawl from the directory
-// and the rest descend; on the 4 KiB index (no directory) every box
-// descends. Both plans skip the object page of a record whose elements all
-// meet the box. Re-record them only for a change that means to move reads.
+// recorded on hinted (v4) seed leaves: a change to the directory lookup,
+// to the walk's descent order, its gating or a stop condition, to the
+// crawl's neighbor pushes or to the leaf packing fails here.
+// Both indexes (seed height 4 at 512 B, 2 at 4 KiB) seed through their
+// tile directory, so the seed, range, sphere, kNN and plain-count rows
+// count directory reads and no seed-tree page. count_agg is the planned
+// aggregated count: boxes below the plan rule's volume crawl from the
+// directory and the rest descend the seed tree. Both plans skip the object
+// page of a record whose elements all meet the box. Re-record them only
+// for a change that means to move reads.
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -70,13 +69,13 @@ void PrintTo(const Pinned& p, std::ostream* os) {
 constexpr Pinned kPinned[] = {
     {512, 4,
      {71, 0, 0, 25}, 4527751206,
-     {71, 975, 2660, 20769}, {40, 122, 142, 246}, {33, 377, 569, 444},
+     {71, 975, 2660, 20769}, {40, 122, 142, 246}, {33, 334, 584, 444},
      {71, 975, 2660, 20769}, {142, 366, 367, 20769},
      {486, 1037, 2660, 20769}, {486, 1037, 2660, 20769}, 2660},
     {4096, 2,
-     {26, 53, 36, 22}, 428867949,
-     {26, 80, 407, 20769}, {16, 35, 55, 246}, {12, 49, 123, 444},
-     {26, 80, 407, 20769}, {26, 86, 180, 20769},
+     {26, 0, 0, 25}, 488505769,
+     {26, 54, 407, 20769}, {16, 24, 55, 246}, {12, 36, 123, 444},
+     {26, 54, 407, 20769}, {26, 54, 180, 20769},
      {26, 86, 407, 20769}, {26, 86, 407, 20769}, 407},
 };
 // clang-format on

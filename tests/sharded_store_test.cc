@@ -445,24 +445,30 @@ TEST(ShardedStoreTest, StaleGenerationsAreRejected) {
   std::filesystem::remove_all(dir);
 }
 
-// Pre-overlay stores (FLATSHC1 catalogs, no WAL, no sidecar) keep loading:
-// they come up as generation 0 with an empty overlay.
-TEST(ShardedStoreTest, LegacyDirectoryWithoutWalLoads) {
+// A store directory without its overlay WAL does not load: the saved
+// overlay window would be lost, and the store would answer as if it were
+// empty. (FLATSHC1 catalogs, the only ones saved without a WAL, are
+// rejected at their magic.)
+TEST(ShardedStoreTest, DirectoryWithoutWalIsRejected) {
   const std::vector<RTreeEntry> entries = RandomEntries(1500, /*seed=*/57);
   ShardedFlatStore store = ShardedFlatStore::Build(entries, {.num_shards = 2});
+  store.Insert(RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), 1'000'000});
+  store.Erase(entries.front().id);
+  ASSERT_EQ(store.overlay_op_count(), 2u);
 
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "flat_sharded_store_legacy";
+      std::filesystem::temp_directory_path() / "flat_sharded_store_no_wal";
   std::filesystem::remove_all(dir);
   store.Save(dir.string());
-  // Simulate a pre-overlay directory by dropping the new artifacts.
+  EXPECT_EQ(ShardedFlatStore::Load(dir.string()).overlay_op_count(), 2u);
   std::filesystem::remove(dir / "overlay.flatwal");
-  std::filesystem::remove(dir / "generation.flatgen");
-
-  ShardedFlatStore loaded = ShardedFlatStore::Load(dir.string());
-  EXPECT_EQ(loaded.overlay_op_count(), 0u);
-  for (const Aabb& query : RandomQueries(10, /*seed=*/58)) {
-    EXPECT_EQ(loaded.RangeQuery(query), store.RangeQuery(query));
+  try {
+    ShardedFlatStore::Load(dir.string());
+    ADD_FAILURE() << "a directory without its WAL must not load";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("overlay.flatwal"),
+              std::string::npos)
+        << "actual message: " << error.what();
   }
   std::filesystem::remove_all(dir);
 }

@@ -1,9 +1,11 @@
 // The tile directory (core/tile_directory.h): point location over the STR
-// tiles, FLAT's seed phase on indexes tall enough to carry one. Pins that a
-// lookup lands in a stored tile holding the point, that crawls seeded from
-// it stay exact on realistic and degenerate data at every page size, that
-// Seed + Crawl reads exactly what RangeQuery reads, and that a store keeps
-// its directories through Save and Load but rejects a hostile catalog root.
+// tiles, FLAT's one seed phase. Pins that every non-empty build writes one,
+// that a lookup lands in a stored tile holding the point, that crawls
+// seeded from it stay exact on realistic and degenerate data at every page
+// size, that Seed + Crawl reads exactly what RangeQuery reads, that a group
+// outgrowing a page fails the build, and that a store keeps its directories
+// through Save and Load but rejects a hostile catalog root and a descriptor
+// without one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -21,6 +24,7 @@
 
 #include "core/flat_index.h"
 #include "core/metadata.h"
+#include "core/tile_directory.h"
 #include "data/neuron_generator.h"
 #include "shard/shard_catalog.h"
 #include "shard/sharded_flat_store.h"
@@ -77,8 +81,8 @@ std::vector<RTreeEntry> EmptyAndNan(size_t count) {
 }
 
 // Element counts per page size (512 B, 1 KiB, 4 KiB) that make the seed
-// tree tall enough for a directory; all-identical boxes link every record
-// to every other, which caps how many records fit on a seed leaf.
+// tree three or more levels tall; all-identical boxes link every record to
+// every other, which caps how many records fit on a seed leaf.
 struct DataSet {
   const char* name;
   std::vector<RTreeEntry> (*make)(size_t count);
@@ -104,8 +108,8 @@ class TileDirectoryTest : public ::testing::TestWithParam<Param> {
     elements_ = data.make(data.counts[size_index]);
     file_ = std::make_unique<PageFile>(kPageSizes[size_index]);
     index_ = FlatIndex::Build(file_.get(), elements_);
-    ASSERT_TRUE(index_.has_directory()) << "seed height "
-                                        << index_.seed_height();
+    ASSERT_GE(index_.seed_height(), 3);
+    ASSERT_NE(index_.descriptor().directory_root, kInvalidPageId);
   }
 
   std::vector<RTreeEntry> elements_;
@@ -251,14 +255,15 @@ TEST_P(TileDirectoryTest, DirectorySeededCrawlsMatchBruteForce) {
     index_.RangeQuery(&range_pool, box, &got);
     ASSERT_EQ(Sorted(got), oracle);
 
-    // The seed phase reads only directory pages, never more than the seed
-    // tree has internal levels, and the crawl from its start reads exactly
-    // what RangeQuery reads on top.
+    // The seed phase reads only directory pages, at most three and, on
+    // these tall trees, no more than the seed tree has internal levels, and
+    // the crawl from its start reads exactly what RangeQuery reads on top.
     IoStats split_io;
     BufferPool split_pool(file_.get(), &split_io);
     const std::optional<RecordRef> start = index_.Seed(&split_pool, box);
     EXPECT_EQ(split_io.TotalReads(),
               split_io.ReadsIn(PageCategory::kSeedInternal));
+    EXPECT_LE(split_io.TotalReads(), 3u);
     EXPECT_LE(split_io.TotalReads(),
               static_cast<uint64_t>(index_.seed_height() - 1));
     std::vector<uint64_t> crawled;
@@ -308,47 +313,132 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<size_t>(0, std::size(kPageSizes))),
     ParamName);
 
-// The directory replaces the seed walk only where a lookup reads no more
-// pages than the walk's internal levels: short trees keep the tree seed,
-// and so does an index attached without the directory root.
-TEST(TileDirectoryDepthTest, OnlyTallEnoughTreesGetADirectory) {
-  const std::vector<RTreeEntry> elements = Uniform(20000);
+// Every build that holds an element writes a directory, whatever the
+// height of its seed tree: one leaf, two levels, taller, and elements whose
+// tiles are all empty (all-NaN boxes), which get a one-page directory with
+// empty bounds. Crawls seeded from it match brute force, and a lookup reads
+// at most three directory pages, one when the directory has one page.
+TEST(TileDirectoryBuildTest, EveryNonEmptyBuildHasADirectory) {
+  // Empty boxes and boxes with every coordinate NaN: NaN centers only.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<RTreeEntry> all_nan;
+  for (uint64_t i = 0; i < 300; ++i) {
+    all_nan.push_back(RTreeEntry{
+        i % 2 == 0 ? Aabb() : Aabb(Vec3(kNan, kNan, kNan), Vec3(kNan, kNan, kNan)),
+        i});
+  }
   struct Case {
+    const char* name;
     uint32_t page_size;
-    bool directory;
+    std::vector<RTreeEntry> elements;
+    int seed_height;
   };
-  for (const Case c : {Case{512, true}, Case{4096, false}}) {
-    SCOPED_TRACE(std::to_string(c.page_size) + " B");
+  const Case cases[] = {
+      {"one leaf", 512, Uniform(12), 1},
+      {"one leaf", 4096, Uniform(500), 1},
+      {"height 2", 512, Uniform(150), 2},
+      {"height 2", 4096, Uniform(20000), 2},
+      {"tall", 512, Uniform(5000), 4},
+      {"tall", 4096, Uniform(200000), 3},
+      {"all NaN", 512, all_nan, 0},
+      {"all NaN", 4096, all_nan, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(c.page_size) +
+                 " B");
     PageFile file(c.page_size);
     FlatIndex::BuildStats stats;
-    const FlatIndex index = FlatIndex::Build(&file, elements, &stats);
-    EXPECT_EQ(index.has_directory(), c.directory);
-    EXPECT_EQ(stats.directory_pages > 0, c.directory);
+    const FlatIndex index = FlatIndex::Build(&file, c.elements, &stats);
+    if (c.seed_height > 0) EXPECT_EQ(index.seed_height(), c.seed_height);
+    EXPECT_NE(index.descriptor().directory_root, kInvalidPageId);
+    EXPECT_GT(stats.directory_pages, 0u);
     EXPECT_EQ(stats.seed_internal_pages,
               file.PageCountIn(PageCategory::kSeedInternal));
+    std::vector<Aabb> queries = testing::RandomQueries(20, 507);
+    queries.push_back(BoundsOf(c.elements).Inflated(1.0));
+    for (const Aabb& q : queries) {
+      IoStats io;
+      BufferPool pool(&file, &io);
+      const std::optional<RecordRef> start = index.Seed(&pool, q);
+      EXPECT_EQ(io.TotalReads(), io.ReadsIn(PageCategory::kSeedInternal));
+      EXPECT_LE(io.TotalReads(), std::min<uint64_t>(3, stats.directory_pages));
+      if (stats.directory_pages == 1 && !q.IsEmpty()) {
+        EXPECT_EQ(io.TotalReads(), 1u);
+      }
+      std::vector<uint64_t> got;
+      index.RangeQuery(&pool, q, &got);
+      EXPECT_EQ(Sorted(got), BruteForce(c.elements, q));
+      if (c.seed_height == 0) EXPECT_FALSE(start.has_value());
+    }
   }
+}
 
-  PageFile file(512);
-  const FlatIndex index = FlatIndex::Build(&file, elements);
-  ASSERT_TRUE(index.has_directory());
+// A directory group holds at most one page of slots, its header slot
+// included. A run of more pages than that, or more slabs, fails the build,
+// which then writes no directory page; one member fewer fits.
+TEST(TileDirectoryBuildTest, GroupOutgrowingAPageThrows) {
+  constexpr uint32_t kPageSize = 512;
+  // (512 - 32-byte header) / 8-byte slots, one of them the group header.
+  constexpr uint32_t kSlotsPerPage = 60;
+  const auto partitions_of = [](uint32_t count, bool one_run) {
+    std::vector<PartitionInfo> partitions(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      const double x = one_run ? 0.0 : i;
+      const double z = one_run ? i : 0.0;
+      partitions[i].tile = Aabb(Vec3(x, 0, z), Vec3(x + 1, 1, z + 1));
+      partitions[i].slab = one_run ? 0 : i;
+      partitions[i].run = one_run ? 0 : i;
+    }
+    return partitions;
+  };
+  for (const bool one_run : {true, false}) {
+    SCOPED_TRACE(one_run ? "pages of one run" : "slabs");
+    for (const uint32_t count : {kSlotsPerPage - 1, kSlotsPerPage}) {
+      SCOPED_TRACE(std::to_string(count) + " members");
+      const std::vector<PartitionInfo> partitions =
+          partitions_of(count, one_run);
+      std::vector<RecordRef> refs(count);
+      for (uint32_t i = 0; i < count; ++i) {
+        refs[i] = RecordRef{0, static_cast<uint16_t>(i)};
+      }
+      PageFile file(kPageSize);
+      if (count == kSlotsPerPage) {
+        EXPECT_THROW(WriteTileDirectory(&file, partitions, refs),
+                     std::runtime_error);
+        EXPECT_EQ(file.page_count(), 0u);
+        continue;
+      }
+      const PageId root = WriteTileDirectory(&file, partitions, refs);
+      EXPECT_EQ(root, 0u);
+      IoStats io;
+      BufferPool pool(&file, &io);
+      for (uint32_t i = 0; i < count; ++i) {
+        const Aabb center = Aabb::FromPoint(partitions[i].tile.Center());
+        const std::optional<RecordRef> found =
+            LocateTile(&pool, file, root, center);
+        ASSERT_TRUE(found.has_value());
+        EXPECT_EQ(*found, refs[i]);
+      }
+    }
+  }
+}
+
+// A non-empty descriptor without a directory root is what an index saved
+// before every index had a directory looks like: Attach refuses it. An
+// empty index needs none.
+TEST(TileDirectoryBuildTest, AttachRejectsDescriptorWithoutDirectoryRoot) {
+  PageFile file(4096);
+  const FlatIndex index = FlatIndex::Build(&file, Uniform(2000));
   FlatIndex::Descriptor tree_only = index.descriptor();
   tree_only.directory_root = kInvalidPageId;
-  const FlatIndex walker = FlatIndex::Attach(&file, tree_only);
-  EXPECT_FALSE(walker.has_directory());
-  for (const Aabb& q : testing::RandomQueries(20, 507)) {
-    IoStats io;
-    BufferPool pool(&file, &io);
-    std::vector<uint64_t> got;
-    walker.RangeQuery(&pool, q, &got);
-    EXPECT_EQ(Sorted(got), BruteForce(elements, q));
-  }
+  EXPECT_THROW(FlatIndex::Attach(&file, tree_only), std::runtime_error);
+  EXPECT_TRUE(FlatIndex::Attach(&file, FlatIndex::Descriptor{}).empty());
 }
 
 // Corrupt directory bytes give a typed error, never an out-of-bounds read.
 TEST(TileDirectoryCorruptionTest, MalformedPagesThrow) {
   PageFile file(512);
   const FlatIndex index = FlatIndex::Build(&file, Uniform(5000));
-  ASSERT_TRUE(index.has_directory());
   char* root = file.MutableData(index.descriptor().directory_root);
   const Aabb query(Vec3(0, 0, 0), Vec3(1, 1, 1));  // in the first slab
   // Byte offsets in the root page (docs/file_format.md §3.1): the format
@@ -397,7 +487,9 @@ class TileDirectoryStoreTest : public ::testing::Test {
     store_ = ShardedFlatStore::Build(
         elements_, {.num_shards = 2, .num_threads = 2, .page_size = 512});
     for (size_t s = 0; s < store_.shard_count(); ++s) {
-      ASSERT_TRUE(store_.shard_index(s).has_directory()) << "shard " << s;
+      ASSERT_NE(store_.shard_index(s).descriptor().directory_root,
+                kInvalidPageId)
+          << "shard " << s;
     }
     // ctest runs each test in its own process, in parallel.
     dir_ = std::filesystem::temp_directory_path() /
@@ -434,10 +526,11 @@ TEST_F(TileDirectoryStoreTest, SaveLoadKeepsIdsAndIoStats) {
   }
 }
 
-// A store saved before the directory existed has a FLATSHC2 catalog: the
-// v3 layout without each entry's u32 directory root (docs/file_format.md
-// §4). Its shards load without a directory and seed through the tree.
-TEST_F(TileDirectoryStoreTest, PreDirectoryCatalogSeedsThroughTheTree) {
+// A store saved before every index had a directory cannot load. Its
+// catalog is FLATSHC2 (the v3 layout without each entry's u32 directory
+// root, docs/file_format.md §4), rejected at the magic, or FLATSHC3 with a
+// short shard's directory root left out, rejected naming the shard file.
+TEST_F(TileDirectoryStoreTest, PreDirectoryCatalogIsRejected) {
   const std::filesystem::path catalog_path = dir_ / "catalog.flatshard";
   std::string bytes;
   {
@@ -457,22 +550,32 @@ TEST_F(TileDirectoryStoreTest, PreDirectoryCatalogSeedsThroughTheTree) {
     at += 48 + 48 + 8;
   }
   ASSERT_EQ(at, bytes.size());
+  const auto load_error = [&](const std::string& catalog) {
+    {
+      std::ofstream out(catalog_path, std::ios::binary | std::ios::trunc);
+      out << catalog;
+    }
+    try {
+      ShardedFlatStore::Load(dir_.string(), 1);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("loaded");
+  };
+  EXPECT_NE(load_error(v2).find("bad magic"), std::string::npos);
+
+  ShardCatalog catalog;
   {
-    std::ofstream out(catalog_path, std::ios::binary | std::ios::trunc);
-    out << v2;
+    std::istringstream in(bytes);
+    catalog = LoadShardCatalog(in);
   }
-  const ShardedFlatStore loaded = ShardedFlatStore::Load(dir_.string(), 2);
-  for (size_t s = 0; s < loaded.shard_count(); ++s) {
-    EXPECT_FALSE(loaded.shard_index(s).has_directory()) << "shard " << s;
-  }
-  const std::vector<Query> batch = StoreQueries(509);
-  const std::vector<QueryResult> want = store_.RunBatch(batch);
-  const std::vector<QueryResult> got = loaded.RunBatch(batch);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].ids, want[i].ids) << "query " << i;
-    EXPECT_EQ(got[i].count, want[i].count) << "query " << i;
-  }
+  catalog.shards[1].descriptor.directory_root = kInvalidPageId;
+  std::ostringstream short_shard;
+  SaveShardCatalog(catalog, short_shard);
+  const std::string error = load_error(short_shard.str());
+  EXPECT_NE(error.find("no tile directory root"), std::string::npos) << error;
+  EXPECT_NE(error.find(catalog.shards[1].page_file_name), std::string::npos)
+      << error;
 }
 
 TEST_F(TileDirectoryStoreTest, HostileCatalogDirectoryRootThrowsAtLoad) {
