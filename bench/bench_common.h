@@ -24,7 +24,7 @@ inline void PrintTotalReads(const std::vector<DensityPoint>& points,
                             const BenchFlags& flags) {
   // The paper's headline ratio compares FLAT against the PR-Tree, "the best
   // R-Tree" in its experiments (our Hilbert baseline is stronger than the
-  // paper's — see EXPERIMENTS.md).
+  // paper's — see docs/benchmarks.md, "Deviations from the paper").
   Table table({"elements", "FLAT", "PR-Tree", "STR", "Hilbert", "PR/FLAT",
                "STR/FLAT"});
   for (const DensityPoint& p : points) {

@@ -253,9 +253,13 @@ int main(int argc, char** argv) {
         }
       }
     }
+    // FailRead stores one spec per failing attempt, so "every attempt" is a
+    // count above what the pass can make: each query tries a page at most
+    // 1 + max_read_retries times.
     FaultSchedule schedule;
     if (failing != kInvalidPageId) {
-      schedule.FailRead(failing, /*times=*/1u << 30);
+      schedule.FailRead(failing, /*times=*/static_cast<uint32_t>(
+                                     3 * batch.size() + 1));
     }
     const auto disk = open_under(schedule, /*max_read_retries=*/2);
     FlatIndex reopened = FlatIndex::Attach(disk.get(), index.descriptor());

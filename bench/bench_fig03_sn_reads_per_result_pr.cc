@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::cout
       << "\nReproduction check: the PR-Tree pays a substantial multiple of "
          "one page read per\nresult element at every density, and its total "
-         "reads grow with density.\nKnown deviation (EXPERIMENTS.md): at "
+         "reads grow with density.\nKnown deviation (docs/benchmarks.md): at "
          "1/1000 scale the per-result cost falls as the\nfixed traversal "
          "floor amortizes, while the paper's full-scale trees (two levels\n"
          "taller, overlap compounding across levels) show it rising "

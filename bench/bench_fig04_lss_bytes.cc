@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   std::cout << "\nReproduction check: every R-Tree retrieves a substantial "
                "multiple (>3x) of the\nresult size at every density, with "
                "Hilbert < STR < PR as in the paper's Figure 4.\nKnown "
-               "deviation (EXPERIMENTS.md): the multiple eases with density "
+               "deviation (docs/benchmarks.md): the multiple eases with density "
                "at 1/1000 scale\ninstead of rising 3 -> 4, because the "
                "fixed traversal floor amortizes faster\nthan overlap "
                "compounds in our two-levels-shorter trees.\n";

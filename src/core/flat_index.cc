@@ -103,6 +103,102 @@ bool IsSeedNode(const NodeView& node, int want, uint32_t capacity) {
   throw std::runtime_error(what);
 }
 
+// Seed leaves as FillSeedLeaves fills them: each leaf's records (partition
+// indices) by slot, each record's address (its page is the leaf's index
+// until Build allocates the leaves), and each record's same-leaf neighbor
+// count.
+struct SeedLeafFill {
+  std::vector<std::vector<uint32_t>> members;
+  std::vector<RecordRef> refs;
+  std::vector<uint16_t> same_leaf;
+};
+
+// Orders the records by StrOrder over their page MBRs, in 3-D blobs of
+// `records_per_leaf` ("storing the records in the leafs of the seed tree (an
+// R-Tree) ensures that spatially close records are stored on the same leaf
+// page", Section V-B.2), and fills leaves greedily in that order with each
+// record's exact footprint. A pointer between two records on one leaf is a
+// bit of the leaf's same-leaf bitmap, so a record joining a leaf turns its
+// pointers to the members, and theirs back to it (the relation is
+// symmetric), into bits, and every record's bitmap grows to the new count.
+SeedLeafFill FillSeedLeaves(const std::vector<PartitionInfo>& partitions,
+                            uint32_t page_size, uint32_t records_per_leaf,
+                            ThreadPool* pool) {
+  std::vector<RTreeEntry> order(partitions.size());
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    order[i] = RTreeEntry{partitions[i].page_mbr, i};
+  }
+  StrOrder(&order, records_per_leaf, pool);
+
+  SeedLeafFill fill;
+  fill.refs.resize(partitions.size());
+  fill.same_leaf.assign(partitions.size(), 0);
+  // A record's bytes on a leaf, bitmap aside.
+  const auto footprint = [&](uint32_t pi, size_t same) {
+    return RecordFootprint(0, partitions[pi].neighbors.size() - same);
+  };
+  size_t used = 0;  // the current leaf's footprints, bitmaps aside
+  for (const RTreeEntry& rec : order) {
+    const uint32_t pi = static_cast<uint32_t>(rec.id);
+    const PageId leaf = static_cast<PageId>(fill.members.size() - 1);
+    size_t joined = used;
+    uint16_t same = 0;
+    size_t records = 1;
+    if (!fill.members.empty()) {
+      for (uint32_t ni : partitions[pi].neighbors) {
+        if (fill.refs[ni].page != leaf) continue;
+        ++same;
+        joined -= footprint(ni, fill.same_leaf[ni]) -
+                  footprint(ni, fill.same_leaf[ni] + 1);
+      }
+      joined += footprint(pi, same);
+      records = fill.members.back().size() + 1;
+    }
+    if (fill.members.empty() ||
+        kSeedLeafHeaderSize + joined + records * BitmapBytes(records) >
+            page_size) {
+      fill.members.emplace_back();
+      used = footprint(pi, 0);
+    } else {
+      used = joined;
+      fill.same_leaf[pi] = same;
+      for (uint32_t ni : partitions[pi].neighbors) {
+        fill.same_leaf[ni] += fill.refs[ni].page == leaf;
+      }
+    }
+    fill.refs[pi].slot = static_cast<uint16_t>(fill.members.back().size());
+    fill.refs[pi].page = static_cast<PageId>(fill.members.size() - 1);
+    fill.members.back().push_back(pi);
+  }
+  return fill;
+}
+
+// Reads object page `id` for a scan, which gates NodeView::count() entries:
+// throws std::runtime_error naming the page unless it is a kObject page of
+// exact level-0 node format with at most a page's worth of entries.
+const char* ReadObjectPage(PageCache* pool, const PageStore& file,
+                           PageId id) {
+  const char* data = pool->Read(id);
+  const NodeView node(data);
+  const uint32_t capacity = NodeCapacity(file.page_size());
+  if (file.category(id) != PageCategory::kObject ||
+      node.format() != NodeFormat::kExact || node.level() != 0) {
+    throw std::runtime_error(
+        "FlatIndex: page " + std::to_string(id) +
+        " is read as an object page but is not one (category " +
+        std::to_string(static_cast<int>(file.category(id))) + ", format " +
+        std::to_string(static_cast<int>(node.format())) + ", level " +
+        std::to_string(node.level()) + ")");
+  }
+  if (node.count() > capacity) {
+    throw std::runtime_error("FlatIndex: object page " + std::to_string(id) +
+                             " holds " + std::to_string(node.count()) +
+                             " entries; a page holds at most " +
+                             std::to_string(capacity));
+  }
+  return data;
+}
+
 }  // namespace
 
 FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
@@ -157,17 +253,66 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   // every worker writes only its own pages.
   auto t_write = Clock::now();
 
-  // Object pages: one per partition. StrPartition fixes only which
-  // elements share a page; each page stores them sorted on z, the order
-  // the STR sort of its run would give.
-  std::vector<PageId> object_pages(partitions.size());
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    object_pages[i] = file->Allocate(PageCategory::kObject);
-  }
+  // One object page per partition. StrPartition fixes only which elements
+  // share a page; each page stores them sorted on z, the order the STR sort
+  // of its run would give.
   ParallelFor(pool, partitions.size(), /*grain=*/0, [&](size_t, size_t i) {
     const PartitionInfo& p = partitions[i];
     std::sort(elements.begin() + p.first, elements.begin() + p.first + p.count,
               EntryCenterOrder{2});
+  });
+
+  // Records fill seed leaves in STR blob order. A first fill sizes its blobs
+  // as if every pointer crossed leaves (a record alone on a leaf); the final
+  // fill re-runs StrOrder with the first fill's mean records per leaf.
+  uint64_t total_footprint = 0;
+  for (const PartitionInfo& p : partitions) {
+    if (kSeedLeafHeaderSize + RecordFootprint(1, p.neighbors.size()) >
+            file->page_size() ||
+        p.neighbors.size() > UINT16_MAX) {
+      throw std::runtime_error(
+          "FlatIndex::Build: metadata record exceeds page size; increase the "
+          "page size or reduce data-set degeneracy (neighbor fan-out)");
+    }
+    total_footprint += RecordFootprint(0, p.neighbors.size());
+  }
+  const uint32_t est_records_per_leaf = std::max<uint32_t>(
+      1, static_cast<uint32_t>(
+             (file->page_size() - kSeedLeafHeaderSize) /
+             (total_footprint / partitions.size() + 1)));
+  const size_t first_leaves =
+      FillSeedLeaves(partitions, file->page_size(), est_records_per_leaf, pool)
+          .members.size();
+  SeedLeafFill fill = FillSeedLeaves(
+      partitions, file->page_size(),
+      static_cast<uint32_t>((partitions.size() + first_leaves / 2) /
+                            first_leaves),
+      pool);
+  const std::vector<std::vector<uint32_t>>& leaf_members = fill.members;
+  std::vector<RecordRef>& refs = fill.refs;  // page: leaf index
+  const std::vector<uint16_t>& same_leaf = fill.same_leaf;
+  for (const std::vector<uint32_t>& members : leaf_members) {
+    for (const uint32_t pi : members) {
+      stats.metadata_bytes +=
+          RecordFootprint(members.size(),
+                          partitions[pi].neighbors.size() - same_leaf[pi]) -
+          kSlotDirEntrySize;
+    }
+  }
+
+  // Object pages are allocated in leaf order, then slot order, so record s
+  // of a leaf reads the leaf's first object page + s (docs/file_format.md
+  // §3). The pages themselves fill in parallel.
+  std::vector<PageId> object_pages(partitions.size());
+  for (const std::vector<uint32_t>& members : leaf_members) {
+    for (size_t slot = 0; slot < members.size(); ++slot) {
+      object_pages[members[slot]] = file->Allocate(PageCategory::kObject);
+      assert(object_pages[members[slot]] ==
+             object_pages[members.front()] + slot);
+    }
+  }
+  ParallelFor(pool, partitions.size(), /*grain=*/0, [&](size_t, size_t i) {
+    const PartitionInfo& p = partitions[i];
     NodeWriter writer(file->MutableData(object_pages[i]), file->page_size());
     writer.Init(/*level=*/0);
     for (uint32_t j = 0; j < p.count; ++j) {
@@ -175,78 +320,6 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     }
   });
   stats.object_pages = partitions.size();
-
-  // Assign each metadata record to a seed-leaf page. Records are indexed in
-  // the seed tree under their page MBR, and "storing the records in the
-  // leafs of the seed tree (an R-Tree) ensures that spatially close records
-  // are stored on the same leaf page" (Section V-B.2): we therefore re-tile
-  // the records with STR at *leaf granularity* (a 3-D blob of ~a dozen
-  // records per leaf) instead of reusing the 1-D object-page run order —
-  // this is what keeps the crawl's metadata reads local. The blobs are
-  // sized as if every pointer crossed leaves (a record alone on a leaf).
-  uint64_t total_footprint = 0;
-  for (const PartitionInfo& p : partitions) {
-    const size_t footprint = RecordFootprint(0, p.neighbors.size());
-    if (kSeedLeafHeaderSize + footprint > file->page_size() ||
-        p.neighbors.size() > UINT16_MAX) {
-      throw std::runtime_error(
-          "FlatIndex::Build: metadata record exceeds page size; increase the "
-          "page size or reduce data-set degeneracy (neighbor fan-out)");
-    }
-    total_footprint += footprint;
-  }
-  const uint32_t est_records_per_leaf = std::max<uint32_t>(
-      1, static_cast<uint32_t>(
-             (file->page_size() - kSeedLeafHeaderSize) /
-             (total_footprint / partitions.size() + 1)));
-  std::vector<RTreeEntry> record_order(partitions.size());
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    record_order[i] = RTreeEntry{partitions[i].page_mbr, i};
-  }
-  StrOrder(&record_order, est_records_per_leaf, pool);
-
-  // Fill leaves greedily in that order with each record's exact footprint:
-  // a pointer between two records on one leaf is a 2-byte slot, so a record
-  // joining a leaf turns its pointers to the members, and theirs back to it
-  // (the relation is symmetric), into slots.
-  std::vector<std::vector<uint32_t>> leaf_members;
-  std::vector<RecordRef> refs(partitions.size());  // page: leaf index
-  std::vector<uint16_t> same_leaf(partitions.size(), 0);
-  const auto footprint = [&](uint32_t pi, size_t same) {
-    return RecordFootprint(same, partitions[pi].neighbors.size() - same);
-  };
-  size_t used = 0;
-  for (const RTreeEntry& rec : record_order) {
-    const uint32_t pi = static_cast<uint32_t>(rec.id);
-    const PageId leaf = static_cast<PageId>(leaf_members.size() - 1);
-    size_t joined = used;
-    uint16_t same = 0;
-    if (!leaf_members.empty()) {
-      for (uint32_t ni : partitions[pi].neighbors) {
-        if (refs[ni].page != leaf) continue;
-        ++same;
-        joined -= footprint(ni, same_leaf[ni]) -
-                  footprint(ni, same_leaf[ni] + 1);
-      }
-      joined += footprint(pi, same);
-    }
-    if (leaf_members.empty() || joined > file->page_size()) {
-      leaf_members.emplace_back();
-      used = kSeedLeafHeaderSize + footprint(pi, 0);
-    } else {
-      used = joined;
-      same_leaf[pi] = same;
-      for (uint32_t ni : partitions[pi].neighbors) {
-        same_leaf[ni] += refs[ni].page == leaf;
-      }
-    }
-    refs[pi].slot = static_cast<uint16_t>(leaf_members.back().size());
-    refs[pi].page = static_cast<PageId>(leaf_members.size() - 1);
-    leaf_members.back().push_back(pi);
-  }
-  for (uint32_t pi = 0; pi < partitions.size(); ++pi) {
-    stats.metadata_bytes += footprint(pi, same_leaf[pi]) - kSlotDirEntrySize;
-  }
 
   // Allocate leaves, then rewrite the provisional leaf indexes in refs into
   // real PageIds. The packed 4-byte neighbor-pointer format caps leaf page
@@ -271,26 +344,37 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
     ref.page = leaf_ids[ref.page];
   }
 
-  // Serialize the leaves with fully-resolved neighbor pointers; leaves are
-  // disjoint pages, so they serialize in parallel. Hints are computed on the
-  // stored (f32, outward-rounded) boxes the crawl reads back.
+  // Each record's boxes as its leaf stores them: the f32 boxes coded on the
+  // leaf frame's grid, decoded. Hints are encoded on these decoded boxes,
+  // the ones the crawl reads back.
+  std::vector<std::vector<MetadataRecordDraft>> drafts(leaf_members.size());
   std::vector<Aabb> stored_tiles(partitions.size());
   std::vector<Aabb> stored_pages(partitions.size());
-  for (size_t i = 0; i < partitions.size(); ++i) {
-    stored_tiles[i] = PackedAabb::FromAabb(partitions[i].tile).ToAabb();
-    stored_pages[i] = PackedAabb::FromAabb(partitions[i].page_mbr).ToAabb();
-  }
-  std::vector<RTreeEntry> leaf_entries(leaf_members.size());
   ParallelFor(pool, leaf_members.size(), /*grain=*/0, [&](size_t, size_t l) {
-    std::vector<MetadataRecordDraft> drafts;
-    drafts.reserve(leaf_members[l].size());
-    Aabb leaf_bounds;
-    for (uint32_t pi : leaf_members[l]) {
-      const PartitionInfo& p = partitions[pi];
-      MetadataRecordDraft draft;
+    drafts[l].resize(leaf_members[l].size());
+    for (size_t slot = 0; slot < leaf_members[l].size(); ++slot) {
+      const PartitionInfo& p = partitions[leaf_members[l][slot]];
+      MetadataRecordDraft& draft = drafts[l][slot];
       draft.page_mbr = p.page_mbr;
       draft.tile = p.tile;
-      draft.object_page = object_pages[pi];
+      HalfPageBoxes(&elements[p.first], p.count, draft.halves);
+    }
+    const QuantGrid frame(SeedLeafFrame(drafts[l]), kRecordCells);
+    for (const uint32_t pi : leaf_members[l]) {
+      stored_tiles[pi] = StoredRecordBox(frame, partitions[pi].tile);
+      stored_pages[pi] = StoredRecordBox(frame, partitions[pi].page_mbr);
+    }
+  });
+
+  // Serialize the leaves with fully-resolved neighbor pointers; leaves are
+  // disjoint pages, so they serialize in parallel.
+  std::vector<RTreeEntry> leaf_entries(leaf_members.size());
+  ParallelFor(pool, leaf_members.size(), /*grain=*/0, [&](size_t, size_t l) {
+    Aabb leaf_bounds;
+    for (size_t slot = 0; slot < leaf_members[l].size(); ++slot) {
+      const uint32_t pi = leaf_members[l][slot];
+      const PartitionInfo& p = partitions[pi];
+      MetadataRecordDraft& draft = drafts[l][slot];
       const size_t cross = p.neighbors.size() - same_leaf[pi];
       draft.same_leaf.reserve(same_leaf[pi]);
       draft.cross_leaf.reserve(cross);
@@ -305,12 +389,12 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
               grid.Encode(stored_tiles[ni], stored_pages[ni]));
         }
       }
-      drafts.push_back(std::move(draft));
       // The record is indexed in the seed tree under its page MBR key
       // (Section V-B.2).
       leaf_bounds.ExpandToInclude(p.page_mbr);
     }
-    WriteSeedLeaf(file->MutableData(leaf_ids[l]), file->page_size(), drafts);
+    WriteSeedLeaf(file->MutableData(leaf_ids[l]), file->page_size(),
+                  object_pages[leaf_members[l].front()], drafts[l]);
     leaf_entries[l] = RTreeEntry{leaf_bounds, leaf_ids[l]};
   });
   stats.seed_leaf_pages = leaf_members.size();
@@ -450,7 +534,7 @@ void FlatIndex::WalkSeedTree(PageCache* pool, const Aabb& gate,
       const SeedLeafView leaf(data, file_->page_size(), frame.page);
       for (uint16_t slot = 0; slot < leaf.count(); ++slot) {
         const MetadataRecordView record = leaf.RecordAt(slot);
-        if (!record.page_mbr().Intersects(gate)) continue;
+        if (!record.ObjectPageMeets(gate)) continue;
         if constexpr (kWantCovered) {
           if (AllElementsMeet(gate, record) && covered(frame.page, slot)) {
             continue;
@@ -515,14 +599,16 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
     const MetadataRecordView record = leaf.RecordAt(ref.slot);
 
     // "The object page is only read from disk if m's page MBR intersects
-    // with the query."
-    if (record.page_mbr().Intersects(gate_box)) {
+    // with the query", and here also one of its half-page boxes.
+    if (record.ObjectPageMeets(gate_box)) {
       bool answered = false;
       if constexpr (kWantCovered) {
         answered = AllElementsMeet(gate_box, record) &&
                    covered(ref.page, ref.slot);
       }
-      if (!answered) scan(pool->Read(record.object_page()), s);
+      if (!answered) {
+        scan(ReadObjectPage(pool, *file_, record.object_page()), s);
+      }
     }
 
     // The paper follows M's neighbor pointers iff M's stretched partition
@@ -543,9 +629,8 @@ void FlatIndex::CrawlPages(PageCache* pool, const Aabb& gate_box,
         if (s->Insert(neighbor.Key())) s->Push(neighbor);
       };
       // Same-leaf neighbors cost no read: push them all.
-      for (uint32_t i = 0; i < record.same_leaf_count(); ++i) {
-        push(RecordRef{ref.page, record.SameLeafSlotAt(i)});
-      }
+      record.ForEachSameLeafSlot(
+          [&](uint16_t slot) { push(RecordRef{ref.page, slot}); });
       // A cross-leaf pointer's hint holds every point where the neighbor's
       // tile or page meets this record's tile. Every link the crawl needs
       // from a record whose tile meets the query meets the query there, so
@@ -647,7 +732,8 @@ void FlatIndex::RangeCountInto(PageCache* pool, const Aabb& query,
         pool, query, scratch,
         [&](RecordRef, const MetadataRecordView& record, CrawlScratch* s) {
           s->CheckControl();  // each boundary record reads one object page
-          const char* page = pool->Read(record.object_page());
+          const char* page =
+              ReadObjectPage(pool, *file_, record.object_page());
           const uint16_t n = NodeView(page).count();
           uint8_t* hits = s->Hits(n);
           IntersectsBatch(page + kNodeHeaderSize, sizeof(RTreeEntry), n,
@@ -706,12 +792,15 @@ std::vector<uint64_t> FlatIndex::KnnQuery(PageCache* pool, const Vec3& center,
     const MetadataRecordView record =
         SeedLeafView(pool->Read(seed->page), file_->page_size(), seed->page)
             .RecordAt(seed->slot);
-    const Aabb page_mbr = record.page_mbr();
-    const NodeView elements(pool->Read(record.object_page()));
-    for (uint16_t i = 0; i < elements.count(); ++i) {
-      if (elements.BoxAt(i).Contains(center)) {
-        radius = 0.5 * page_mbr.Extents().Norm() + 1e-12;
-        break;
+    // No element holds the center unless a half-page box does.
+    if (record.ObjectPageMeets(Aabb::FromPoint(center))) {
+      const NodeView elements(
+          ReadObjectPage(pool, *file_, record.object_page()));
+      for (uint16_t i = 0; i < elements.count(); ++i) {
+        if (elements.BoxAt(i).Contains(center)) {
+          radius = 0.5 * record.page_mbr().Extents().Norm() + 1e-12;
+          break;
+        }
       }
     }
   }
@@ -810,7 +899,7 @@ void FlatIndex::RangeQueryViaSeedScan(PageCache* pool, const Aabb& query,
       pool, query, scratch,
       [&](RecordRef, const MetadataRecordView& record, CrawlScratch* s) {
         s->CheckControl();  // each candidate record reads one object page
-        const char* page = pool->Read(record.object_page());
+        const char* page = ReadObjectPage(pool, *file_, record.object_page());
         NodeView elements(page);
         const uint16_t n = elements.count();
         if (aggregates_ != nullptr && AllElementsMeet(query, record)) {

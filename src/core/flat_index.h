@@ -249,9 +249,11 @@ class FlatIndex {
                    RecordRef start, std::vector<uint64_t>* out,
                    CrawlScratch* scratch = nullptr) const;
 
-  /// All record addresses whose page MBR intersects `query`, in seed-walk
-  /// order; test hook for the seed-independence property and the start of
-  /// the kPageMbr ablation crawl (walks through an uncharged pool).
+  /// All record addresses whose object page passes `query`'s gate (its
+  /// page MBR and a half-page box meet it, MetadataRecordView::
+  /// ObjectPageMeets), in seed-walk order; test hook for the seed-
+  /// independence property and the start of the kPageMbr ablation crawl
+  /// (walks through an uncharged pool).
   std::vector<RecordRef> FindAllCandidateRecords(const Aabb& query) const;
 
   /// Ablation baseline ("why crawl?"): answers the range query by a plain
@@ -309,8 +311,8 @@ class FlatIndex {
   // The one walk of the seed tree, behind RangeCount's descent,
   // RangeQueryViaSeedScan and FindAllCandidateRecords: depth first,
   // children first to last, each internal page gated once against `gate`.
-  // Calls visit(ref, record, scratch) for every record whose page MBR meets
-  // `gate`. A `covered` callback (aggregated indexes only) adds the
+  // Calls visit(ref, record, scratch) for every record whose object page
+  // passes `gate` (ObjectPageMeets). A `covered` callback (aggregated indexes only) adds the
   // containment mask: each child whose box `gate` contains, and each
   // record whose elements all meet `gate` (AllElementsMeet in
   // flat_index.cc), goes to covered(page, slot) first, and true means
@@ -325,8 +327,8 @@ class FlatIndex {
                     const Covered& covered = nullptr) const;
 
   // Generalized crawl (Algorithm 2): BFS over neighbor pointers, calling
-  // scan(page_data, scratch) for every object page whose page MBR passes the
-  // query gate. A record whose tile meets the gate skips the cross-leaf
+  // scan(page_data, scratch) for every object page whose page MBR and one of
+  // whose half-page boxes meet the query gate (ObjectPageMeets). A record whose tile meets the gate skips the cross-leaf
   // pointers whose hints miss it. A `covered` callback (aggregated indexes
   // only) is asked first, as in WalkSeedTree, for each such record whose
   // elements all meet the gate; true means answered, and its object page is

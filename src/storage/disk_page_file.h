@@ -16,7 +16,7 @@ namespace flat {
 class FaultSchedule;
 
 /// A real persistent PageStore: serves `Data(id)` straight from a page file
-/// written by SavePageFile (`FLATPGF4`, the version IsReadablePageFileMagic
+/// written by SavePageFile (`FLATPGF5`, the version IsReadablePageFileMagic
 /// accepts), opened read-only for query execution.
 ///
 /// This is the backend that makes the paper's central claim measurable:

@@ -13,12 +13,14 @@ namespace {
 // unstretched tile and the tile-adjacency neighbor relation
 // (core/partitioner.h). Version 4: seed leaves carry a format byte and
 // hinted records (same-leaf slots, cross-leaf refs with hints,
-// core/metadata.h), and every index has a tile directory. The container
-// layout is the same for all four. Every save writes v4, and v4 is the one
-// version the reader accepts: v1 and v3 leaves hold unhinted records and
-// their short indexes no directory, which no query path reads any more.
+// core/metadata.h), and every index has a tile directory. Version 5: seed-
+// leaf records store their boxes on a per-leaf 16-bit grid, two half-page
+// boxes and a same-leaf bitmap, and imply their object page (leaf format
+// 5). The container layout is the same for all five. Every save writes v5,
+// and v5 is the one version the reader accepts: v1, v3 and v4 leaves hold
+// records no query path decodes any more.
 constexpr char kMagic[kPageFileMagicSize] = {'F', 'L', 'A', 'T',
-                                             'P', 'G', 'F', '4'};
+                                             'P', 'G', 'F', '5'};
 
 void WriteU32(std::ostream& out, uint32_t value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));

@@ -586,14 +586,15 @@ TEST(ShardedFailSoftTest, LoadedStoreSurvivesInjectedShardFaults) {
   std::filesystem::remove_all(dir, ec);
 }
 
-// A corrupt page pointer in a loaded shard file — a seed-leaf record's
-// object page, or the page bits of its first cross-leaf ref, aimed past the
-// end of the file — must come back as the query's kIoError naming the page,
-// with a partial result that is a subset of the clean answer. Neither the
-// category table nor the page mapping may be indexed with it. So must a
-// corrupt record: its neighbor counts grown past the page, or its first
-// same-leaf slot aimed past its leaf's records; the error then names the
-// leaf.
+// A corrupt page pointer in a loaded shard file — a seed leaf's first
+// object page, or the page bits of a record's first cross-leaf ref, aimed
+// past the end of the file — must come back as the query's kIoError naming
+// the page, with a partial result that is a subset of the clean answer.
+// Neither the category table nor the page mapping may be indexed with it.
+// So must a corrupt record: its cross-leaf count grown past the page, or a
+// same-leaf bitmap bit set past its leaf's records; the error then names
+// the leaf. And so must an object page whose entry count exceeds a page's
+// capacity; the error names that page.
 TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
   ShardedFlatStore::Options options;
   options.num_shards = 1;
@@ -602,46 +603,61 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
   const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
   const std::vector<uint64_t> clean = built.RangeQuery(universe);
 
-  // The first record of the first seed leaf, and where it sits in the saved
+  // The first record with a cross-leaf ref on the first seed leaf whose
+  // bitmap has bits past its record count, and where it sits in the saved
   // shard file: magic, page size and count, one category byte per page,
   // then the pages (docs/file_format.md §1.1).
   const PageStore& file = built.shard_file(0);
   PageId leaf = 0;
-  while (file.category(leaf) != PageCategory::kSeedLeaf) ++leaf;
-  uint16_t record_offset;
-  std::memcpy(&record_offset, file.Data(leaf) + kSeedLeafHeaderSize,
-              sizeof(record_offset));
-  const MetadataRecordView record =
-      SeedLeafView(file.Data(leaf), file.page_size(), leaf).RecordAt(0);
+  while (file.category(leaf) != PageCategory::kSeedLeaf ||
+         SeedLeafView(file.Data(leaf), file.page_size(), leaf).count() % 8 ==
+             0) {
+    ++leaf;
+  }
+  const SeedLeafView leaf_view(file.Data(leaf), file.page_size(), leaf);
   ASSERT_EQ(static_cast<uint8_t>(file.Data(leaf)[3]), kSeedLeafFormat);
-  ASSERT_GT(record.same_leaf_count(), 0u);
-  ASSERT_GT(record.cross_leaf_count(), 0u);
-  const uint64_t record_in_file = kPageFileMagicSize + 8 + file.page_count() +
-                                  uint64_t{leaf} * file.page_size() +
-                                  record_offset;
+  uint16_t slot = 0;
+  while (leaf_view.RecordAt(slot).cross_leaf_count() == 0) ++slot;
+  const MetadataRecordView record = leaf_view.RecordAt(slot);
+  uint16_t record_offset;
+  std::memcpy(&record_offset,
+              file.Data(leaf) + kSeedLeafHeaderSize + slot * kSlotDirEntrySize,
+              sizeof(record_offset));
+  const uint64_t pages_in_file = kPageFileMagicSize + 8 + file.page_count();
+  const uint64_t leaf_in_file =
+      pages_in_file + uint64_t{leaf} * file.page_size();
+  const uint64_t record_in_file = leaf_in_file + record_offset;
+  const PageId object_page = record.object_page();
+  ASSERT_EQ(object_page, leaf_view.first_object_page() + slot);
+  ASSERT_EQ(file.category(object_page), PageCategory::kObject);
 
   struct Patch {
     const char* what;
     uint64_t offset;
     uint32_t value;
-    size_t size;  // bytes of value written
-    PageId page;  // the page the error must name
+    size_t size;   // bytes of value written
+    PageId page;   // the page the error must name,
+    PageId pages;  // or one of the `pages` pages from it
   };
   const PageId far_object = 0x7FFFFFF0;
   const PageId far_leaf = kMaxSeedLeafPages - 1;
-  const uint64_t first_cross_ref =
-      record_in_file + kRecordFixedSize +
-      record.same_leaf_count() * kSameLeafRefSize;
+  const uint64_t bitmap =
+      record_in_file + kRecordFixedSize;  // then the cross-leaf refs
   const Patch patches[] = {
-      {"object page", record_in_file + 2 * sizeof(PackedAabb), far_object, 4,
-       far_object},
-      {"neighbor ref", first_cross_ref,
+      // The crawl reads the leaf's records in no fixed order, so any of
+      // their object pages may be the first one read.
+      {"object page", leaf_in_file + 4, far_object, 4, far_object,
+       leaf_view.count()},
+      {"neighbor ref", bitmap + BitmapBytes(leaf_view.count()),
        PackNeighborRef({far_leaf, record.CrossLeafRefAt(0).slot}), 4,
-       far_leaf},
-      // The u16 same-leaf and cross-leaf counts as one u32.
-      {"neighbor count", record_in_file + kRecordFixedSize - 4, 0x00FFFFFF, 4,
-       leaf},
-      {"same-leaf slot", record_in_file + kRecordFixedSize, 4000, 2, leaf},
+       far_leaf, 1},
+      {"neighbor count", record_in_file + kRecordFixedSize - 2, 0xFFFF, 2,
+       leaf, 1},
+      {"same-leaf bitmap", bitmap + BitmapBytes(leaf_view.count()) - 1, 0xFF,
+       1, leaf, 1},
+      {"object count",
+       pages_in_file + uint64_t{object_page} * file.page_size(), 0xFFFF, 2,
+       object_page, 1},
   };
 
   const std::filesystem::path dir =
@@ -666,9 +682,12 @@ TEST(ShardedFailSoftTest, CorruptPagePointerYieldsIoError) {
         loaded.RunBatch({Query::Range(universe)}, &stats);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, QueryStatus::kIoError);
-    EXPECT_NE(results[0].error.find("page " + std::to_string(patch.page)),
-              std::string::npos)
-        << results[0].error;
+    bool named = false;
+    for (PageId page = patch.page; page - patch.page < patch.pages; ++page) {
+      named = named || results[0].error.find("page " + std::to_string(page)) !=
+                           std::string::npos;
+    }
+    EXPECT_TRUE(named) << results[0].error;
     const std::vector<uint64_t> partial = testing::Sorted(results[0].ids);
     EXPECT_TRUE(std::includes(clean.begin(), clean.end(), partial.begin(),
                               partial.end()));

@@ -86,9 +86,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(HeadlineClaimsTest, FlatReadsFewerPagesThanStrAndPrOnDenseSnWorkload) {
   // SN-style benchmark on a dense microcircuit: FLAT must beat the paper's
   // best R-Tree (the PR-Tree, Figure 12) and the STR R-Tree on page reads.
-  // Deviation note (see EXPERIMENTS.md): our modern Hilbert-packed
-  // bulkloader is stronger than the paper's 2012 Hilbert baseline and is not
-  // required to lose here.
+  // Deviation note (docs/benchmarks.md, "Deviations from the paper"): our
+  // modern Hilbert-packed bulkloader is stronger than the paper's 2012
+  // Hilbert baseline and is not required to lose here.
   NeuronParams np;
   np.total_elements = 150000;
   np.seed = 206;

@@ -20,11 +20,11 @@ namespace {
 
 using testing::ScopedPageFileOnDisk;
 
-// Hand-crafts a FLATPGF4 byte stream: magic | u32 page_size | u32 page_count
+// Hand-crafts a FLATPGF5 byte stream: magic | u32 page_size | u32 page_count
 // | body (caller supplies category table + page data, possibly malformed).
 std::string RawPageFileBytes(uint32_t page_size, uint32_t page_count,
                              const std::string& body) {
-  std::string bytes = "FLATPGF4";
+  std::string bytes = "FLATPGF5";
   const auto put_u32 = [&bytes](uint32_t value) {
     char buf[sizeof(value)];
     std::memcpy(buf, &value, sizeof(value));
@@ -166,9 +166,9 @@ TEST(PersistenceTest, FlatIndexSurvivesSaveLoadAttach) {
   EXPECT_EQ(reopened_stats.TotalReads(), original_stats.TotalReads());
 }
 
-TEST(PersistenceTest, ExactBuildsWriteV4) {
-  // A fresh save writes the v4 magic: its seed leaves carry hinted records,
-  // which readers that predate v4 must refuse.
+TEST(PersistenceTest, ExactBuildsWriteV5) {
+  // A fresh save writes the v5 magic: its seed leaves carry v5 records,
+  // which readers that predate v5 must refuse.
   NeuronParams params;
   params.total_elements = 30000;
   params.seed = 17;
@@ -178,10 +178,10 @@ TEST(PersistenceTest, ExactBuildsWriteV4) {
   std::ostringstream stream;
   SavePageFile(file, stream);
   const std::string bytes = stream.str();
-  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF4");
+  ASSERT_EQ(bytes.substr(0, 8), "FLATPGF5");
 
   // And it reopens to the same answers.
-  const ScopedPageFileOnDisk on_disk(bytes, "v4");
+  const ScopedPageFileOnDisk on_disk(bytes, "v5");
   const std::unique_ptr<DiskPageFile> loaded =
       DiskPageFile::Open(on_disk.path());
   const FlatIndex reopened =
@@ -261,14 +261,14 @@ std::string ReadBytes(const std::string& path) {
 }
 
 // Each legacy file is rejected as it is, and would open with the current
-// magic: the magic alone keeps its unhinted leaves from being read.
+// magic: the magic alone keeps its old leaves from being read.
 TEST(PersistenceTest, LegacyV1AndV3FilesAreRejected) {
   for (const LegacyFile& legacy : kLegacyFiles) {
     SCOPED_TRACE(legacy.name);
     std::string bytes = ReadBytes(LegacyPath(legacy));
     ASSERT_EQ(bytes.substr(0, 8), legacy.magic);
     EXPECT_EQ(OpenError(bytes), kBadMagic);
-    bytes[7] = '4';
+    bytes[7] = '5';
     EXPECT_EQ(OpenError(bytes), "");
   }
 }
@@ -276,7 +276,7 @@ TEST(PersistenceTest, LegacyV1AndV3FilesAreRejected) {
 TEST(PersistenceTest, UnknownVersionIsRejectedByBothLoaders) {
   std::string future = ReadBytes(LegacyPath(kLegacyFiles[0]));
   ASSERT_FALSE(future.empty());
-  future[7] = '5';
+  future[7] = '6';
   const std::string v2 = ReadBytes(LegacyPath(kRetiredV2File));
   ASSERT_EQ(v2.substr(0, 8), kRetiredV2File.magic);
 

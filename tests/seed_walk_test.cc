@@ -4,9 +4,10 @@
 // and FindAllCandidateRecords run one fixed query set on cold caches at
 // 512 B and 4 KiB pages. Their summed
 // per-category page reads and result sizes must equal the numbers below,
-// recorded on hinted (v4) seed leaves: a change to the directory lookup,
-// to the walk's descent order, its gating or a stop condition, to the
-// crawl's neighbor pushes or to the leaf packing fails here.
+// recorded on v5 seed leaves (boxes on the leaf grid, half-page boxes,
+// same-leaf bitmaps): a change to the directory lookup, to the walk's
+// descent order, its gating or a stop condition, to the crawl's neighbor
+// pushes, to the object-page gate or to the leaf packing fails here.
 // Both indexes (seed height 4 at 512 B, 2 at 4 KiB) seed through their
 // tile directory, so the seed, range, sphere, kNN and plain-count rows
 // count directory reads and no seed-tree page. count_agg is the planned
@@ -68,15 +69,15 @@ void PrintTo(const Pinned& p, std::ostream* os) {
 // clang-format off
 constexpr Pinned kPinned[] = {
     {512, 4,
-     {71, 0, 0, 25}, 4527751206,
-     {71, 975, 2660, 20769}, {40, 122, 142, 246}, {33, 334, 584, 444},
-     {71, 975, 2660, 20769}, {142, 366, 367, 20769},
-     {486, 1037, 2660, 20769}, {486, 1037, 2660, 20769}, 2660},
+     {71, 0, 0, 25}, 4421910570,
+     {71, 823, 2647, 20769}, {40, 109, 136, 246}, {33, 303, 581, 444},
+     {71, 823, 2647, 20769}, {116, 322, 354, 20769},
+     {455, 875, 2647, 20769}, {455, 875, 2647, 20769}, 2647},
     {4096, 2,
-     {26, 0, 0, 25}, 488505769,
-     {26, 54, 407, 20769}, {16, 24, 55, 246}, {12, 36, 123, 444},
-     {26, 54, 407, 20769}, {26, 54, 180, 20769},
-     {26, 86, 407, 20769}, {26, 86, 407, 20769}, 407},
+     {26, 0, 0, 25}, 485819036,
+     {26, 48, 403, 20769}, {16, 25, 52, 246}, {12, 23, 123, 444},
+     {26, 48, 403, 20769}, {26, 48, 176, 20769},
+     {26, 72, 403, 20769}, {26, 72, 403, 20769}, 403},
 };
 // clang-format on
 

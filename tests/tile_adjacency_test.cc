@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -268,8 +269,9 @@ TEST_P(TileAdjacencyTest, CrawlFromEveryStartMatchesBruteForce) {
   ExpectEveryStartMatchesBruteForce(index, elements, data().name);
 }
 
-// The same on the index saved as FLATPGF4 and reopened from disk: the
-// hinted records the crawl reads back from the file keep it exact.
+// The same on the index saved as FLATPGF5 and reopened from disk: the v5
+// records the crawl reads back from the file (boxes on the leaf grid, half-
+// page boxes, bitmaps, hints) keep it exact.
 TEST_P(TileAdjacencyTest, CrawlFromEveryStartOnReopenedFileMatchesBruteForce) {
   const std::vector<RTreeEntry> elements = data().make();
   PageFile file(page_size());
@@ -277,6 +279,10 @@ TEST_P(TileAdjacencyTest, CrawlFromEveryStartOnReopenedFileMatchesBruteForce) {
   const testing::ScopedPageFileOnDisk on_disk(
       file, std::string("tile_adjacency_") + data().name + "_" +
                 std::to_string(page_size()));
+  std::ifstream saved(on_disk.path(), std::ios::binary);
+  std::string magic(8, '\0');
+  saved.read(magic.data(), static_cast<std::streamsize>(magic.size()));
+  ASSERT_EQ(magic, "FLATPGF5");
   const std::unique_ptr<DiskPageFile> loaded =
       DiskPageFile::Open(on_disk.path());
   ASSERT_EQ(loaded->page_size(), page_size());

@@ -81,8 +81,9 @@ std::vector<RTreeEntry> EmptyAndNan(size_t count) {
 }
 
 // Element counts per page size (512 B, 1 KiB, 4 KiB) that make the seed
-// tree three or more levels tall; all-identical boxes link every record to
-// every other, which caps how many records fit on a seed leaf.
+// tree three or more levels tall (a 4 KiB leaf holds about 45 records of
+// uniform boxes); all-identical boxes link every record to every other,
+// which caps how many records fit on a seed leaf.
 struct DataSet {
   const char* name;
   std::vector<RTreeEntry> (*make)(size_t count);
@@ -90,11 +91,11 @@ struct DataSet {
 };
 
 const DataSet kDataSets[] = {
-    {"uniform", Uniform, {5000, 10000, 200000}},
-    {"neuron", Neuron, {4000, 10000, 200000}},
+    {"uniform", Uniform, {5000, 10000, 300000}},
+    {"neuron", Neuron, {4000, 10000, 300000}},
     {"identical", Identical, {300, 1800, 21900}},
     {"planar", Planar, {5000, 10000, 200000}},
-    {"empty_and_nan", EmptyAndNan, {5000, 10000, 200000}},
+    {"empty_and_nan", EmptyAndNan, {5000, 10000, 300000}},
 };
 constexpr uint32_t kPageSizes[] = {512, 1024, 4096};
 
@@ -339,7 +340,7 @@ TEST(TileDirectoryBuildTest, EveryNonEmptyBuildHasADirectory) {
       {"height 2", 512, Uniform(150), 2},
       {"height 2", 4096, Uniform(20000), 2},
       {"tall", 512, Uniform(5000), 4},
-      {"tall", 4096, Uniform(200000), 3},
+      {"tall", 4096, Uniform(300000), 3},
       {"all NaN", 512, all_nan, 0},
       {"all NaN", 4096, all_nan, 0},
   };
