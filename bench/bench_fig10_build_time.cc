@@ -67,8 +67,9 @@ int RunThreadSweep(const BenchFlags& flags) {
     for (int rep = 0; rep < repeats; ++rep) {
       PageFile file;
       FlatIndex::BuildStats stats;
-      FlatIndex::Build(&file, dataset.elements,
-                       FlatIndex::BuildOptions{threads}, &stats);
+      std::vector<RTreeEntry> elements = dataset.elements;
+      FlatIndex::Build(&file, elements, FlatIndex::BuildOptions{threads},
+                       &stats);
       if (rep == 0 || TotalSeconds(stats) < TotalSeconds(point.best)) {
         point.best = stats;
       }

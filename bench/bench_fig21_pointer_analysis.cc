@@ -31,7 +31,7 @@ double MeanPartitionVolume(const std::vector<PartitionInfo>& partitions) {
 }
 
 std::vector<PartitionInfo> PartitionDataset(Dataset dataset) {
-  auto partitions = StrPartition(&dataset.elements,
+  auto partitions = StrPartition(dataset.elements,
                                  NodeCapacity(kDefaultPageSize),
                                  dataset.bounds);
   ComputeNeighbors(&partitions);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     params.side_um = 5.0;
     params.seed = flags.seed();
     Dataset dataset = GenerateUniformBoxes(params);
-    auto base = StrPartition(&dataset.elements,
+    auto base = StrPartition(dataset.elements,
                              NodeCapacity(kDefaultPageSize), dataset.bounds);
 
     std::cout << "Figure 21: average partition volume vs. average neighbor "

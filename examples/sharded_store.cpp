@@ -7,7 +7,9 @@
 //
 // Also shows the persistence side: Save() writes the shard PageFiles plus a
 // versioned catalog into a directory; Load() reopens the store and answers
-// the same queries with the same I/O.
+// the same queries with the same I/O. A reopened store takes inserts and
+// saves back into the directory its shards are served from.
+#include <algorithm>
 #include <filesystem>
 #include <iostream>
 #include <vector>
@@ -90,6 +92,30 @@ int main() {
   std::vector<uint64_t> again = reopened.RangeQuery(dataset.bounds);
   std::cout << "Reopened store answers identically: "
             << (again == all ? "yes" : "NO") << "\n";
+
+  // Insert into the reopened store and save it back into its own
+  // directory. Save replaces the page files the store maps, so the store
+  // keeps answering from the files it opened, and a second reopen answers
+  // like the updated store.
+  uint64_t next_id = 0;
+  for (const RTreeEntry& e : dataset.elements) {
+    next_id = std::max(next_id, e.id + 1);
+  }
+  for (int i = 0; i < 5; ++i) {
+    const Vec3 corner = rng.PointIn(dataset.bounds);
+    reopened.Insert(
+        RTreeEntry{Aabb(corner, corner + Vec3(1, 1, 1)), next_id + i});
+  }
+  const std::vector<uint64_t> updated = reopened.RangeQuery(dataset.bounds);
+  reopened.Save(dir.string());
+  ShardedFlatStore resaved =
+      ShardedFlatStore::Load(dir.string(), /*num_threads=*/4);
+  const bool updates_persist =
+      updated.size() == all.size() + 5 &&
+      reopened.RangeQuery(dataset.bounds) == updated &&
+      resaved.RangeQuery(dataset.bounds) == updated;
+  std::cout << "Inserted 5 elements, saved in place and reopened: "
+            << (updates_persist ? "identical" : "DIFFERENT") << "\n";
   std::filesystem::remove_all(dir);
-  return again == all ? 0 : 1;
+  return again == all && updates_persist ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -27,18 +28,12 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-Aabb BoundsOf(const std::vector<RTreeEntry>& entries) {
-  Aabb bounds;
-  for (const RTreeEntry& e : entries) bounds.ExpandToInclude(e.box);
-  return bounds;
-}
-
 // Aggregate pruning rests on "query covers the subtree MBR => every element
 // below matches", which only holds when every element box is non-empty and
 // finite: an empty or NaN box is invisible to the intersection gates yet
 // would be included in stored counts. One such element disables aggregates
 // for the whole build (the exact paths remain correct for it).
-bool AllBoxesAggregatable(const std::vector<RTreeEntry>& elements) {
+bool AllBoxesAggregatable(std::span<const RTreeEntry> elements) {
   for (const RTreeEntry& e : elements) {
     for (int axis = 0; axis < 3; ++axis) {
       const double lo = e.box.lo()[axis];
@@ -203,10 +198,10 @@ const char* ReadObjectPage(PageCache* pool, const PageStore& file,
 
 FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
                            BuildStats* out_stats) {
-  return Build(file, std::move(elements), BuildOptions{}, out_stats);
+  return Build(file, elements, BuildOptions{}, out_stats);
 }
 
-FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
+FlatIndex FlatIndex::Build(PageFile* file, std::span<RTreeEntry> elements,
                            const BuildOptions& options,
                            BuildStats* out_stats) {
   FlatIndex index;
@@ -238,7 +233,7 @@ FlatIndex FlatIndex::Build(PageFile* file, std::vector<RTreeEntry> elements,
   auto t_partition = Clock::now();
   const Aabb universe = BoundsOf(elements);
   std::vector<PartitionInfo> partitions =
-      StrPartition(&elements, page_capacity, universe, pool);
+      StrPartition(elements, page_capacity, universe, pool);
   stats.partition_seconds = SecondsSince(t_partition);
 
   // Phase 2: neighborhood computation (tile grid join).

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/crawl_scratch.h"
@@ -120,16 +121,20 @@ class FlatIndex {
   /// from and must not be issued (engines treat such an index as "no data").
   FlatIndex() = default;
 
-  /// Bulkloads `elements` into a fresh FLAT index appended to `file`.
-  /// Elements are reordered (STR) in the process.
+  /// Bulkloads `elements` into a fresh FLAT index appended to `file`, with
+  /// the default BuildOptions, from its own copy of the elements.
   static FlatIndex Build(PageFile* file, std::vector<RTreeEntry> elements,
                          BuildStats* stats = nullptr);
 
   /// As above, with the parallel build pipeline: STR selection passes, the
   /// neighbor join, and page serialization all fan out over
   /// `options.num_threads` workers, with the per-phase BuildStats timings
-  /// still measured at the (sequential) phase boundaries.
-  static FlatIndex Build(PageFile* file, std::vector<RTreeEntry> elements,
+  /// still measured at the (sequential) phase boundaries. Builds in place:
+  /// `elements` is reordered (STR) and nothing outside it is touched, so
+  /// disjoint slices of one array can build concurrently (the sharded
+  /// store's shards do). A caller that needs its order afterwards passes a
+  /// copy.
+  static FlatIndex Build(PageFile* file, std::span<RTreeEntry> elements,
                          const BuildOptions& options,
                          BuildStats* stats = nullptr);
 

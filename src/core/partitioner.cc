@@ -31,7 +31,7 @@ struct Chunk {
 // it, whose centers are all NaN, get an empty interval (and so an empty
 // tile); a range with no finite center at all keeps one chunk spanning the
 // axis, so the tiles still cover the universe.
-std::vector<Chunk> MakeChunks(const std::vector<RTreeEntry>& elements,
+std::vector<Chunk> MakeChunks(std::span<const RTreeEntry> elements,
                               const ChunkedRange& range, int axis,
                               double axis_lo, double axis_hi) {
   const EntryCenterOrder order{axis};
@@ -147,13 +147,13 @@ class BoxGrid {
 
 }  // namespace
 
-std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
+std::vector<PartitionInfo> StrPartition(std::span<RTreeEntry> elements,
                                         uint32_t page_capacity,
                                         const Aabb& universe,
                                         ThreadPool* pool) {
   assert(page_capacity >= 1);
   std::vector<PartitionInfo> partitions;
-  const size_t n = elements->size();
+  const size_t n = elements.size();
   if (n == 0) return partitions;
 
   // pn = cbrt(size / pagesize) partitions per dimension (Algorithm 1).
@@ -162,7 +162,7 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
   const ChunkedRange all{0, n, (n + sx - 1) / sx};
   SelectChunks(elements, {all}, 0, pool);
   const std::vector<Chunk> x_chunks =
-      MakeChunks(*elements, all, 0, universe.lo().x, universe.hi().x);
+      MakeChunks(elements, all, 0, universe.lo().x, universe.hi().x);
 
   // y pass: cut every x-slab into runs, and collect the runs (with their
   // owning slab) for the z pass.
@@ -180,7 +180,7 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
   std::vector<Run> runs;
   std::vector<ChunkedRange> run_pages;
   for (size_t s = 0; s < slabs.size(); ++s) {
-    for (const Chunk& yc : MakeChunks(*elements, slabs[s], 1,
+    for (const Chunk& yc : MakeChunks(elements, slabs[s], 1,
                                       universe.lo().y, universe.hi().y)) {
       runs.push_back({s, yc});
       run_pages.push_back({yc.begin, yc.end, page_capacity});
@@ -197,7 +197,7 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
     const Chunk& xc = x_chunks[runs[r].x_index];
     const Chunk& yc = runs[r].y;
     const std::vector<Chunk> z_chunks = MakeChunks(
-        *elements, run_pages[r], 2, universe.lo().z, universe.hi().z);
+        elements, run_pages[r], 2, universe.lo().z, universe.hi().z);
     per_run[r].reserve(z_chunks.size());
     for (const Chunk& zc : z_chunks) {
       PartitionInfo partition;
@@ -209,7 +209,7 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
           Aabb(Vec3(xc.lo, yc.lo, zc.lo), Vec3(xc.hi, yc.hi, zc.hi));
       Aabb page_mbr;
       for (size_t i = zc.begin; i < zc.end; ++i) {
-        page_mbr.ExpandToInclude((*elements)[i].box);
+        page_mbr.ExpandToInclude(elements[i].box);
       }
       partition.page_mbr = page_mbr;
       partition.partition_mbr = partition.tile;

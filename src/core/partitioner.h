@@ -2,6 +2,7 @@
 #define FLAT_CORE_PARTITIONER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geometry/aabb.h"
@@ -48,14 +49,15 @@ struct PartitionInfo {
 /// with a finite center extends to the universe bound instead (when a slab
 /// or run has no finite center at all, its first chunk spans the axis).
 ///
-/// `elements` is reordered in place; on return, partition i owns
-/// elements [first, first+count), in unspecified order. The passes cut
-/// slabs, runs and pages by selection (SelectChunks) rather than sorting,
-/// so membership, tiles and MBRs are exactly what full sorts with
-/// EntryCenterOrder would give, and are the same for any input order and
-/// any thread count. With a `pool`, the selection rounds and the per-run
-/// work fan out over it.
-std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
+/// `elements` is reordered in place and nothing else is touched, so a
+/// caller can partition a slice of a larger array; on return, partition i
+/// owns elements [first, first+count) of the slice, in unspecified order.
+/// The passes cut slabs, runs and pages by selection (SelectChunks) rather
+/// than sorting, so membership, tiles and MBRs are exactly what full sorts
+/// with EntryCenterOrder would give, and are the same for any input order
+/// and any thread count. With a `pool`, the selection rounds and the
+/// per-run work fan out over it.
+std::vector<PartitionInfo> StrPartition(std::span<RTreeEntry> elements,
                                         uint32_t page_capacity,
                                         const Aabb& universe,
                                         ThreadPool* pool = nullptr);

@@ -30,11 +30,7 @@ struct Dataset {
   }
 
   /// Tight bounds of the actual elements (may be smaller than `bounds`).
-  Aabb ElementBounds() const {
-    Aabb box;
-    for (const RTreeEntry& e : elements) box.ExpandToInclude(e.box);
-    return box;
-  }
+  Aabb ElementBounds() const { return BoundsOf(elements); }
 };
 
 }  // namespace flat

@@ -14,12 +14,6 @@
 namespace flat {
 namespace {
 
-Aabb BoundsOf(const std::vector<RTreeEntry>& entries) {
-  Aabb bounds;
-  for (const RTreeEntry& e : entries) bounds.ExpandToInclude(e.box);
-  return bounds;
-}
-
 // Sorts entries by a space-filling-curve key of their MBR center.
 template <typename KeyFn>
 void SortByCurveKey(std::vector<RTreeEntry>* entries, KeyFn key_of) {

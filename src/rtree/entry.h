@@ -2,6 +2,7 @@
 #define FLAT_RTREE_ENTRY_H_
 
 #include <cstdint>
+#include <span>
 #include <type_traits>
 
 #include "geometry/aabb.h"
@@ -26,6 +27,13 @@ static_assert(std::is_trivially_copyable_v<RTreeEntry>,
               "RTreeEntry is serialized to pages by memcpy");
 static_assert(sizeof(RTreeEntry) == sizeof(Aabb) + sizeof(uint64_t),
               "no padding: the slot is an Aabb (6 f64) plus a u64 id");
+
+/// The union of the entries' boxes; an empty Aabb for no entries.
+inline Aabb BoundsOf(std::span<const RTreeEntry> entries) {
+  Aabb bounds;
+  for (const RTreeEntry& e : entries) bounds.ExpandToInclude(e.box);
+  return bounds;
+}
 
 }  // namespace flat
 

@@ -27,7 +27,7 @@ size_t CeilSqrt(size_t value) {
   return r;
 }
 
-void SelectChunks(std::vector<RTreeEntry>* entries,
+void SelectChunks(std::span<RTreeEntry> entries,
                   const std::vector<ChunkedRange>& ranges, int axis,
                   ThreadPool* pool) {
   // A task holds the boundaries origin + k * chunk, k in [k_lo, k_hi), all
@@ -43,7 +43,7 @@ void SelectChunks(std::vector<RTreeEntry>* entries,
       tasks.push_back({r.begin, r.end, r.begin, r.chunk, 1, chunks});
     }
   }
-  const auto first = entries->begin();
+  const auto first = entries.begin();
   const EntryCenterOrder order{axis};
   while (!tasks.empty()) {
     std::vector<Task> halves(2 * tasks.size());
@@ -71,7 +71,7 @@ void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
   // pages and is tiled recursively in y and z.
   const size_t sx = CeilCbrt(pages);
   const size_t slab_size = (n + sx - 1) / sx;
-  SelectChunks(entries, {{0, n, slab_size}}, 0, pool);
+  SelectChunks(*entries, {{0, n, slab_size}}, 0, pool);
 
   std::vector<ChunkedRange> slabs;
   for (size_t xs = 0; xs < n; xs += slab_size) {
@@ -79,7 +79,7 @@ void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
     const size_t sy = CeilSqrt((slab_n + node_capacity - 1) / node_capacity);
     slabs.push_back({xs, xs + slab_n, (slab_n + sy - 1) / sy});
   }
-  SelectChunks(entries, slabs, 1, pool);
+  SelectChunks(*entries, slabs, 1, pool);
 
   // Nodes pack consecutive entries across run ends, so every run needs the
   // full z order.

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rtree/aggregates.h"
@@ -65,8 +66,9 @@ struct ChunkedRange {
 /// each half: O(m log k) comparisons for m entries in k chunks instead of a
 /// sort's O(m log m). Ranges must be disjoint. Each round of halves runs
 /// over `pool`; a half sees the same steps at any thread count, so the
-/// arrangement is the same too.
-void SelectChunks(std::vector<RTreeEntry>* entries,
+/// arrangement is the same too. Reorders `entries` in place and touches no
+/// entry outside the ranges.
+void SelectChunks(std::span<RTreeEntry> entries,
                   const std::vector<ChunkedRange>& ranges, int axis,
                   ThreadPool* pool = nullptr);
 

@@ -30,12 +30,6 @@ void RewriteNode(char* data, uint32_t page_size, uint8_t level,
   for (const RTreeEntry& e : entries) writer.Append(e);
 }
 
-Aabb BoundsOf(const std::vector<RTreeEntry>& entries) {
-  Aabb box;
-  for (const RTreeEntry& e : entries) box.ExpandToInclude(e.box);
-  return box;
-}
-
 }  // namespace
 
 RStarTree::RStarTree(PageFile* file)

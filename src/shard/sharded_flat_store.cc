@@ -8,7 +8,9 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/partitioner.h"
@@ -26,12 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-Aabb BoundsOf(const std::vector<RTreeEntry>& entries) {
-  Aabb bounds;
-  for (const RTreeEntry& e : entries) bounds.ExpandToInclude(e.box);
-  return bounds;
 }
 
 std::string ShardFileName(size_t shard) {
@@ -313,24 +309,16 @@ std::shared_ptr<const ShardedFlatStore::Base> ShardedFlatStore::BuildBase(
         std::numeric_limits<uint32_t>::max(),
         (elements.size() + target_shards - 1) / target_shards));
     const std::vector<PartitionInfo> split =
-        StrPartition(&elements, shard_capacity, universe, pool);
+        StrPartition(elements, shard_capacity, universe, pool);
     stats.split_seconds = SecondsSince(t_split);
     base->catalog.universe = universe;
 
-    // Scatter the (reordered) elements into per-shard vectors, then build
-    // every shard's FlatIndex in parallel — one serial build per worker at a
-    // time, each into its own pre-allocated PageFile.
+    // Build every shard's FlatIndex in parallel — one serial build per
+    // worker at a time, each into its own pre-allocated PageFile and in
+    // place on its own slice of the split's (reordered) elements. The
+    // slices are disjoint, so each has one writer.
     const auto t_build = Clock::now();
     const size_t shard_count = split.size();
-    std::vector<std::vector<RTreeEntry>> shard_elements(shard_count);
-    for (size_t i = 0; i < shard_count; ++i) {
-      shard_elements[i].assign(
-          elements.begin() + split[i].first,
-          elements.begin() + split[i].first + split[i].count);
-    }
-    elements.clear();
-    elements.shrink_to_fit();
-
     base->files.resize(shard_count);
     base->indexes.resize(shard_count);
     stats.per_shard.resize(shard_count);
@@ -348,9 +336,10 @@ std::shared_ptr<const ShardedFlatStore::Base> ShardedFlatStore::BuildBase(
     FlatIndex::BuildOptions shard_build;
     shard_build.aggregate_counts = options.aggregate_counts;
     ParallelFor(pool, shard_count, /*grain=*/1, [&](size_t, size_t i) {
-      base->indexes[i] =
-          FlatIndex::Build(shard_files[i], std::move(shard_elements[i]),
-                           shard_build, &stats.per_shard[i]);
+      base->indexes[i] = FlatIndex::Build(
+          shard_files[i],
+          std::span(elements).subspan(split[i].first, split[i].count),
+          shard_build, &stats.per_shard[i]);
     });
     stats.build_seconds = SecondsSince(t_build);
 
@@ -656,16 +645,34 @@ void ShardedFlatStore::Save(const std::string& dir) const {
     }
   }
 
-  std::ofstream catalog_out(root / kCatalogFileName,
-                            std::ios::binary | std::ios::trunc);
-  if (!catalog_out) {
-    throw std::runtime_error("ShardedFlatStore::Save: cannot open catalog " +
-                             (root / kCatalogFileName).string());
+  {
+    std::ofstream catalog_out(root / kCatalogFileName,
+                              std::ios::binary | std::ios::trunc);
+    if (!catalog_out) {
+      throw std::runtime_error("ShardedFlatStore::Save: cannot open catalog " +
+                               (root / kCatalogFileName).string());
+    }
+    SaveShardCatalog(base.catalog, catalog_out);
   }
-  SaveShardCatalog(base.catalog, catalog_out);
 
-  for (size_t i = 0; i < base.files.size(); ++i) {
+  // Shard files are disjoint, so they are written in parallel (on the
+  // caller alone with one thread). Each page file is unlinked before it is
+  // written: a loaded store, this one included, holds the file it replaces
+  // open, and keeps reading the old inode instead of a truncated one.
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool* pool = nullptr;
+  if (options_.num_threads != 1) {
+    owned_pool.emplace(options_.num_threads);
+    pool = &*owned_pool;
+  }
+  ParallelFor(pool, base.files.size(), /*grain=*/1, [&](size_t, size_t i) {
     const fs::path path = root / base.catalog.shards[i].page_file_name;
+    std::error_code error;
+    fs::remove(path, error);
+    if (error) {
+      throw std::runtime_error("ShardedFlatStore::Save: cannot replace " +
+                               path.string() + ": " + error.message());
+    }
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw std::runtime_error("ShardedFlatStore::Save: cannot open " +
@@ -687,7 +694,7 @@ void ShardedFlatStore::Save(const std::string& dir) const {
     } else {
       fs::remove(agg_path);
     }
-  }
+  });
 
   // The overlay WAL holds the pinned window (possibly zero ops) — Load
   // replays it, so the reloaded store answers exactly like this snapshot.

@@ -33,7 +33,8 @@ class OverlayView;
 ///    The split's shard membership depends only on the element set, so
 ///    the shard assignment — and every shard's PageFile — is
 ///    byte-identical for any thread count and input order.
-///  - **Build.** Each shard's FlatIndex is bulk-built independently; shard
+///  - **Build.** Each shard's FlatIndex is bulk-built independently, in
+///    place on its own slice of the split's reordered element array; shard
 ///    builds fan out over a shared ThreadPool (one serial build per worker at
 ///    a time), so K shards build in parallel end to end.
 ///  - **Catalog.** Shard MBRs, tiles, element counts, descriptors and
@@ -92,9 +93,10 @@ class ShardedFlatStore {
     /// partitions; the actual count (`shard_count()`) can differ slightly
     /// for awkward element/shard ratios. 1 always yields exactly one shard.
     size_t num_shards = 4;
-    /// Worker threads for the shard builds and the query engine: 1 (default)
-    /// is serial, 0 uses std::thread::hardware_concurrency(). Results and
-    /// I/O totals are identical for every value.
+    /// Worker threads for the shard builds, Save's shard-file writes and
+    /// the query engine: 1 (default) is serial, 0 uses
+    /// std::thread::hardware_concurrency(). Results, I/O totals and saved
+    /// bytes are identical for every value.
     size_t num_threads = 1;
     /// Page size of every shard's PageFile.
     uint32_t page_size = kDefaultPageSize;
@@ -285,11 +287,17 @@ class ShardedFlatStore {
   /// Persists the store into directory `dir` (created if needed): one
   /// "shard-NNNN.pgf" PageFile per shard, "catalog.flatshard", the overlay
   /// WAL "overlay.flatwal" (the current window, possibly empty) and the
-  /// "generation.flatgen" sidecar. Existing files with those names are
-  /// overwritten — unless the directory's sidecar records a NEWER
-  /// generation than this store's, in which case Save throws
-  /// std::runtime_error ("stale generation"): a store must never clobber a
-  /// directory that already holds a later compaction of itself.
+  /// "generation.flatgen" sidecar, in that order; the shard page files and
+  /// their sidecars are written in parallel on `num_threads` workers.
+  /// Existing files with those names are overwritten — unless the
+  /// directory's sidecar records a NEWER generation than this store's, in
+  /// which case Save throws std::runtime_error ("stale generation"): a
+  /// store must never clobber a directory that already holds a later
+  /// compaction of itself. Page files are replaced, not truncated: each is
+  /// unlinked before it is written, so a store loaded from `dir` (this one
+  /// included) keeps serving the files it opened. Throws
+  /// std::runtime_error naming the file when one cannot be replaced or
+  /// written.
   void Save(const std::string& dir) const;
 
   /// Reopens a store previously written by Save, serving every shard

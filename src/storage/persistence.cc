@@ -47,8 +47,19 @@ void SavePageFile(const PageStore& file, std::ostream& out) {
     const uint8_t category = static_cast<uint8_t>(file.category(id));
     out.write(reinterpret_cast<const char*>(&category), 1);
   }
-  for (PageId id = 0; id < file.page_count(); ++id) {
-    out.write(file.Data(id), file.page_size());
+  // One write per run of address-contiguous pages (a PageFile slab, a
+  // DiskPageFile mapping): the pointer-stability contract keeps every run
+  // valid while it is written.
+  const size_t count = file.page_count();
+  const size_t page_size = file.page_size();
+  for (PageId first = 0; first < count;) {
+    const char* run = file.Data(first);
+    PageId end = first + 1;
+    while (end < count && file.Data(end) == run + (end - first) * page_size) {
+      ++end;
+    }
+    out.write(run, static_cast<std::streamsize>((end - first) * page_size));
+    first = end;
   }
   if (!out) throw std::runtime_error("SavePageFile: write failed");
 }

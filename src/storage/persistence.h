@@ -31,7 +31,9 @@ namespace flat {
 ///
 /// Accepts any PageStore (so a DiskPageFile can be re-saved); throws
 /// std::runtime_error if the store's page count exceeds the format's u32
-/// field rather than silently truncating it.
+/// field rather than silently truncating it. Pages go out one write per
+/// run of address-contiguous pages (a PageFile slab, a DiskPageFile
+/// mapping), with the bytes page-by-page writes would give.
 void SavePageFile(const PageStore& file, std::ostream& out);
 
 /// Bytes of the magic that opens every serialized PageFile.

@@ -120,7 +120,8 @@ TEST_P(AggregateCardinalityTest, StoredCountsMatchBruteForce) {
   PageFile file(page_size);
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
-  FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
+  std::vector<RTreeEntry> elements = dataset.elements;
+  FlatIndex index = FlatIndex::Build(&file, elements, options);
 
   ASSERT_TRUE(index.has_aggregates());
   const SeedAggregates& agg = *index.aggregates();
@@ -190,7 +191,8 @@ TEST_P(AggregateTileRuleTest, TileCoveredRecordsCountWithoutObjectReads) {
   PageFile file(page_size);
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
-  const FlatIndex index = FlatIndex::Build(&file, dataset.elements, options);
+  std::vector<RTreeEntry> elements = dataset.elements;
+  const FlatIndex index = FlatIndex::Build(&file, elements, options);
   ASSERT_TRUE(index.has_aggregates());
   const PageId seed_root = index.descriptor().seed_root;
   const PageId directory_root = index.descriptor().directory_root;
@@ -260,7 +262,8 @@ TEST(AggregateBuildTest, PageFileBytesIdenticalWithAndWithoutAggregates) {
   FlatIndex::BuildOptions with;
   with.aggregate_counts = true;
   FlatIndex::Build(&plain_file, entries);
-  FlatIndex index = FlatIndex::Build(&agg_file, entries, with);
+  std::vector<RTreeEntry> elements = entries;
+  FlatIndex index = FlatIndex::Build(&agg_file, elements, with);
   ASSERT_TRUE(index.has_aggregates());
 
   std::ostringstream plain_bytes, agg_bytes;
@@ -277,7 +280,8 @@ TEST(AggregateBuildTest, SidecarIsByteIdenticalAcrossThreadCounts) {
     FlatIndex::BuildOptions options;
     options.num_threads = threads;
     options.aggregate_counts = true;
-    FlatIndex index = FlatIndex::Build(&file, entries, options);
+    std::vector<RTreeEntry> elements = entries;
+    FlatIndex index = FlatIndex::Build(&file, elements, options);
     ASSERT_TRUE(index.has_aggregates());
     std::ostringstream out;
     SaveSeedAggregates(*index.aggregates(), out);
@@ -308,7 +312,7 @@ TEST(AggregateBuildTest, DegenerateElementBoxesDisableAggregates) {
 // ---------------------------------------------------------------------------
 
 TEST(AggregateSidecarTest, RoundTripIsByteIdentical) {
-  const auto entries = RandomEntries(4000, 904);
+  auto entries = RandomEntries(4000, 904);
   PageFile file;
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
@@ -327,7 +331,7 @@ TEST(AggregateSidecarTest, RoundTripIsByteIdentical) {
 }
 
 TEST(AggregateSidecarTest, HostileInputsAreRejected) {
-  const auto entries = RandomEntries(1000, 905);
+  auto entries = RandomEntries(1000, 905);
   PageFile file;
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
@@ -370,7 +374,8 @@ class AggregatePruningTest : public ::testing::Test {
     FlatIndex::BuildOptions with;
     with.aggregate_counts = true;
     plain_ = FlatIndex::Build(&plain_file_, entries_);
-    pruned_ = FlatIndex::Build(&pruned_file_, entries_, with);
+    std::vector<RTreeEntry> elements = entries_;
+    pruned_ = FlatIndex::Build(&pruned_file_, elements, with);
     ASSERT_TRUE(pruned_.has_aggregates());
   }
 

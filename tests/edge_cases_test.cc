@@ -165,7 +165,9 @@ TEST(HardLimitTest, EmptyQueriesAreFreeEverywhere) {
     PageFile flat_file(page_size), rtree_file(page_size);
     FlatIndex::BuildOptions options;
     options.aggregate_counts = true;
-    const FlatIndex aggregated = FlatIndex::Build(&flat_file, entries, options);
+    std::vector<RTreeEntry> elements = entries;
+    const FlatIndex aggregated =
+        FlatIndex::Build(&flat_file, elements, options);
     ASSERT_TRUE(aggregated.has_aggregates());
     const FlatIndex flat =
         FlatIndex::Attach(&flat_file, aggregated.descriptor());

@@ -143,7 +143,7 @@ TEST_P(SelectChunksTest, PutsEveryEntryInTheChunkASortWould) {
       }
       for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
         std::vector<RTreeEntry> selected = input;
-        SelectChunks(&selected, ranges, axis, threads);
+        SelectChunks(selected, ranges, axis, threads);
         for (size_t i = n / 3; i < n / 3 + 5; ++i) {
           ASSERT_EQ(selected[i].id, input[i].id) << "entry outside the ranges";
         }

@@ -55,8 +55,9 @@ void ExpectParallelBuildIdentical(const std::vector<RTreeEntry>& elements,
 
   PageFile parallel_file;
   FlatIndex::BuildStats parallel_stats;
+  std::vector<RTreeEntry> copy = elements;
   FlatIndex parallel =
-      FlatIndex::Build(&parallel_file, elements,
+      FlatIndex::Build(&parallel_file, copy,
                        FlatIndex::BuildOptions{threads}, &parallel_stats);
 
   ExpectFilesIdentical(serial_file, parallel_file);
@@ -128,7 +129,8 @@ TEST(ParallelBuildTest, EmptyAndNanBoxesIdenticalForAnyThreadCountAndOrder) {
     for (const std::vector<RTreeEntry>* input :
          {&elements, &shuffled, &reversed}) {
       PageFile file;
-      FlatIndex::Build(&file, *input, FlatIndex::BuildOptions{threads});
+      std::vector<RTreeEntry> copy = *input;
+      FlatIndex::Build(&file, copy, FlatIndex::BuildOptions{threads});
       ExpectFilesIdentical(serial_file, file);
     }
   }

@@ -26,18 +26,12 @@ namespace {
 using testing::RandomEntries;
 using testing::RandomEntriesWithEmptyAndNan;
 
-Aabb UniverseOf(const std::vector<RTreeEntry>& entries) {
-  Aabb u;
-  for (const auto& e : entries) u.ExpandToInclude(e.box);
-  return u;
-}
-
 class PartitionerTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PartitionerTest, PartitionsCoverAllElementsExactlyOnce) {
   auto entries = RandomEntries(GetParam(), 81);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, /*page_capacity=*/73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, /*page_capacity=*/73, universe);
 
   std::vector<bool> covered(entries.size(), false);
   for (const auto& p : partitions) {
@@ -58,8 +52,8 @@ TEST_P(PartitionerTest, TilesLeaveNoEmptySpace) {
   // space. We verify by sampling: every point of the universe lies in at
   // least one tile.
   auto entries = RandomEntries(GetParam(), 82);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
 
   Rng rng(83);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -78,8 +72,8 @@ TEST_P(PartitionerTest, TilesLeaveNoEmptySpace) {
 TEST_P(PartitionerTest, PartitionMbrEnclosesPageMbr) {
   // Property 2 (Section V-B): each partition MBR encloses the page MBR.
   auto entries = RandomEntries(GetParam(), 84);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
   for (const auto& p : partitions) {
     EXPECT_TRUE(p.partition_mbr.Contains(p.page_mbr));
     EXPECT_TRUE(p.partition_mbr.Contains(p.tile));
@@ -88,8 +82,8 @@ TEST_P(PartitionerTest, PartitionMbrEnclosesPageMbr) {
 
 TEST_P(PartitionerTest, ElementCentersLieInTheirTile) {
   auto entries = RandomEntries(GetParam(), 85);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
   for (const auto& p : partitions) {
     for (uint32_t i = 0; i < p.count; ++i) {
       EXPECT_TRUE(p.tile.Contains(entries[p.first + i].box.Center()));
@@ -102,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PartitionerTest,
 
 TEST(PartitionerEdgeTest, EmptyInput) {
   std::vector<RTreeEntry> entries;
-  auto partitions = StrPartition(&entries, 73, Aabb());
+  auto partitions = StrPartition(entries, 73, Aabb());
   EXPECT_TRUE(partitions.empty());
 }
 
@@ -112,7 +106,7 @@ TEST(PartitionerEdgeTest, AllElementsIdentical) {
     entries.push_back(RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), i});
   }
   const Aabb universe(Vec3(1, 1, 1), Vec3(2, 2, 2));
-  auto partitions = StrPartition(&entries, 73, universe);
+  auto partitions = StrPartition(entries, 73, universe);
   size_t total = 0;
   for (const auto& p : partitions) total += p.count;
   EXPECT_EQ(total, entries.size());
@@ -161,8 +155,8 @@ TEST(PartitionerEdgeTest, EmptyAndNanBoxesLeaveNoHoleInTheTiling) {
     for (const uint32_t page_size : {512u, 4096u}) {
       std::vector<RTreeEntry> elements = entries;
       for (const PartitionInfo& p :
-           StrPartition(&elements, NodeCapacity(page_size),
-                        UniverseOf(entries))) {
+           StrPartition(elements, NodeCapacity(page_size),
+                        BoundsOf(entries))) {
         bool has_nan = false;
         for (int axis = 0; axis < 3; ++axis) {
           has_nan = has_nan || std::isnan(p.tile.lo()[axis]) ||
@@ -197,17 +191,17 @@ TEST(PartitionerDeterminismTest, SameForAnyInputOrderAndThreadCount) {
   ThreadPool pool(4);
   for (const std::vector<RTreeEntry>& input :
        {RandomEntries(20000, 90), RandomEntriesWithEmptyAndNan(20000, 91)}) {
-    const Aabb universe = UniverseOf(input);
+    const Aabb universe = BoundsOf(input);
     std::vector<RTreeEntry> ref_elements = input;
     const std::vector<PartitionInfo> ref =
-        StrPartition(&ref_elements, 73, universe);
+        StrPartition(ref_elements, 73, universe);
     std::vector<RTreeEntry> shuffled = input;
     std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(92));
     std::vector<RTreeEntry> reversed(input.rbegin(), input.rend());
     for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
       for (std::vector<RTreeEntry> elements : {input, shuffled, reversed}) {
         const std::vector<PartitionInfo> got =
-            StrPartition(&elements, 73, universe, threads);
+            StrPartition(elements, 73, universe, threads);
         ASSERT_EQ(got.size(), ref.size());
         for (size_t i = 0; i < ref.size(); ++i) {
           ASSERT_EQ(got[i].first, ref[i].first) << "partition " << i;
@@ -272,7 +266,7 @@ TEST(NeighborTest, MatchesBruteForceRelation) {
   for (const auto& [name, input] : inputs) {
     std::vector<RTreeEntry> elements = input;
     const std::vector<PartitionInfo> base =
-        StrPartition(&elements, 73, UniverseOf(elements));
+        StrPartition(elements, 73, BoundsOf(elements));
     const std::vector<std::vector<uint32_t>> want = BruteForceNeighbors(base);
     for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
       std::vector<PartitionInfo> partitions = base;
@@ -304,7 +298,7 @@ TEST(NeighborTest, TwoTouchingPartitionsAreNeighbors) {
         RTreeEntry{Aabb::FromCenterHalfExtents(c, Vec3(0.1, 0.1, 0.1)), i});
   }
   Aabb universe(Vec3(0, 0, 0), Vec3(100, 100, 100));
-  auto partitions = StrPartition(&entries, 8, universe);
+  auto partitions = StrPartition(entries, 8, universe);
   ASSERT_EQ(partitions.size(), 2u);
   ComputeNeighbors(&partitions);
   ASSERT_EQ(partitions[0].neighbors.size(), 1u);
@@ -315,8 +309,8 @@ TEST(NeighborTest, TwoTouchingPartitionsAreNeighbors) {
 
 TEST(NeighborTest, RelationIsSymmetricAndIrreflexive) {
   auto entries = RandomEntries(5000, 87);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
   ComputeNeighbors(&partitions);
 
   for (size_t i = 0; i < partitions.size(); ++i) {
@@ -339,8 +333,8 @@ TEST(NeighborTest, TileAdjacencyGraphIsConnected) {
   // any data set must be connected — the property that makes the crawl reach
   // every page (even across concave "holes" in the data).
   auto entries = RandomEntries(3000, 88);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
   ComputeNeighbors(&partitions);
 
   std::vector<bool> visited(partitions.size(), false);
@@ -367,8 +361,8 @@ TEST(NeighborTest, InflatingPartitionsIncreasesPointerCount) {
   // MBR grows with it so it still encloses the page (ComputeNeighbors'
   // candidate filter).
   auto entries = RandomEntries(5000, 89);
-  const Aabb universe = UniverseOf(entries);
-  auto partitions = StrPartition(&entries, 73, universe);
+  const Aabb universe = BoundsOf(entries);
+  auto partitions = StrPartition(entries, 73, universe);
   ComputeNeighbors(&partitions);
   const uint64_t baseline = TotalNeighborPointers(partitions);
 

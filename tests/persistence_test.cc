@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -79,6 +80,77 @@ TEST(PersistenceTest, PagesAndCategoriesSurvive) {
   EXPECT_EQ(loaded->category(b), PageCategory::kSeedLeaf);
   EXPECT_EQ(std::memcmp(loaded->Data(a), "alpha", 5), 0);
   EXPECT_EQ(std::memcmp(loaded->Data(b), "bravo", 5), 0);
+}
+
+// Expects the file at `path` to hold what writing `file` page by page
+// gives: the header, the category table, then each page in id order. Then
+// reopens it with DiskPageFile::Open and expects `file`'s pages back.
+void ExpectPageByPageBytes(const PageStore& file, const std::string& path) {
+  std::string header = RawPageFileBytes(
+      file.page_size(), static_cast<uint32_t>(file.page_count()), "");
+  for (PageId id = 0; id < file.page_count(); ++id) {
+    header.push_back(static_cast<char>(file.category(id)));
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string got(header.size(), '\0');
+  ASSERT_TRUE(in.read(got.data(), static_cast<std::streamsize>(got.size())));
+  ASSERT_EQ(got, header);
+  std::string page(file.page_size(), '\0');
+  for (PageId id = 0; id < file.page_count(); ++id) {
+    ASSERT_TRUE(in.read(page.data(), file.page_size())) << "page " << id;
+    ASSERT_EQ(std::memcmp(page.data(), file.Data(id), file.page_size()), 0)
+        << "page " << id;
+  }
+  EXPECT_EQ(in.peek(), std::ifstream::traits_type::eof()) << "trailing bytes";
+
+  const std::unique_ptr<DiskPageFile> reopened = DiskPageFile::Open(path);
+  ASSERT_EQ(reopened->page_count(), file.page_count());
+  for (PageId id = 0; id < file.page_count(); ++id) {
+    ASSERT_EQ(reopened->category(id), file.category(id)) << "page " << id;
+    ASSERT_EQ(std::memcmp(reopened->Data(id), file.Data(id), file.page_size()),
+              0)
+        << "page " << id;
+  }
+}
+
+// SavePageFile writes each run of address-contiguous pages at once. A
+// PageFile's run ends at its slab's end: the next page lives in another
+// arena.
+TEST(PersistenceTest, PageRunsBreakAtSlabEnds) {
+  PageFile file;
+  const PageId per_slab = file.pages_per_slab();
+  for (PageId id = 0; id < per_slab + 3; ++id) {
+    file.Allocate(id % 2 == 0 ? PageCategory::kObject
+                              : PageCategory::kSeedLeaf);
+  }
+  // Tag a sample of pages, the ones around the slab end among them; the
+  // rest stay zero and cost no memory.
+  for (PageId id = 0; id < file.page_count(); ++id) {
+    if (id % 251 != 0 && id + 2 < per_slab) continue;
+    char* page = file.MutableData(id);
+    std::memcpy(page, &id, sizeof(id));
+    std::memcpy(page + file.page_size() - sizeof(id), &id, sizeof(id));
+  }
+  const ScopedPageFileOnDisk on_disk(file, "slabs");
+  ExpectPageByPageBytes(file, on_disk.path());
+}
+
+// A DiskPageFile is one run when mapped, and a run per page when it reads
+// pages into buffers of their own; both re-save to the bytes they serve.
+TEST(PersistenceTest, DiskPageFileResavesItsOwnBytes) {
+  PageFile file;
+  FlatIndex::Build(&file, testing::RandomEntries(5000, 313));
+  const ScopedPageFileOnDisk saved(file, "resave_source");
+  for (const bool use_mmap : {true, false}) {
+    SCOPED_TRACE(use_mmap ? "mmap" : "pread");
+    DiskPageFile::Options options;
+    options.use_mmap = use_mmap;
+    const std::unique_ptr<DiskPageFile> disk =
+        DiskPageFile::Open(saved.path(), options);
+    const ScopedPageFileOnDisk resaved(*disk, "resaved");
+    ExpectPageByPageBytes(*disk, resaved.path());
+    ExpectPageByPageBytes(file, resaved.path());
+  }
 }
 
 TEST(PersistenceTest, RejectsGarbageAndTruncation) {

@@ -130,8 +130,8 @@ TEST_P(SeedWalkTest, ReadsAndResultsMatchPinnedWalks) {
   PageFile file(want.page_size);
   FlatIndex::BuildOptions options;
   options.aggregate_counts = true;
-  const FlatIndex pruned =
-      FlatIndex::Build(&file, testing::RandomEntries(20000, 1701), options);
+  std::vector<RTreeEntry> elements = testing::RandomEntries(20000, 1701);
+  const FlatIndex pruned = FlatIndex::Build(&file, elements, options);
   ASSERT_TRUE(pruned.has_aggregates());
   const FlatIndex plain = FlatIndex::Attach(&file, pruned.descriptor());
   EXPECT_EQ(pruned.seed_height(), want.seed_height);

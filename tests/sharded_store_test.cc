@@ -6,9 +6,13 @@
 // byte-deterministic across thread counts.
 #include "shard/sharded_flat_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/flat_index.h"
+#include "core/partitioner.h"
 #include "data/mesh_generator.h"
 #include "data/neuron_generator.h"
 #include "data/uniform_generator.h"
@@ -275,6 +280,158 @@ TEST(ShardedStoreTest, SaveLoadRoundTripIsBitIdentical) {
     EXPECT_EQ(CategoryCounts(loaded_io), CategoryCounts(original_io));
   }
   std::filesystem::remove_all(dir);
+}
+
+// Every query's ids and per-category reads, for bit-identity checks.
+std::vector<std::vector<uint64_t>> Answers(const ShardedFlatStore& store,
+                                           const std::vector<Aabb>& queries) {
+  std::vector<std::vector<uint64_t>> answers;
+  for (const Aabb& query : queries) {
+    IoStats io;
+    answers.push_back(store.RangeQuery(query, &io));
+    answers.push_back(CategoryCounts(io));
+  }
+  return answers;
+}
+
+void ExpectSamePages(const PageStore& a, const PageStore& b) {
+  ASSERT_EQ(a.page_size(), b.page_size());
+  ASSERT_EQ(a.page_count(), b.page_count());
+  for (PageId id = 0; id < a.page_count(); ++id) {
+    ASSERT_EQ(a.category(id), b.category(id)) << "page " << id;
+    ASSERT_EQ(std::memcmp(a.Data(id), b.Data(id), a.page_size()), 0)
+        << "page " << id;
+  }
+}
+
+// Save replaces each page file instead of truncating it. A loaded store
+// maps its directory's page files, so it keeps answering after that
+// directory is saved over, by itself or by another store.
+TEST(ShardedStoreTest, SavingOverALoadedStoresDirectoryKeepsItServing) {
+  const std::vector<Aabb> queries = RandomQueries(20, /*seed=*/53);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_sharded_store_resave";
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::filesystem::remove_all(dir);
+    const ShardedFlatStore::Options options{.num_shards = 4,
+                                            .num_threads = threads};
+    ShardedFlatStore::Build(RandomEntries(12000, /*seed=*/54), options)
+        .Save(dir.string());
+    const ShardedFlatStore loaded =
+        ShardedFlatStore::Load(dir.string(), threads);
+    const std::vector<std::vector<uint64_t>> before = Answers(loaded, queries);
+
+    // The loaded store saved into the directory it is served from.
+    loaded.Save(dir.string());
+    EXPECT_EQ(Answers(loaded, queries), before);
+    EXPECT_EQ(Answers(ShardedFlatStore::Load(dir.string(), threads), queries),
+              before);
+
+    // Another store saved over the loaded store's directory.
+    const ShardedFlatStore other =
+        ShardedFlatStore::Build(RandomEntries(9000, /*seed=*/55), options);
+    other.Save(dir.string());
+    EXPECT_EQ(Answers(loaded, queries), before);
+    EXPECT_EQ(Answers(ShardedFlatStore::Load(dir.string(), threads), queries),
+              Answers(other, queries));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Save writes the shard files in parallel; the directory's bytes do not
+// depend on the thread count.
+TEST(ShardedStoreTest, SavedDirectoriesAreByteIdenticalAcrossThreadCounts) {
+  const std::vector<RTreeEntry> entries = RandomEntries(12000, /*seed=*/56);
+  std::vector<std::map<std::string, std::string>> saved;
+  for (const size_t threads : {1u, 4u}) {
+    ShardedFlatStore store = ShardedFlatStore::Build(
+        entries, {.num_shards = 5,
+                  .num_threads = threads,
+                  .aggregate_counts = true});
+    store.Insert(RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), 1'000'000});
+    store.Erase(entries.front().id);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("flat_sharded_store_save_" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    store.Save(dir.string());
+    std::map<std::string, std::string>& files = saved.emplace_back();
+    for (const auto& file : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(file.path(), std::ios::binary);
+      files[file.path().filename().string()].assign(
+          std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    std::filesystem::remove_all(dir);
+  }
+  // Per shard a page file and its sidecar, plus the catalog, the WAL and the
+  // generation sidecar.
+  EXPECT_GE(saved[0].size(), 2 * 4 + 3u);
+  ASSERT_EQ(saved[0].size(), saved[1].size());
+  for (const auto& [name, bytes] : saved[0]) {
+    ASSERT_TRUE(saved[1].contains(name)) << name;
+    EXPECT_TRUE(saved[1].at(name) == bytes) << name << " differs";
+  }
+}
+
+// A page file Save cannot replace fails the Save, naming the file, whether
+// the shard files are written on the caller or on a pool.
+TEST(ShardedStoreTest, SaveThatCannotReplaceAPageFileNamesIt) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_sharded_store_blocked";
+  const std::filesystem::path blocked = dir / "shard-0002.pgf";
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const ShardedFlatStore store = ShardedFlatStore::Build(
+        RandomEntries(8000, /*seed=*/57),
+        {.num_shards = 4, .num_threads = threads});
+    ASSERT_GE(store.shard_count(), 3u);
+    std::filesystem::remove_all(dir);
+    // A non-empty directory can be neither unlinked nor opened as a file.
+    std::filesystem::create_directories(blocked / "occupant");
+    try {
+      store.Save(dir.string());
+      ADD_FAILURE() << "Save over an unreplaceable page file must throw";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(blocked.string()),
+                std::string::npos)
+          << "actual message: " << error.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Shards build in place on disjoint slices of the split's array. Each
+// shard's pages equal a FlatIndex built from a copy of that shard's
+// elements, and a shuffled input gives the same shard files.
+TEST(ShardedStoreTest, ShardsEqualIndexesBuiltFromCopiedOutElements) {
+  const std::vector<RTreeEntry> entries = RandomEntries(12000, /*seed=*/58);
+  const ShardedFlatStore::Options options{.num_shards = 4, .num_threads = 2};
+  const ShardedFlatStore store = ShardedFlatStore::Build(entries, options);
+  std::vector<RTreeEntry> shuffled = entries;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(59));
+  const ShardedFlatStore from_shuffled =
+      ShardedFlatStore::Build(shuffled, options);
+
+  // The store's split: shard-sized STR partitions of the whole set.
+  std::vector<RTreeEntry> split = entries;
+  const std::vector<PartitionInfo> shards = StrPartition(
+      split,
+      static_cast<uint32_t>((entries.size() + options.num_shards - 1) /
+                            options.num_shards),
+      BoundsOf(entries));
+  ASSERT_EQ(shards.size(), store.shard_count());
+  ASSERT_EQ(shards.size(), from_shuffled.shard_count());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const std::vector<RTreeEntry> copy(
+        split.begin() + shards[s].first,
+        split.begin() + shards[s].first + shards[s].count);
+    PageFile file(options.page_size);
+    FlatIndex::Build(&file, copy);
+    ExpectSamePages(file, store.shard_file(s));
+    ExpectSamePages(store.shard_file(s), from_shuffled.shard_file(s));
+  }
 }
 
 TEST(ShardedStoreTest, EmptyStore) {

@@ -27,12 +27,6 @@ namespace {
 using testing::BruteForce;
 using testing::Sorted;
 
-Aabb BoundsOf(const std::vector<RTreeEntry>& elements) {
-  Aabb bounds;
-  for (const RTreeEntry& e : elements) bounds.ExpandToInclude(e.box);
-  return bounds;
-}
-
 std::vector<RTreeEntry> Uniform() { return testing::RandomEntries(3000, 301); }
 
 std::vector<RTreeEntry> Mesh() {
@@ -183,7 +177,7 @@ class TileAdjacencyTest : public ::testing::TestWithParam<Param> {
 TEST_P(TileAdjacencyTest, RelationMatchesDefinitionAndIsWellFormed) {
   std::vector<RTreeEntry> elements = data().make();
   std::vector<PartitionInfo> partitions = StrPartition(
-      &elements, NodeCapacity(page_size()), BoundsOf(elements));
+      elements, NodeCapacity(page_size()), BoundsOf(elements));
   ComputeNeighbors(&partitions);
   const size_t n = partitions.size();
 
@@ -312,7 +306,7 @@ TEST(TileAdjacencyEffectTest, NeuronPointersFallBelowStretchedRelation) {
   params.seed = 309;
   std::vector<RTreeEntry> elements = GenerateNeurons(params).elements;
   std::vector<PartitionInfo> partitions =
-      StrPartition(&elements, NodeCapacity(kDefaultPageSize),
+      StrPartition(elements, NodeCapacity(kDefaultPageSize),
                    BoundsOf(elements));
   ComputeNeighbors(&partitions);
   uint64_t stretched = 0;

@@ -38,12 +38,6 @@ namespace {
 using testing::BruteForce;
 using testing::Sorted;
 
-Aabb BoundsOf(const std::vector<RTreeEntry>& elements) {
-  Aabb bounds;
-  for (const RTreeEntry& e : elements) bounds.ExpandToInclude(e.box);
-  return bounds;
-}
-
 std::vector<RTreeEntry> Uniform(size_t count) {
   return testing::RandomEntries(count, 501);
 }
